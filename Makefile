@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-fusion bench-fusion-hooks bench-all bench-smoke vaxd-smoke experiments clean
+.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-fusion bench-fusion-hooks bench-all bench-smoke bench-harness vaxd-smoke experiments clean
 
 all: fmt-check vet lint build test
 
@@ -178,6 +178,14 @@ bench-smoke:
 	@rm -f /tmp/vaxbench_smoke.json
 	$(GO) test -run xxx -bench 'BenchmarkTelemetry|BenchmarkFaults|BenchmarkParallelRun|BenchmarkProf|BenchmarkObs' \
 		-benchtime 1x -count 1 . | $(GO) run ./cmd/vaxbench -history /tmp/vaxbench_smoke.json -label smoke
+
+# The benchmark harness (bench/) is a module of its own, so the root
+# fmt-check, vet and test targets do not reach it: format-check, vet
+# and test it here. `bash bench/run.sh` runs the benchmark itself.
+bench-harness:
+	@out=$$(cd bench && gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed in bench/ on:"; echo "$$out"; exit 1; fi
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 experiments:
 	$(GO) run ./cmd/vaxtables -n 200000 -o EXPERIMENTS.md

@@ -88,7 +88,9 @@ func main() {
 	if err := tel.WriteIntervalsCSV(csv); err != nil {
 		log.Fatal(err)
 	}
-	csv.Close()
+	if err := csv.Close(); err != nil {
+		log.Fatal(err)
+	}
 	trace, err := os.Create("trace.json")
 	if err != nil {
 		log.Fatal(err)
@@ -96,7 +98,9 @@ func main() {
 	if err := tel.WriteTrace(trace); err != nil {
 		log.Fatal(err)
 	}
-	trace.Close()
+	if err := trace.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nwrote intervals.csv (%d intervals) and trace.json (open in chrome://tracing or https://ui.perfetto.dev)\n",
 		c.Intervals)
 }

@@ -98,49 +98,58 @@ func TestFusionTargetsSubset(t *testing.T) {
 // from inside Probe.Cycle at interval boundaries: a bulk histogram
 // update would move counts across an interval edge.
 func TestFusionTelemetryBitExact(t *testing.T) {
-	cfg := RunConfig{
-		Instructions: 1800,
-		Workloads:    []WorkloadID{TimesharingA, RTECommercial},
-	}
+	for _, c := range []struct {
+		cfg       RunConfig
+		interval  uint64
+		maxEvents int
+	}{
+		{RunConfig{Instructions: 1800, Workloads: []WorkloadID{TimesharingA, RTECommercial}}, 1500, 200000},
+		// The 10k-instruction composite under a 50 000-event trace cap.
+		{RunConfig{Instructions: 10_000, Parallelism: 1}, 100_000, 50_000},
+		{RunConfig{Instructions: 10_000, Parallelism: 2}, 100_000, 50_000},
+		{RunConfig{Instructions: 10_000, Parallelism: 4}, 100_000, 50_000},
+	} {
+		t.Run(fmt.Sprintf("n=%d/j=%d", c.cfg.Instructions, c.cfg.Parallelism), func(t *testing.T) {
+			fcfg := c.cfg
+			fcfg.Telemetry = NewTelemetry(c.interval, c.maxEvents)
+			icfg := c.cfg
+			icfg.NoFusion = true
+			icfg.Telemetry = NewTelemetry(c.interval, c.maxEvents)
 
-	fcfg := cfg
-	fcfg.Telemetry = NewTelemetry(1500, 200000)
-	icfg := cfg
-	icfg.NoFusion = true
-	icfg.Telemetry = NewTelemetry(1500, 200000)
+			fused, err := Run(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			interp, err := Run(icfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, fused, interp)
 
-	fused, err := Run(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	interp, err := Run(icfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareResults(t, fused, interp)
-
-	if fc, ic := fcfg.Telemetry.Counters(), icfg.Telemetry.Counters(); fc != ic {
-		t.Errorf("live counters differ:\nfused  %+v\ninterp %+v", fc, ic)
-	}
-	var fcsv, icsv bytes.Buffer
-	if err := fcfg.Telemetry.WriteIntervalsCSV(&fcsv); err != nil {
-		t.Fatal(err)
-	}
-	if err := icfg.Telemetry.WriteIntervalsCSV(&icsv); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fcsv.Bytes(), icsv.Bytes()) {
-		t.Error("interval CSV differs fused vs interpreted")
-	}
-	var ftr, itr bytes.Buffer
-	if err := fcfg.Telemetry.WriteTrace(&ftr); err != nil {
-		t.Fatal(err)
-	}
-	if err := icfg.Telemetry.WriteTrace(&itr); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ftr.Bytes(), itr.Bytes()) {
-		t.Error("Chrome trace differs fused vs interpreted")
+			if fc, ic := fcfg.Telemetry.Counters(), icfg.Telemetry.Counters(); fc != ic {
+				t.Errorf("live counters differ:\nfused  %+v\ninterp %+v", fc, ic)
+			}
+			var fcsv, icsv bytes.Buffer
+			if err := fcfg.Telemetry.WriteIntervalsCSV(&fcsv); err != nil {
+				t.Fatal(err)
+			}
+			if err := icfg.Telemetry.WriteIntervalsCSV(&icsv); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fcsv.Bytes(), icsv.Bytes()) {
+				t.Error("interval CSV differs fused vs interpreted")
+			}
+			var ftr, itr bytes.Buffer
+			if err := fcfg.Telemetry.WriteTrace(&ftr); err != nil {
+				t.Fatal(err)
+			}
+			if err := icfg.Telemetry.WriteTrace(&itr); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ftr.Bytes(), itr.Bytes()) {
+				t.Error("Chrome trace differs fused vs interpreted")
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 
 // runInstrumented executes one generated workload on a machine with the
 // given telemetry layer attached and returns the machine and monitor.
-func runInstrumented(t *testing.T, tel *telemetry.Telemetry, instrs int) (*machine.Machine, *upc.Monitor) {
+func runInstrumented(t testing.TB, tel *telemetry.Telemetry, instrs int) (*machine.Machine, *upc.Monitor) {
 	t.Helper()
 	tr, err := workload.Generate(workload.TimesharingA(instrs))
 	if err != nil {

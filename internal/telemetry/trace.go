@@ -9,6 +9,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"strconv"
 
 	"vax780/internal/ucode"
 	"vax780/internal/urom"
@@ -29,8 +30,8 @@ func cycleMicros(cycle uint64) float64 { return float64(cycle) * 0.2 }
 // argKind tags the typed argument payload of a hot-path trace event.
 // The collector is on the simulation hot path (one call per EBOX cycle
 // with tracing enabled), so events carry their arguments as plain
-// fields; the map[string]any form the trace_event JSON wants is built
-// once per event at write time, not once per event at collection time.
+// fields, and WriteTrace encodes those fields straight into the JSON
+// args object: no map is built per event, at collection or at export.
 // Only the cold metadata events (emitted at construction) carry a
 // prebuilt map.
 type argKind uint8
@@ -63,46 +64,6 @@ type traceEvent struct {
 	AS   string
 	A, B uint32
 	M    map[string]any
-}
-
-// args materializes the event's argument map for the JSON exporter.
-func (ev *traceEvent) args() map[string]any {
-	switch ev.AK {
-	case argsMap:
-		return ev.M
-	case argsEntry:
-		return map[string]any{"entry": ev.AS}
-	case argsPC:
-		return map[string]any{"pc": ev.A}
-	case argsHandlerPC:
-		return map[string]any{"handler_pc": ev.A}
-	case argsFromTo:
-		return map[string]any{"from": ev.A, "to": ev.B}
-	case argsVA:
-		return map[string]any{"va": ev.A}
-	}
-	return nil
-}
-
-// wireEvent is the trace_event JSON record (the subset Perfetto
-// consumes).
-type wireEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Cat  string         `json:"cat,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// traceFile is the JSON object format of the trace_event spec.
-type traceFile struct {
-	TraceEvents     []wireEvent    `json:"traceEvents"`
-	DisplayTimeUnit string         `json:"displayTimeUnit"`
-	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 
 // Tracer collects trace events from the probe stream. It coalesces
@@ -381,36 +342,146 @@ func (tr *Tracer) Truncated() bool { return tr.truncated }
 // Events returns the number of collected events.
 func (tr *Tracer) Events() int { return len(tr.events) }
 
+// Export buffering: WriteTrace encodes into one buffer of traceBufSize
+// bytes and hands it to the writer whenever fewer than traceEventRoom
+// bytes remain, so export memory stays constant in the event count.
+const (
+	traceBufSize   = 64 << 10
+	traceEventRoom = 1 << 10
+)
+
 // WriteTrace writes the collected timeline as trace_event JSON. The
 // telemetry layer's Finish must have closed the open slices first
 // (Telemetry.WriteTrace does this).
+//
+// The output is byte-for-byte what encoding/json emits for the
+// trace_event object model: events carry the fields name, ph, ts, dur,
+// pid, tid, s, args in that order, with dur, s and args left out when
+// empty; object keys inside args and otherData are sorted; a newline
+// ends the document.
 func (tr *Tracer) WriteTrace(w io.Writer) error {
-	evs := make([]wireEvent, len(tr.events))
-	for i, ev := range tr.events {
-		we := wireEvent{
-			Name: ev.Name, Ph: ev.Ph, Pid: ev.Pid, Tid: ev.Tid,
-			S: ev.S, Args: ev.args(),
-		}
-		if ev.Ph != "M" {
-			we.Ts = cycleMicros(ev.Start)
-		}
-		if ev.Ph == "X" {
-			we.Dur = cycleMicros(ev.End) - cycleMicros(ev.Start)
-		}
-		evs[i] = we
+	tw := traceWriter{
+		w:      w,
+		buf:    make([]byte, 0, traceBufSize),
+		quoted: make(map[string][]byte),
 	}
-	f := traceFile{
-		TraceEvents:     evs,
-		DisplayTimeUnit: "ns",
-		OtherData: map[string]any{
-			"source":      "vax780 telemetry layer",
-			"cycle_ns":    200,
-			"truncated":   tr.truncated,
-			"event_count": len(tr.events),
-		},
+	tw.buf = append(tw.buf, `{"traceEvents":[`...)
+	for i := range tr.events {
+		if i > 0 {
+			tw.buf = append(tw.buf, ',')
+		}
+		tw.event(&tr.events[i])
+		if cap(tw.buf)-len(tw.buf) < traceEventRoom {
+			tw.flush()
+		}
+		if tw.err != nil {
+			return tw.err
+		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(f)
+	b := append(tw.buf, `],"displayTimeUnit":"ns","otherData":{"cycle_ns":200,"event_count":`...)
+	b = strconv.AppendInt(b, int64(len(tr.events)), 10)
+	b = append(b, `,"source":"vax780 telemetry layer","truncated":`...)
+	b = strconv.AppendBool(b, tr.truncated)
+	tw.buf = append(b, "}}\n"...)
+	tw.flush()
+	return tw.err
+}
+
+// traceWriter is WriteTrace's append-based encoder: a reused output
+// buffer, the first error the writer returned, and the JSON-quoted form
+// of every distinct string seen so far.
+type traceWriter struct {
+	w      io.Writer
+	buf    []byte
+	err    error
+	quoted map[string][]byte
+}
+
+// flush hands the buffered bytes to the writer unless an error has
+// already occurred: the first error wins, and nothing is written after
+// it.
+func (tw *traceWriter) flush() {
+	if tw.err != nil {
+		return
+	}
+	_, tw.err = tw.w.Write(tw.buf)
+	tw.buf = tw.buf[:0]
+}
+
+// quote returns s as a JSON string literal under encoding/json's
+// escaping rules (HTML-safe, U+2028/U+2029 escaped, invalid UTF-8
+// replaced by U+FFFD). Names, labels and opcodes come from small fixed
+// sets, so each is marshaled once and reused.
+func (tw *traceWriter) quote(s string) []byte {
+	q, ok := tw.quoted[s]
+	if !ok {
+		q, _ = json.Marshal(s) // a string always marshals
+		tw.quoted[s] = q
+	}
+	return q
+}
+
+// event appends one trace_event record; ts is 0 on metadata events.
+// Times are AppendFloat's shortest 'f' form, which is encoding/json's
+// float64 format for every value a trace holds: 0, or at least 0.2 µs
+// and below 0.2 × 2^64 < 1e21.
+func (tw *traceWriter) event(ev *traceEvent) {
+	b := append(tw.buf, `{"name":`...)
+	b = append(b, tw.quote(ev.Name)...)
+	b = append(b, `,"ph":`...)
+	b = append(b, tw.quote(ev.Ph)...)
+	b = append(b, `,"ts":`...)
+	if ev.Ph == "M" {
+		b = append(b, '0')
+	} else {
+		b = strconv.AppendFloat(b, cycleMicros(ev.Start), 'f', -1, 64)
+	}
+	if ev.Ph == "X" {
+		if dur := cycleMicros(ev.End) - cycleMicros(ev.Start); dur != 0 {
+			b = append(b, `,"dur":`...)
+			b = strconv.AppendFloat(b, dur, 'f', -1, 64)
+		}
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(ev.Pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(ev.Tid), 10)
+	if ev.S != "" {
+		b = append(b, `,"s":`...)
+		b = append(b, tw.quote(ev.S)...)
+	}
+	switch ev.AK {
+	case argsMap:
+		if len(ev.M) > 0 {
+			m, err := json.Marshal(ev.M) // cold path: metadata events only
+			if err != nil {
+				tw.err = err
+			}
+			b = append(b, `,"args":`...)
+			b = append(b, m...)
+		}
+	case argsEntry:
+		b = append(b, `,"args":{"entry":`...)
+		b = append(b, tw.quote(ev.AS)...)
+		b = append(b, '}')
+	case argsPC:
+		b = appendUintArg(b, `,"args":{"pc":`, ev.A)
+	case argsHandlerPC:
+		b = appendUintArg(b, `,"args":{"handler_pc":`, ev.A)
+	case argsFromTo:
+		b = strconv.AppendUint(append(b, `,"args":{"from":`...), uint64(ev.A), 10)
+		b = appendUintArg(b, `,"to":`, ev.B)
+	case argsVA:
+		b = appendUintArg(b, `,"args":{"va":`, ev.A)
+	}
+	tw.buf = append(b, '}')
+}
+
+// appendUintArg appends key (with its leading punctuation), v, and the
+// closing brace of the args object.
+func appendUintArg(b []byte, key string, v uint32) []byte {
+	b = strconv.AppendUint(append(b, key...), uint64(v), 10)
+	return append(b, '}')
 }
 
 // WriteTrace exports the Chrome trace; it returns an error when tracing

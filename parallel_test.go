@@ -90,58 +90,68 @@ func TestParallelBitExact(t *testing.T) {
 
 // TestParallelTelemetryBitExact attaches the full telemetry stack to
 // both runs: the interval time series, the live counters, and the
-// Chrome trace must splice back to the sequential timeline exactly.
+// Chrome trace must splice back to the sequential timeline exactly —
+// on a short three-workload run, and on the 10k-instruction composite
+// with a 50 000-event trace cap that truncates mid-run.
 func TestParallelTelemetryBitExact(t *testing.T) {
-	cfg := RunConfig{
-		Instructions: 1800,
-		Workloads:    []WorkloadID{TimesharingA, RTEScientific, RTECommercial},
-	}
+	for _, c := range []struct {
+		cfg       RunConfig
+		workers   int
+		interval  uint64
+		maxEvents int
+	}{
+		{RunConfig{Instructions: 1800, Workloads: []WorkloadID{TimesharingA, RTEScientific, RTECommercial}}, 3, 1500, 200000},
+		{RunConfig{Instructions: 10_000}, 2, 100_000, 50_000},
+		{RunConfig{Instructions: 10_000}, 4, 100_000, 50_000},
+	} {
+		t.Run(fmt.Sprintf("n=%d/j=%d", c.cfg.Instructions, c.workers), func(t *testing.T) {
+			scfg := c.cfg
+			scfg.Parallelism = 1
+			scfg.Telemetry = NewTelemetry(c.interval, c.maxEvents)
+			seq, err := Run(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	scfg := cfg
-	scfg.Parallelism = 1
-	scfg.Telemetry = NewTelemetry(1500, 200000)
-	seq, err := Run(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+			pcfg := c.cfg
+			pcfg.Parallelism = c.workers
+			pcfg.Telemetry = NewTelemetry(c.interval, c.maxEvents)
+			par, err := Run(pcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	pcfg := cfg
-	pcfg.Parallelism = 3
-	pcfg.Telemetry = NewTelemetry(1500, 200000)
-	par, err := Run(pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+			compareResults(t, seq, par)
 
-	compareResults(t, seq, par)
+			if sc, pc := scfg.Telemetry.Counters(), pcfg.Telemetry.Counters(); sc != pc {
+				t.Errorf("live counters differ:\nseq %+v\npar %+v", sc, pc)
+			}
+			if sr, pr := scfg.Telemetry.IntervalRows(), pcfg.Telemetry.IntervalRows(); !reflect.DeepEqual(sr, pr) {
+				t.Errorf("interval rows differ: %d sequential, %d parallel rows", len(sr), len(pr))
+			}
 
-	if sc, pc := scfg.Telemetry.Counters(), pcfg.Telemetry.Counters(); sc != pc {
-		t.Errorf("live counters differ:\nseq %+v\npar %+v", sc, pc)
-	}
-	if sr, pr := scfg.Telemetry.IntervalRows(), pcfg.Telemetry.IntervalRows(); !reflect.DeepEqual(sr, pr) {
-		t.Errorf("interval rows differ: %d sequential, %d parallel rows", len(sr), len(pr))
-	}
+			var scsv, pcsv bytes.Buffer
+			if err := scfg.Telemetry.WriteIntervalsCSV(&scsv); err != nil {
+				t.Fatal(err)
+			}
+			if err := pcfg.Telemetry.WriteIntervalsCSV(&pcsv); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(scsv.Bytes(), pcsv.Bytes()) {
+				t.Error("interval CSV differs")
+			}
 
-	var scsv, pcsv bytes.Buffer
-	if err := scfg.Telemetry.WriteIntervalsCSV(&scsv); err != nil {
-		t.Fatal(err)
-	}
-	if err := pcfg.Telemetry.WriteIntervalsCSV(&pcsv); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(scsv.Bytes(), pcsv.Bytes()) {
-		t.Error("interval CSV differs")
-	}
-
-	var strace, ptrace bytes.Buffer
-	if err := scfg.Telemetry.WriteTrace(&strace); err != nil {
-		t.Fatal(err)
-	}
-	if err := pcfg.Telemetry.WriteTrace(&ptrace); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(strace.Bytes(), ptrace.Bytes()) {
-		t.Error("Chrome trace differs")
+			var strace, ptrace bytes.Buffer
+			if err := scfg.Telemetry.WriteTrace(&strace); err != nil {
+				t.Fatal(err)
+			}
+			if err := pcfg.Telemetry.WriteTrace(&ptrace); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(strace.Bytes(), ptrace.Bytes()) {
+				t.Error("Chrome trace differs")
+			}
+		})
 	}
 }
 
