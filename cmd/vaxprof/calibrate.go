@@ -209,7 +209,7 @@ func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath st
 			m.profiler, m.res, bestNs = p, res, ns
 		}
 		if root := p.SpanTree(); root != nil {
-			for _, ws := range root.Children {
+			for _, ws := range root.Children() {
 				pool(ws.Name, ws.DurNs)
 			}
 		}

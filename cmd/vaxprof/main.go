@@ -20,7 +20,7 @@
 //	vaxprof -diff old.json new.json                compare two saved profiles
 //	vaxprof -o prof.json -calib-out cal.json       save the exact profile / calibration
 //	vaxprof -calib cal.json                        reuse a saved calibration (skip probing)
-//	vaxprof -chrome trace.json -spans spans.jsonl  span-tree exports (sweep→run→workload→flow)
+//	vaxprof -chrome trace.json -spans spans.jsonl  span-tree exports (sweep→run→workload→flow; obs rows)
 //	vaxprof -ledger run.jsonl                      also write the run ledger JSONL
 //
 // Exit codes: 0 on success, 1 on any failure, 2 on usage errors.
@@ -29,9 +29,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"vax780"
+	"vax780/internal/obs"
 	"vax780/internal/prof"
 )
 
@@ -120,15 +122,7 @@ func run(n, top, stride, reps int, targets bool,
 	cal, profiler, res, wallNs := m.cal, m.profiler, m.res, m.wallNs
 
 	if calibOut != "" {
-		f, err := os.Create(calibOut)
-		if err != nil {
-			return err
-		}
-		if err := cal.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(calibOut, cal.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -161,15 +155,7 @@ func writeExports(profiler *vax780.Profiler, res *vax780.Results,
 	if out != "" {
 		exact := res.Profile(cal)
 		exact.WallNs = wallNs
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if err := exact.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(out, exact.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -178,41 +164,41 @@ func writeExports(profiler *vax780.Profiler, res *vax780.Results,
 	}
 	root := sweepSpan(profiler)
 	if chrome != "" {
-		f, err := os.Create(chrome)
-		if err != nil {
-			return err
-		}
-		if err := prof.WriteChromeTrace(f, root); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(chrome, func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, root.Name, root)
+		}); err != nil {
 			return err
 		}
 	}
 	if spansPath != "" {
-		f, err := os.Create(spansPath)
-		if err != nil {
-			return err
-		}
-		if err := prof.WriteJSONL(f, root); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+		return writeFile(spansPath, func(w io.Writer) error {
+			return obs.WriteRows(w, root.Name, root)
+		})
 	}
 	return nil
 }
 
-// sweepSpan wraps the measured run's span tree under a sweep-level
+// writeFile creates path and fills it with write, reporting the first
+// of the write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// sweepSpan grafts the measured run's span tree under a sweep-level
 // root, completing the sweep → run → workload → flow hierarchy (the
 // calibration probes were the sweep's other runs; only the profiled
 // composite carries measured spans).
 func sweepSpan(profiler *vax780.Profiler) *vax780.Span {
 	runSpan := profiler.SpanTree()
-	root := prof.NewSpan("sweep", "vaxprof", runSpan.StartNs, runSpan.DurNs)
-	root.Add(runSpan)
+	root := (&vax780.Span{Kind: "sweep", Name: "vaxprof"}).SetWall(runSpan.StartNs, runSpan.DurNs)
+	root.Adopt(runSpan)
 	return root
 }

@@ -2,16 +2,14 @@ package vax780
 
 // RunConfig wiring of the flow-fusion superword engine
 // (internal/ufuse): resolve the run's plan once up front — the cached
-// whole-ROM compile by default, a seeded compile when the run
-// restricts fusion to a vaxprof -targets selection, nil when the
-// escape hatch is set — and hand it to every workload machine. This
-// is also where ulint's proven segmentation (via the shared cached
-// flow index) is bridged to the dependency-light fusion compiler: the
-// machine layers never see the analyzer. The plan itself is immutable
-// and shared; enabling or disabling fusion never changes measured
-// data (the determinism suite holds fused runs byte-identical to
-// interpreted ones), which is why neither NoFusion nor FusionTargets
-// participates in the checkpoint fingerprint.
+// whole-ROM compile, or nil when the NoFusion escape hatch is set —
+// and hand it to every workload machine. This is also where ulint's
+// proven segmentation (via the shared cached flow index) is bridged
+// to the dependency-light fusion compiler: the machine layers never
+// see the analyzer. The plan itself is immutable and shared; enabling
+// or disabling fusion never changes measured data (the determinism
+// suite holds fused runs byte-identical to interpreted ones), which is
+// why NoFusion does not participate in the checkpoint fingerprint.
 
 import (
 	"fmt"
@@ -58,21 +56,7 @@ func (c *RunConfig) fusionPlan() (*ufuse.Plan, error) {
 	if c.NoFusion {
 		return nil, nil
 	}
-	if len(c.FusionTargets) == 0 {
-		return defaultFusionPlan()
-	}
-	rom := machineROM()
-	want := make(map[uint16]bool, len(c.FusionTargets))
-	for _, t := range c.FusionTargets {
-		want[t.Start] = true
-	}
-	var seeds []ufuse.Segment
-	for _, s := range fusibleSegments(rom) {
-		if want[s.Start] {
-			seeds = append(seeds, s)
-		}
-	}
-	return ufuse.Compile(rom, seeds)
+	return defaultFusionPlan()
 }
 
 // FusionAudit compiles the default superword plan over the shipped

@@ -68,28 +68,6 @@ func TestFusionAudit(t *testing.T) {
 	}
 }
 
-// TestFusionTargetsSubset: restricting fusion to a -targets ranking's
-// top rows is still bit-exact with full interpretation — a subset of a
-// proven plan is a proven plan.
-func TestFusionTargetsSubset(t *testing.T) {
-	cfg := RunConfig{
-		Instructions: 2000,
-		Workloads:    []WorkloadID{TimesharingA, RTEScientific},
-	}
-	seed, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := seed.JITTargets(nil)
-	if len(targets) < 2 {
-		t.Fatalf("ranking produced %d targets, want ≥ 2", len(targets))
-	}
-	tcfg := cfg
-	tcfg.FusionTargets = targets[:2]
-	fused, interp := runFusionPair(t, tcfg)
-	compareResults(t, fused, interp)
-}
-
 // TestFusionTelemetryBitExact: an attached telemetry layer no longer
 // deopts — the fused path interleaves the probe cycle by cycle in
 // tick's exact order — and every telemetry artifact (live counters,

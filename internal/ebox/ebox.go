@@ -36,19 +36,14 @@ type Probe interface {
 	Cycle(now uint64, addr uint16, stalled bool)
 	// TBMiss observes a D-stream translation-buffer microtrap.
 	TBMiss(now uint64, istream bool, va uint32)
-}
-
-// BulkProbe is the optional bulk extension of Probe, implemented by the
-// telemetry layer. Quiet reports how many of the next n cycles are
-// observation-free (no interval boundary, no pending board command);
-// CycleRun applies that many un-stalled cycles in one call, bit-exact
-// with n individual Cycle calls over a span Quiet approved. The
-// superword replay path uses it to amortize the per-cycle hook cost
-// while routing every observable event — an interval roll, a board
-// command — through the ordinary per-cycle path at its exact cycle.
-type BulkProbe interface {
-	Probe
+	// Quiet reports how many of the next n cycles are observation-free
+	// (no interval boundary, no pending board command).
 	Quiet(now uint64, n int) int
+	// CycleRun applies n un-stalled cycles in one call, bit-exact with
+	// n individual Cycle calls over a span Quiet approved. The
+	// superword replay path uses the pair to amortize the per-cycle
+	// hook cost while routing every observable event — an interval
+	// roll, a board command — through Cycle at its exact cycle.
 	CycleRun(now uint64, addr uint16, n int)
 }
 
@@ -340,38 +335,44 @@ func (e *EBOX) run(entry uint16) error {
 // sampler countdown, and one free-port I-Fetch advance each — exactly
 // what n calls of tick(addr, false, false) would perform, which is what
 // the analyzer's effect-summary pass proves of every fusible segment.
+// Without a probe nothing can mutate observer state mid-superword, so
+// the bulk variants — proven bit-exact against their single-step
+// loops — apply the whole stream at once.
 //
-// With a telemetry probe attached the hooks are interleaved cycle by
-// cycle in tick's exact call order: Probe.Cycle can snapshot the
-// histogram (interval roll) or apply a board command (stop, clear)
-// between any two cycles, so the monitor tick must precede the probe
-// and Fast() must be re-tested every cycle. Without a probe nothing can
-// mutate observer state mid-superword, so the bulk variants — proven
-// bit-exact against their single-step loops — apply the whole stream at
-// once.
+// With a telemetry probe attached, observation-free spans (Probe.Quiet)
+// still apply in one call per hook, and any cycle that can observe the
+// machine — an interval roll, a pending board command, or a stopped
+// board — goes through tick itself, monitor first (so a roll inside
+// Probe.Cycle snapshots a histogram that already counts the boundary
+// cycle, as the interpreted run's would). Fast is re-tested per chunk
+// because a board command applied at a boundary can stop or clear the
+// board mid-superword.
 func (e *EBOX) fusedReplay(n int) {
-	if e.Probe != nil {
-		if bp, ok := e.Probe.(BulkProbe); ok {
-			e.fusedReplayBulk(bp, n)
-			return
-		}
+	if p := e.Probe; p != nil {
 		addr := e.upc
-		for i := 0; i < n; i++ {
-			if mon := e.upcMon; mon.Fast() {
-				mon.TickFast(addr, false)
-			} else {
-				mon.Tick(addr, false)
+		for n > 0 {
+			k := 0
+			if e.upcMon.Fast() {
+				k = p.Quiet(e.Now, n)
 			}
-			e.Probe.Cycle(e.Now, addr, false)
+			if k <= 0 {
+				e.tick(addr, false, false)
+				addr++
+				n--
+				continue
+			}
+			e.upcMon.TickRun(addr, k)
+			p.CycleRun(e.Now, addr, k)
 			if e.FR != nil {
-				e.FR.Record(e.Now, addr, false)
+				e.FR.RecordRun(e.Now, addr, k)
 			}
 			if e.Samp != nil {
-				e.Samp.Sample(addr, false)
+				e.Samp.SampleRun(addr, k)
 			}
-			e.IB.Tick(e.Now, true)
-			e.Now++
-			addr++
+			e.IB.TickRun(e.Now, k)
+			e.Now += uint64(k)
+			addr += uint16(k)
+			n -= k
 		}
 		return
 	}
@@ -384,55 +385,6 @@ func (e *EBOX) fusedReplay(n int) {
 	}
 	e.IB.TickRun(e.Now, n)
 	e.Now += uint64(n)
-}
-
-// fusedReplayBulk replays a superword under a bulk-capable probe:
-// observation-free spans apply in one call per hook, and any cycle that
-// can observe the machine — an interval roll, a pending board command,
-// or a stopped board — goes through the exact per-cycle sequence tick
-// performs, monitor first (so a roll inside Probe.Cycle snapshots a
-// histogram that already counts the boundary cycle, as the interpreted
-// run's would). Fast is re-tested per chunk because a board command
-// applied at a boundary can stop or clear the board mid-superword.
-func (e *EBOX) fusedReplayBulk(p BulkProbe, n int) {
-	addr := e.upc
-	for n > 0 {
-		k := 0
-		if e.upcMon.Fast() {
-			k = p.Quiet(e.Now, n)
-		}
-		if k <= 0 {
-			if mon := e.upcMon; mon.Fast() {
-				mon.TickFast(addr, false)
-			} else {
-				mon.Tick(addr, false)
-			}
-			p.Cycle(e.Now, addr, false)
-			if e.FR != nil {
-				e.FR.Record(e.Now, addr, false)
-			}
-			if e.Samp != nil {
-				e.Samp.Sample(addr, false)
-			}
-			e.IB.Tick(e.Now, true)
-			e.Now++
-			addr++
-			n--
-			continue
-		}
-		e.upcMon.TickRun(addr, k)
-		p.CycleRun(e.Now, addr, k)
-		if e.FR != nil {
-			e.FR.RecordRun(e.Now, addr, k)
-		}
-		if e.Samp != nil {
-			e.Samp.SampleRun(addr, k)
-		}
-		e.IB.TickRun(e.Now, k)
-		e.Now += uint64(k)
-		addr += uint16(k)
-		n -= k
-	}
 }
 
 // loopCount resolves a loop-counter load against the instruction context.

@@ -130,10 +130,10 @@ func AssembleJob(journal io.Reader, jobID string, bundleTrace []byte) (string, *
 		if err != nil {
 			return "", nil, fmt.Errorf("obs: bundle trace for job %q: %w", jobID, err)
 		}
-		// Re-rooting is just tree surgery: Flatten recomputes every
-		// path and ID from the new shape, so the spliced rows stay
-		// schema-valid under the service trace's ID scheme.
-		final.children = append(final.children, runRoot)
+		// Flatten recomputes every path and ID from the new shape, so
+		// the grafted rows stay schema-valid under the service trace's
+		// ID scheme.
+		final.Adopt(runRoot)
 	}
 
 	normalizeWall(job)

@@ -1,16 +1,23 @@
 package obs
 
-// Chrome trace-event export for obs span trees (load in Perfetto /
-// chrome://tracing). Unlike prof's exporter, an obs tree mixes two
-// timebases: service spans carry measured wall placements, run-side
-// spans carry simulated cycles and no wall clock at all (they must
-// stay byte-deterministic across -j). The layout rule: a wall-placed
-// span sits at its measured offset; a wall-free span is laid out
-// sequentially inside its parent's window with its cycle count as the
-// duration unit (one cycle renders as one microsecond). The result is
-// schematic for cycle spans — magnitudes and nesting are faithful,
-// absolute positions are not — and fully deterministic for a trace
-// with no wall data at all.
+// Chrome trace-event export for span trees (load in Perfetto /
+// chrome://tracing) — the one Chrome writer for both the service/run
+// traces and the profiler's wall-time tree. A tree may mix two
+// timebases: service and profiler spans carry measured wall
+// placements, run-side spans carry simulated cycles and no wall clock
+// at all (they must stay byte-deterministic across -j). The layout
+// rule: a wall-placed span sits at its measured offset; a wall-free
+// span is laid out sequentially inside its parent's window with its
+// cycle count as the duration unit (one cycle renders as one
+// microsecond). The result is schematic for cycle spans — magnitudes
+// and nesting are faithful, absolute positions are not — and fully
+// deterministic for a trace with no wall data at all.
+//
+// The track rule: the root sits on tid 0, each depth-1 span (a run's
+// workloads, a job's http/queue/attempt spans) gets its own tid, and
+// deeper spans inherit their parent's, so concurrently running
+// wall-placed workloads render side by side instead of overlapping on
+// one track.
 
 import (
 	"encoding/json"
@@ -55,8 +62,8 @@ func WriteChromeTrace(w io.Writer, trace string, root *Span) error {
 	}
 
 	var events []chromeEvent
-	var layout func(s *Span, ts float64)
-	layout = func(s *Span, ts float64) {
+	var layout func(s *Span, ts float64, tid int)
+	layout = func(s *Span, ts float64, tid int) {
 		if s.DurNs > 0 {
 			ts = s.StartNs / 1e3
 		}
@@ -67,17 +74,21 @@ func WriteChromeTrace(w io.Writer, trace string, root *Span) error {
 		}
 		events = append(events, chromeEvent{
 			Name: s.Name, Cat: s.Kind, Ph: "X",
-			Ts: ts, Dur: durOf(s), Pid: 1, Tid: 1,
+			Ts: ts, Dur: durOf(s), Pid: 1, Tid: tid,
 			Args: args,
 		})
 		cur := ts
-		for _, c := range s.children {
-			layout(c, cur)
+		for i, c := range s.children {
+			ct := tid
+			if s == root {
+				ct = i + 1
+			}
+			layout(c, cur, ct)
 			cur += durOf(c)
 		}
 	}
 	if root != nil {
-		layout(root, 0)
+		layout(root, 0, 0)
 	}
 	out := struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`

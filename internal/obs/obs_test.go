@@ -180,35 +180,127 @@ func TestStripWall(t *testing.T) {
 	}
 }
 
-func TestChromeExport(t *testing.T) {
-	rec, root := sampleTree()
-	var a, b bytes.Buffer
-	if err := WriteChromeTrace(&a, rec.TraceID(), root); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteChromeTrace(&b, rec.TraceID(), root); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Chrome export not deterministic")
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(a.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if want := len(Flatten(rec.TraceID(), root)); len(out.TraceEvents) != want {
-		t.Fatalf("chrome events %d, spans %d", len(out.TraceEvents), want)
-	}
-	for _, ev := range out.TraceEvents {
-		if ev.Ph != "X" || ev.Dur <= 0 {
-			t.Fatalf("bad chrome event %+v", ev)
+// TestStripEntryPoints: the ledger and trace strippers share one
+// canonicalizer (runlog.Canonicalize). Each drops only its own
+// wall-clock keys, re-encodes with sorted keys, skips blank lines, and
+// keeps a complete final record that lacks its newline; a torn final
+// record is an error, never silently dropped.
+func TestStripEntryPoints(t *testing.T) {
+	rec := `{"z":1,"time":"t","start_ns":5,"host":{"b":2,"a":1},"dur_ns":7,"a":{"y":2,"x":1}}`
+	ledger := `{"a":{"x":1,"y":2},"dur_ns":7,"start_ns":5,"z":1}` + "\n"
+	trace := `{"a":{"x":1,"y":2},"host":{"a":1,"b":2},"time":"t","z":1}` + "\n"
+	for _, c := range []struct {
+		name, in              string
+		wantLedger, wantTrace string
+		wantErr               bool
+	}{
+		{name: "sorted keys", in: rec + "\n", wantLedger: ledger, wantTrace: trace},
+		{name: "blank lines", in: "\n  \n" + rec + "\n\n" + rec + "\n\t\n",
+			wantLedger: ledger + ledger, wantTrace: trace + trace},
+		{name: "unterminated final line", in: rec + "\n" + rec,
+			wantLedger: ledger + ledger, wantTrace: trace + trace},
+		{name: "torn final line", in: rec + "\n" + rec[:20], wantErr: true},
+		{name: "empty", in: ""},
+	} {
+		for _, e := range []struct {
+			strip func([]byte) ([]byte, error)
+			want  string
+		}{
+			{runlog.StripWallClock, c.wantLedger},
+			{StripWall, c.wantTrace},
+		} {
+			got, err := e.strip([]byte(c.in))
+			if c.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "line 2") {
+					t.Errorf("%s: err = %v, want a line-2 error", c.name, err)
+				}
+				continue
+			}
+			if err != nil || string(got) != e.want {
+				t.Errorf("%s: got %q, %v; want %q", c.name, got, err, e.want)
+			}
 		}
+	}
+}
+
+// wallTree builds a profiler-shaped tree whose two wall-placed
+// workloads overlap in time, as concurrently running workloads do.
+func wallTree() (*Recorder, *Span) {
+	rec := NewRecorder("k-wall")
+	root := rec.Begin("run", "A,B").SetWall(0, 3e6)
+	a := root.Child("workload", "A").SetWall(0, 2e6)
+	a.Child("flow", "IRD").SetWall(0, 1e6)
+	root.Child("workload", "B").SetWall(5e5, 2e6)
+	return rec, root
+}
+
+// wallTreeRows pins wallTree's JSONL export: the Chrome writer's track
+// rule must not leak into the row bytes.
+const wallTreeRows = `{"trace":"k-wall","id":"64c5d12101612570","kind":"run","name":"A,B","path":"A,B","dur_ns":3000000}
+{"trace":"k-wall","id":"01f6ae57783f59d2","parent":"64c5d12101612570","kind":"workload","name":"A","path":"A,B/0:A","dur_ns":2000000}
+{"trace":"k-wall","id":"08ce1d09b0c7e6aa","parent":"01f6ae57783f59d2","kind":"flow","name":"IRD","path":"A,B/0:A/0:IRD","dur_ns":1000000}
+{"trace":"k-wall","id":"f8ed8a577305a778","parent":"64c5d12101612570","kind":"workload","name":"B","path":"A,B/1:B","start_ns":500000,"dur_ns":2000000}
+`
+
+func TestChromeExport(t *testing.T) {
+	for _, build := range []func() (*Recorder, *Span){sampleTree, wallTree} {
+		rec, root := build()
+		var a, b bytes.Buffer
+		if err := WriteChromeTrace(&a, rec.TraceID(), root); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteChromeTrace(&b, rec.TraceID(), root); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("Chrome export not deterministic")
+		}
+		var out struct {
+			TraceEvents []struct {
+				Name string  `json:"name"`
+				Cat  string  `json:"cat"`
+				Ph   string  `json:"ph"`
+				Dur  float64 `json:"dur"`
+				Tid  int     `json:"tid"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(a.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		if want := len(Flatten(rec.TraceID(), root)); len(out.TraceEvents) != want {
+			t.Fatalf("chrome events %d, spans %d", len(out.TraceEvents), want)
+		}
+		// Track rule: the root on tid 0, each depth-1 span on its own
+		// tid, deeper spans on their parent's.
+		tids := make(map[int]bool)
+		for i, ev := range out.TraceEvents {
+			if ev.Ph != "X" || ev.Dur <= 0 {
+				t.Fatalf("bad chrome event %+v", ev)
+			}
+			switch {
+			case i == 0 && ev.Tid != 0:
+				t.Fatalf("root on tid %d", ev.Tid)
+			case ev.Cat == "workload":
+				if tids[ev.Tid] {
+					t.Fatalf("workload %q shares tid %d", ev.Name, ev.Tid)
+				}
+				tids[ev.Tid] = true
+			case ev.Cat == "flow" && ev.Tid != out.TraceEvents[i-1].Tid:
+				t.Fatalf("flow %q on tid %d, its workload on %d", ev.Name, ev.Tid, out.TraceEvents[i-1].Tid)
+			}
+		}
+		if len(tids) != 2 {
+			t.Fatalf("%d workload tracks, want 2", len(tids))
+		}
+	}
+
+	rec, root := wallTree()
+	var rows bytes.Buffer
+	if err := WriteRows(&rows, rec.TraceID(), root); err != nil {
+		t.Fatal(err)
+	}
+	if rows.String() != wallTreeRows {
+		t.Fatalf("wall-placed rows changed:\n%s", rows.Bytes())
 	}
 }
 

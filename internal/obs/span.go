@@ -8,7 +8,8 @@
 // the tree, so the JSONL export of a run trace is byte-identical
 // across -j without any cross-worker ID coordination. Wall-clock data
 // (start_ns/dur_ns) is optional, additive, and removed by StripWall —
-// exactly as runlog.StripWallClock treats the ledger's host group.
+// the same canonicalizer (runlog.Canonicalize) that strips the ledger's
+// time and host group.
 //
 // Every hook is nil-checked and off by default: a nil *Recorder, a nil
 // *Span, and a nil *Metrics are all valid "observability disabled"
@@ -24,6 +25,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"vax780/internal/runlog"
 )
 
 // Span is one node of a causal trace tree. Kind is the schema type
@@ -65,6 +68,15 @@ func (s *Span) Attr(key string, v any) *Span {
 	}
 	s.attrs[key] = v
 	return s
+}
+
+// Adopt grafts an existing subtree under the span as its last child.
+// Paths and IDs are derived at export, so the grafted rows come out
+// under the new root's ID scheme with no rewriting.
+func (s *Span) Adopt(child *Span) {
+	if s != nil {
+		s.children = append(s.children, child)
+	}
 }
 
 // SetCycles records the span's simulated-cycle cost.
@@ -274,30 +286,15 @@ func ParseRows(data []byte) (trace string, root *Span, err error) {
 }
 
 // StripWall canonicalizes a JSONL trace for determinism comparison:
-// wall-clock keys removed, remaining keys re-encoded in sorted order,
-// one row per line — the span-side twin of runlog.StripWallClock. Two
-// exports of the same run must strip to identical bytes regardless of
-// parallelism or whether a profiler supplied wall placements.
+// runlog.Canonicalize with the wall-clock keys start_ns and dur_ns.
+// Two exports of the same run must strip to identical bytes regardless
+// of parallelism or whether a profiler supplied wall placements.
 func StripWall(data []byte) ([]byte, error) {
-	var out bytes.Buffer
-	n := 0
-	for _, line := range completeLines(data) {
-		n++
-		var rec map[string]any
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("obs: row %d: %w", n, err)
-		}
-		delete(rec, "start_ns")
-		delete(rec, "dur_ns")
-		// encoding/json sorts map keys, giving the canonical order.
-		enc, err := json.Marshal(rec)
-		if err != nil {
-			return nil, fmt.Errorf("obs: row %d: %w", n, err)
-		}
-		out.Write(enc)
-		out.WriteByte('\n')
+	out, err := runlog.Canonicalize(data, "start_ns", "dur_ns")
+	if err != nil {
+		return nil, fmt.Errorf("obs: %w", err)
 	}
-	return out.Bytes(), nil
+	return out, nil
 }
 
 // completeLines splits data into newline-terminated records, dropping

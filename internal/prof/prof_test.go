@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -9,6 +8,7 @@ import (
 	"testing"
 
 	"vax780/internal/analysis"
+	"vax780/internal/obs"
 	"vax780/internal/paper"
 	"vax780/internal/ulint"
 	"vax780/internal/upc"
@@ -255,14 +255,14 @@ func TestTargetsRankFusibleSegments(t *testing.T) {
 func TestSpansExport(t *testing.T) {
 	rom, ix := testIndex(t)
 	p := Sampled(rom, ix, synthHist(ix), 64, 5e8)
-	root := NewSpan("run", "composite", 0, 1e9)
-	ws := root.Add(NewSpan("workload", "TIMESHARING-A", 0, 5e8))
+	root := (&obs.Span{Kind: "run", Name: "composite"}).SetWall(0, 1e9)
+	ws := root.Child("workload", "TIMESHARING-A").SetWall(0, 5e8)
 	FlowSpans(ws, p, 4)
-	if len(ws.Children) == 0 {
+	if len(ws.Children()) == 0 {
 		t.Fatal("no flow spans synthesized")
 	}
 	var total float64
-	for _, c := range ws.Children {
+	for _, c := range ws.Children() {
 		if c.Kind != "flow" {
 			t.Fatalf("child kind %q", c.Kind)
 		}
@@ -273,7 +273,7 @@ func TestSpansExport(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, root); err != nil {
+	if err := obs.WriteChromeTrace(&chrome, "prof", root); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {
@@ -282,28 +282,16 @@ func TestSpansExport(t *testing.T) {
 	if err := json.Unmarshal(chrome.Bytes(), &parsed); err != nil {
 		t.Fatalf("chrome trace not valid JSON: %v", err)
 	}
-	if len(parsed.TraceEvents) < 2+len(ws.Children) {
+	if len(parsed.TraceEvents) != 2+len(ws.Children()) {
 		t.Fatalf("chrome trace has %d events", len(parsed.TraceEvents))
 	}
 
-	var jsonl bytes.Buffer
-	if err := WriteJSONL(&jsonl, root); err != nil {
+	var rows bytes.Buffer
+	if err := obs.WriteRows(&rows, "prof", root); err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(&jsonl)
-	rows := 0
-	for sc.Scan() {
-		var row map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &row); err != nil {
-			t.Fatalf("jsonl row %d invalid: %v", rows, err)
-		}
-		if _, ok := row["path"]; !ok {
-			t.Fatalf("row %d missing path", rows)
-		}
-		rows++
-	}
-	if rows != 2+len(ws.Children) {
-		t.Fatalf("jsonl rows = %d", rows)
+	if got, want := bytes.Count(rows.Bytes(), []byte("\n")), 2+len(ws.Children()); got != want {
+		t.Fatalf("%d span rows, want %d", got, want)
 	}
 }
 

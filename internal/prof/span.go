@@ -1,40 +1,15 @@
 package prof
 
-// The span model: a run's wall time as a tree — sweep → run →
-// workload → flow — exported as Chrome trace-event JSON (load in
-// Perfetto / chrome://tracing) and as JSONL rows alongside the runlog
-// ledger. Sweep, run and workload spans are measured (their start/end
-// wall offsets come from the host clock); flow spans are synthesized by
+// The profiler's wall-time tree — run → workload → flow, under a
+// sweep root in vaxprof — is built from obs spans, so it exports
+// through the same Chrome and JSONL writers as the service and run
+// traces. Run and workload spans are measured (their wall placements
+// come from the host clock); flow spans are synthesized here by
 // partitioning a workload's measured duration proportionally to its
 // sampled flow shares — the profiler's statement of "of this
 // workload's 1.2 s, the string-move flow cost 300 ms".
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-)
-
-// Span is one node of the wall-time tree. Times are nanoseconds from
-// the profile clock's origin.
-type Span struct {
-	Name     string  `json:"name"`
-	Kind     string  `json:"kind"` // "sweep", "run", "workload", "flow"
-	StartNs  float64 `json:"start_ns"`
-	DurNs    float64 `json:"dur_ns"`
-	Children []*Span `json:"children,omitempty"`
-}
-
-// NewSpan builds a span node.
-func NewSpan(kind, name string, startNs, durNs float64) *Span {
-	return &Span{Kind: kind, Name: name, StartNs: startNs, DurNs: durNs}
-}
-
-// Add appends a child span and returns it.
-func (s *Span) Add(child *Span) *Span {
-	s.Children = append(s.Children, child)
-	return child
-}
+import "vax780/internal/obs"
 
 // FlowSpans synthesizes a workload span's flow children from a profile:
 // the span's duration is partitioned proportionally to the profile's
@@ -42,7 +17,7 @@ func (s *Span) Add(child *Span) *Span {
 // rolled into "(other flows)". The synthetic nature is the point: flow
 // residency interleaves at cycle scale, far below what wall-clock spans
 // can resolve, so the partition shows magnitude, not order.
-func FlowSpans(ws *Span, p *Profile, maxFlows int) {
+func FlowSpans(ws *obs.Span, p *Profile, maxFlows int) {
 	if p == nil || p.TotalCycles == 0 || ws.DurNs <= 0 {
 		return
 	}
@@ -51,90 +26,13 @@ func FlowSpans(ws *Span, p *Profile, maxFlows int) {
 	}
 	at := ws.StartNs
 	var covered float64
-	for i, f := range p.Top(maxFlows) {
-		_ = i
+	for _, f := range p.Top(maxFlows) {
 		dur := f.Share * ws.DurNs
-		ws.Add(NewSpan("flow", f.Name, at, dur))
+		ws.Child("flow", f.Name).SetWall(at, dur)
 		at += dur
 		covered += f.Share
 	}
 	if rest := 1 - covered; rest > 1e-9 {
-		ws.Add(NewSpan("flow", "(other flows)", at, rest*ws.DurNs))
+		ws.Child("flow", "(other flows)").SetWall(at, rest*ws.DurNs)
 	}
-}
-
-// chromeEvent is one Chrome trace-event row ("X" = complete event;
-// timestamps and durations in microseconds).
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`
-	Dur  float64 `json:"dur"`
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-}
-
-// WriteChromeTrace writes the span tree as Chrome trace-event JSON.
-// Depth-1 spans (a run's workloads, a sweep's runs) each get their own
-// track so concurrently executing spans render side by side; deeper
-// spans inherit their parent's track.
-func WriteChromeTrace(w io.Writer, root *Span) error {
-	var events []chromeEvent
-	var walk func(s *Span, tid int, depth int)
-	walk = func(s *Span, tid int, depth int) {
-		events = append(events, chromeEvent{
-			Name: s.Name, Cat: s.Kind, Ph: "X",
-			Ts: s.StartNs / 1e3, Dur: s.DurNs / 1e3,
-			Pid: 1, Tid: tid,
-		})
-		for i, c := range s.Children {
-			ct := tid
-			if depth == 0 {
-				ct = i + 1
-			}
-			walk(c, ct, depth+1)
-		}
-	}
-	walk(root, 0, 0)
-	out := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: events}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// spanRow is one JSONL row: the span plus its path from the root, so a
-// flat reader (jq, the ledger tooling) needs no tree reconstruction.
-type spanRow struct {
-	Path    string  `json:"path"`
-	Kind    string  `json:"kind"`
-	StartNs float64 `json:"start_ns"`
-	DurNs   float64 `json:"dur_ns"`
-}
-
-// WriteJSONL writes the span tree as one JSON object per line,
-// depth-first, each row carrying its slash-joined path.
-func WriteJSONL(w io.Writer, root *Span) error {
-	enc := json.NewEncoder(w)
-	var walk func(s *Span, prefix string) error
-	walk = func(s *Span, prefix string) error {
-		path := s.Name
-		if prefix != "" {
-			path = prefix + "/" + s.Name
-		}
-		if err := enc.Encode(spanRow{Path: path, Kind: s.Kind, StartNs: s.StartNs, DurNs: s.DurNs}); err != nil {
-			return err
-		}
-		for _, c := range s.Children {
-			if err := walk(c, path); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(root, ""); err != nil {
-		return fmt.Errorf("prof: writing spans: %w", err)
-	}
-	return nil
 }

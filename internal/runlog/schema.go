@@ -178,44 +178,43 @@ func Validate(r io.Reader) error {
 	return nil
 }
 
-// wallKeys are the attributes StripWallClock removes: the slog
-// timestamp on every record, and the run-done host self-profile (both
-// measure the host, not the simulation).
-var wallKeys = []string{"time", "host"}
-
 // StripWallClock canonicalizes a JSONL ledger for determinism
-// comparison: wall-clock attributes removed, remaining keys re-encoded
-// in sorted order, one record per line. Two runs of the same
+// comparison: Canonicalize with the wall-clock attributes — the slog
+// timestamp on every record and the host self-profile group (both
+// measure the host, not the simulation). Two runs of the same
 // configuration must strip to identical bytes regardless of
 // parallelism.
 func StripWallClock(data []byte) ([]byte, error) {
+	return Canonicalize(data, "time", "host")
+}
+
+// Canonicalize re-encodes a JSONL stream for byte comparison: each
+// record's named top-level keys are dropped and the rest re-encoded
+// with sorted keys, one record per line. Blank lines are skipped. A
+// final line without its newline is still a record — a complete one is
+// kept, a torn one fails to parse — so a truncated stream is reported,
+// never silently shortened. Errors name the 1-based input line.
+func Canonicalize(data []byte, drop ...string) ([]byte, error) {
 	var out bytes.Buffer
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	n := 0
-	for sc.Scan() {
-		n++
-		line := bytes.TrimSpace(sc.Bytes())
+	for i, line := range bytes.Split(data, []byte{'\n'}) {
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var rec map[string]any
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
+			return nil, fmt.Errorf("line %d: %w", i+1, err)
 		}
-		for _, k := range wallKeys {
+		for _, k := range drop {
 			delete(rec, k)
 		}
 		// encoding/json sorts map keys, giving the canonical order.
 		enc, err := json.Marshal(rec)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
+			return nil, fmt.Errorf("line %d: %w", i+1, err)
 		}
 		out.Write(enc)
 		out.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return out.Bytes(), nil
 }

@@ -283,7 +283,7 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 // the interpreted run would show them. A command that arrives
 // asynchronously during a bulk span is noticed at the span's end — the
 // same store-to-observation latency a Unibus CSR write always had.
-// Implements the ebox BulkProbe extension.
+// Implements the ebox Probe.
 func (t *Telemetry) Quiet(now uint64, n int) int {
 	if t.cmd.Load() != 0 {
 		return 0
@@ -301,7 +301,7 @@ func (t *Telemetry) Quiet(now uint64, n int) int {
 // span by control-store region. Callers must bound n by Quiet first —
 // the span must contain no interval boundary and no pending board
 // command — which makes the call bit-exact with n individual Cycle
-// calls. Implements the ebox BulkProbe extension.
+// calls. Implements the ebox Probe.
 func (t *Telemetry) CycleRun(now uint64, addr uint16, n int) {
 	abs := now + t.offset
 	t.maxAbs = abs + uint64(n)

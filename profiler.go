@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vax780/internal/obs"
 	"vax780/internal/prof"
 	"vax780/internal/runlog"
 	"vax780/internal/ulint"
@@ -35,9 +36,9 @@ type FlowCost = prof.FlowCost
 // ReadCalibration.
 type Calibration = prof.Calibration
 
-// Span is one node of the profiler's wall-time tree (sweep → run →
-// workload → flow).
-type Span = prof.Span
+// Span is one node of a span tree: the profiler's wall-time tree (run →
+// workload → flow) and the run/job traces share the obs span model.
+type Span = obs.Span
 
 // JITTarget is one fusible straight-line segment of the JIT targeting
 // list, ranked by host ns × fusibility.
@@ -83,20 +84,18 @@ type Profiler struct {
 	MaxFlows int
 
 	// Trace, when non-nil, receives the span tree as Chrome trace-event
-	// JSON (chrome://tracing, Perfetto) when the run finishes.
+	// JSON (chrome://tracing, Perfetto) when the run finishes, with the
+	// run label as its trace ID. For JSONL rows, export SpanTree with
+	// obs.WriteRows.
 	Trace io.Writer
-
-	// Spans, when non-nil, receives the span tree as JSONL rows — one
-	// span per line with its slash-joined path — alongside the runlog.
-	Spans io.Writer
 
 	mu      sync.Mutex
 	clock   *runlog.Clock
 	agg     upc.Histogram // summed sampled counts, merged in workload order
 	samples uint64
-	wallNs  float64      // summed measured workload durations
-	wl      []*prof.Span // workload spans in merge order
-	root    *prof.Span   // set by finishRun
+	wallNs  float64   // summed measured workload durations
+	run     *obs.Span // the run span, workloads added in merge order
+	root    *obs.Span // run, published by finishRun
 	latest  atomic.Pointer[prof.Profile]
 }
 
@@ -117,14 +116,14 @@ func (p *Profiler) maxFlows() int {
 }
 
 // begin resets the profiler for a new run and starts its wall clock.
-func (p *Profiler) begin() {
+func (p *Profiler) begin(label string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.clock = runlog.NewClock()
 	p.agg = upc.Histogram{}
 	p.samples = 0
 	p.wallNs = 0
-	p.wl = nil
+	p.run = &obs.Span{Kind: "run", Name: label}
 	p.root = nil
 	p.latest.Store(nil)
 }
@@ -160,35 +159,26 @@ func (p *Profiler) noteWorkload(name string, samp *upc.Sampler, startNs, endNs f
 	p.samples += samp.Taken()
 	p.wallNs += dur
 
-	ws := prof.NewSpan("workload", name, startNs, dur)
+	ws := p.run.Child("workload", name).SetWall(startNs, dur)
 	wp := prof.Sampled(machineROM(), flowIndex(), snap, p.stride(), dur)
 	prof.FlowSpans(ws, wp, p.maxFlows())
-	p.wl = append(p.wl, ws)
 
 	p.latest.Store(prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs))
 }
 
-// finishRun closes the run: builds the final profile and the span tree,
-// and writes the Trace / Spans exports when configured.
-func (p *Profiler) finishRun(label string) (*prof.Profile, error) {
+// finishRun closes the run: builds the final profile, publishes the
+// span tree, and writes the Trace export when configured.
+func (p *Profiler) finishRun() (*prof.Profile, error) {
 	p.mu.Lock()
 	final := prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs)
 	p.latest.Store(final)
-	root := prof.NewSpan("run", label, 0, p.clock.Ns())
-	for _, ws := range p.wl {
-		root.Add(ws)
-	}
+	root := p.run.SetWall(0, p.clock.Ns())
 	p.root = root
 	p.mu.Unlock()
 
 	if p.Trace != nil {
-		if err := prof.WriteChromeTrace(p.Trace, root); err != nil {
+		if err := obs.WriteChromeTrace(p.Trace, root.Name, root); err != nil {
 			return nil, fmt.Errorf("vax780: writing profile trace: %w", err)
-		}
-	}
-	if p.Spans != nil {
-		if err := prof.WriteJSONL(p.Spans, root); err != nil {
-			return nil, fmt.Errorf("vax780: writing profile spans: %w", err)
 		}
 	}
 	return final, nil

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"vax780/internal/obs"
 	"vax780/internal/prof"
 )
 
@@ -189,10 +190,11 @@ func TestProfEndpointServesProfile(t *testing.T) {
 }
 
 // TestProfilerSpanExports: the span tree has the run → workload → flow
-// shape and both export formats carry it.
+// shape, the Chrome export carries it, and it round-trips through the
+// obs JSONL rows.
 func TestProfilerSpanExports(t *testing.T) {
-	var trace, spans bytes.Buffer
-	p := &Profiler{Trace: &trace, Spans: &spans}
+	var trace bytes.Buffer
+	p := &Profiler{Trace: &trace}
 	ids := []WorkloadID{TimesharingA, RTEEducational}
 	if _, err := Run(RunConfig{
 		Instructions: 1500,
@@ -206,14 +208,14 @@ func TestProfilerSpanExports(t *testing.T) {
 	if root == nil || root.Kind != "run" {
 		t.Fatalf("span root = %+v, want a run span", root)
 	}
-	if len(root.Children) != len(ids) {
-		t.Fatalf("run span has %d children, want %d workloads", len(root.Children), len(ids))
+	if len(root.Children()) != len(ids) {
+		t.Fatalf("run span has %d children, want %d workloads", len(root.Children()), len(ids))
 	}
-	for _, ws := range root.Children {
+	for _, ws := range root.Children() {
 		if ws.Kind != "workload" {
 			t.Errorf("child span kind %q, want workload", ws.Kind)
 		}
-		if len(ws.Children) == 0 {
+		if len(ws.Children()) == 0 {
 			t.Errorf("workload span %q has no flow children", ws.Name)
 		}
 	}
@@ -224,18 +226,25 @@ func TestProfilerSpanExports(t *testing.T) {
 	if err := json.Unmarshal(trace.Bytes(), &chrome); err != nil {
 		t.Fatalf("Chrome trace is not JSON: %v", err)
 	}
-	if len(chrome.TraceEvents) < len(ids)+1 {
-		t.Errorf("Chrome trace has %d events", len(chrome.TraceEvents))
+	if len(chrome.TraceEvents) != len(obs.Flatten(root.Name, root)) {
+		t.Errorf("Chrome trace has %d events for %d spans",
+			len(chrome.TraceEvents), len(obs.Flatten(root.Name, root)))
 	}
-	lines := strings.Split(strings.TrimSpace(spans.String()), "\n")
-	if len(lines) < len(ids)+1 {
-		t.Errorf("span JSONL has %d rows", len(lines))
+
+	var rows bytes.Buffer
+	if err := obs.WriteRows(&rows, root.Name, root); err != nil {
+		t.Fatal(err)
 	}
-	for _, line := range lines {
-		var row map[string]any
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			t.Fatalf("span JSONL row %q: %v", line, err)
-		}
+	trID, parsed, err := obs.ParseRows(rows.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := obs.WriteRows(&again, trID, parsed); err != nil {
+		t.Fatal(err)
+	}
+	if trID != root.Name || !bytes.Equal(rows.Bytes(), again.Bytes()) {
+		t.Fatalf("span rows do not round-trip:\n%s\nvs\n%s", rows.Bytes(), again.Bytes())
 	}
 }
 

@@ -227,13 +227,6 @@ type RunConfig struct {
 	// and vice versa, bit-identically.
 	NoFusion bool
 
-	// FusionTargets, when non-empty, restricts fusion to the listed
-	// segments — typically a vaxprof -targets ranking's top rows — so a
-	// measurement can ask how much of the fusion win the hottest
-	// superwords carry. Empty fuses every segment the control store
-	// proves legal. Ignored when NoFusion is set.
-	FusionTargets []JITTarget
-
 	// haltAfter is a test seam: when positive, the run stops with
 	// errRunHalted once that many workloads (counting resumed ones)
 	// have completed and checkpointed — a deterministic stand-in for a
@@ -259,7 +252,7 @@ type RunConfig struct {
 	ctx context.Context
 
 	// fusion is the resolved superword plan (set once by RunContext
-	// from NoFusion/FusionTargets; nil single-steps everything).
+	// from NoFusion; nil single-steps everything).
 	fusion *ufuse.Plan
 }
 
@@ -424,7 +417,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Results, error) {
 	}
 	cfg.fusion = plan
 	if cfg.Profiler != nil {
-		cfg.Profiler.begin()
+		cfg.Profiler.begin(workloadsLabel(cfg.Workloads))
 	}
 	s := &runState{
 		cfg:       cfg,
@@ -679,7 +672,7 @@ func (s *runState) finish() (*Results, error) {
 	// the run's, and its summary can ride on the run-done record.
 	var profAttrs []slog.Attr
 	if s.cfg.Profiler != nil {
-		p, err := s.cfg.Profiler.finishRun(workloadsLabel(s.cfg.Workloads))
+		p, err := s.cfg.Profiler.finishRun()
 		if err != nil {
 			return nil, err
 		}
