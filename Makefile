@@ -35,109 +35,80 @@ race:
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 
-# The telemetry-overhead gate; compare against BENCH_telemetry.json.
+# The telemetry-overhead gate; compare against the "telemetry layer"
+# entry of BENCH_history.json.
 bench-telemetry:
 	$(GO) test -run xxx -bench BenchmarkTelemetry -benchtime 20x -count 3 .
 
-# The fault-hook overhead gate; compare against BENCH_faults.json
-# (disabled hooks must stay within 1% of the telemetry-era baseline).
+# The fault-hook overhead gate; compare against the "fault-injection
+# hooks" entry of BENCH_history.json (disabled hooks must stay within 1%
+# of the telemetry-era baseline).
 bench-faults:
 	$(GO) test -run xxx -bench BenchmarkFaults -benchtime 20x -count 3 .
 
 # The parallel-run scaling curve and hot-loop throughput gate; compare
-# against BENCH_parallel.json (which records the measurement method).
+# against the "parallel composite" entry of BENCH_history.json (which
+# records the measurement method).
 bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkParallelRun|BenchmarkSimulatorThroughput' -benchtime 10x -count 3 .
 
-# The profiler-overhead gate; compare against BENCH_prof.json (the
-# disabled sampler hook must stay within 1% of the fault-era baseline).
+# The profiler-overhead gate; compare against the "host-time profiler"
+# entry of BENCH_history.json (the disabled sampler hook must stay
+# within 1% of the fault-era baseline).
 bench-prof:
 	$(GO) test -run xxx -bench BenchmarkProf -benchtime 20x -count 3 .
+
+# The A/B gates below build the package's test binary once and hand
+# vaxbench -compare two arms (binary:regex). vaxbench runs the
+# interleaved A/B itself — 12 single-process rounds per arm at 25x,
+# order swapped halfway, pooled medians — and adjudicates at the
+# target's threshold. An A/B writes no ledger unless given -history, so
+# none of these targets touches BENCH_history.json.
+AB_BIN = /tmp/vax780_ab.test
 
 # The trace-recorder gate: BenchmarkObs prices a run with the span
 # recorder detached (the disabled path — every call site is one nil
 # pointer test) and attached (span construction, exact flow
 # attribution, JSONL export, wall strip — the work a vaxd job does to
-# stage trace.jsonl). The two arms alternate at process granularity
-# with the order swapped halfway — the interleaved A/B method recorded
-# in BENCH_obs.json — then reduce to pooled medians and adjudicate via
-# vaxbench -compare: the attached recorder must stay within 25%% of a
-# detached run. The <1%% disabled-path gate is cross-revision and
-# lives in CI (recorder-overhead job: base BenchmarkObs/off — or the
-# fault/prof-era baselines before this layer existed — against head's,
-# adjudicated at the same threshold as bench-faults/bench-prof).
+# stage trace.jsonl). The attached recorder must stay within 25% of a
+# detached run; the "trace recorder" entry of BENCH_history.json
+# records the adjudication. The <1% disabled-path gate is
+# cross-revision and lives in CI (recorder-overhead job: base
+# BenchmarkFaults/off, BenchmarkProf/off and BenchmarkObs/off against
+# head's, adjudicated at 5%).
 bench-obs:
-	@set -e; \
-	$(GO) test -c -o /tmp/vax_obs.test .; \
-	: > /tmp/obs_off.txt; : > /tmp/obs_on.txt; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_obs.test -test.run xxx -test.bench '^BenchmarkObs$$/^off$$' -test.benchtime 10x >> /tmp/obs_off.txt; \
-		/tmp/vax_obs.test -test.run xxx -test.bench '^BenchmarkObs$$/^on$$' -test.benchtime 10x >> /tmp/obs_on.txt; \
-	done; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_obs.test -test.run xxx -test.bench '^BenchmarkObs$$/^on$$' -test.benchtime 10x >> /tmp/obs_on.txt; \
-		/tmp/vax_obs.test -test.run xxx -test.bench '^BenchmarkObs$$/^off$$' -test.benchtime 10x >> /tmp/obs_off.txt; \
-	done; \
-	rm -f /tmp/obs_detached.json /tmp/obs_attached.json; \
-	$(GO) run ./cmd/vaxbench -history /tmp/obs_detached.json -label detached < /tmp/obs_off.txt; \
-	sed 's|^BenchmarkObs/on|BenchmarkObs/off|' /tmp/obs_on.txt \
-		| $(GO) run ./cmd/vaxbench -history /tmp/obs_attached.json -label attached; \
-	$(GO) run ./cmd/vaxbench -compare -threshold 25 /tmp/obs_detached.json /tmp/obs_attached.json
+	$(GO) test -c -o $(AB_BIN) .
+	$(GO) run ./cmd/vaxbench -compare -threshold 25 \
+		'$(AB_BIN):^BenchmarkObs$$/^off$$' '$(AB_BIN):^BenchmarkObs$$/^on$$'
 
 # The fusion-speedup gate: BenchmarkFusion prices the no-hook hot loop
-# fused (the default) and interpreted (NoFusion) over one shared
-# generated trace. The two variants alternate at process granularity,
-# order swapped halfway — the interleaved A/B method recorded in
-# BENCH_fusion.json — then reduce to pooled medians and adjudicate via
-# vaxbench -compare: the superword engine must never be slower than
-# the interpreter it replaces. Twelve pooled-median samples a side and
-# a 3%% threshold keep shared-runner noise (one 100ms CPU-steal burst
-# inflates a whole process sample) from tripping the gate; the
-# authoritative base-vs-head adjudication lives in BENCH_fusion.json.
+# interpreted (NoFusion, the OLD arm) and fused (the default, NEW) over
+# one shared generated trace. The superword engine must never be slower
+# than the interpreter it replaces; a 3% threshold keeps shared-runner
+# noise (one 100ms CPU-steal burst inflates a whole process sample) from
+# tripping the gate. The "superword engine" entries of
+# BENCH_history.json record the adjudications and the fusion verdict.
+# The A/B's own entry goes to a scratch ledger for CI's drift check.
 bench-fusion:
-	@set -e; \
-	$(GO) test -c -o /tmp/vax_fusion.test .; \
-	: > /tmp/fusion_on.txt; : > /tmp/fusion_off.txt; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^on$$' -test.benchtime 10x >> /tmp/fusion_on.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^off$$' -test.benchtime 10x >> /tmp/fusion_off.txt; \
-	done; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^off$$' -test.benchtime 10x >> /tmp/fusion_off.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusion$$/^on$$' -test.benchtime 10x >> /tmp/fusion_on.txt; \
-	done; \
-	rm -f /tmp/fusion_interp.json /tmp/fusion_fused.json; \
-	sed 's|^BenchmarkFusion/off|BenchmarkFusion/on|' /tmp/fusion_off.txt \
-		| $(GO) run ./cmd/vaxbench -history /tmp/fusion_interp.json -label interpreted; \
-	$(GO) run ./cmd/vaxbench -history /tmp/fusion_fused.json -label fused < /tmp/fusion_on.txt; \
-	$(GO) run ./cmd/vaxbench -compare -threshold 3 /tmp/fusion_interp.json /tmp/fusion_fused.json
+	$(GO) test -c -o $(AB_BIN) .
+	rm -f /tmp/vax780_fusion_ab.json
+	$(GO) run ./cmd/vaxbench -compare -threshold 3 -history /tmp/vax780_fusion_ab.json -label bench-fusion \
+		'$(AB_BIN):^BenchmarkFusion$$/^off$$' '$(AB_BIN):^BenchmarkFusion$$/^on$$'
 
-# The hooks-cell fusion gate: the same interleaved A/B as bench-fusion
-# but with the full telemetry layer attached (interval recorder, Chrome
-# tracer, flight recorder) — the cell that interpreted 100%% of its
-# cycles before the effect-summary engine proved superword replay legal
-# under hooks. The adjudication is the same no-regression tripwire:
-# fusing under telemetry must never be slower than interpreting under
-# telemetry; the recorded speedup lives in BENCH_fusion.json.
+# The hooks-cell fusion gate: the same A/B as bench-fusion but with the
+# full telemetry layer attached (interval recorder, Chrome tracer,
+# flight recorder) — the cell that interpreted 100% of its cycles
+# before the effect-summary engine proved superword replay legal under
+# hooks. Fusing under telemetry must never be slower than interpreting
+# under telemetry; the "fusion under hooks" entry of BENCH_history.json
+# records the speedup.
 bench-fusion-hooks:
-	@set -e; \
-	$(GO) test -c -o /tmp/vax_fusion.test .; \
-	: > /tmp/fusionh_on.txt; : > /tmp/fusionh_off.txt; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^on$$' -test.benchtime 10x >> /tmp/fusionh_on.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^off$$' -test.benchtime 10x >> /tmp/fusionh_off.txt; \
-	done; \
-	for i in 1 2 3 4 5 6; do \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^off$$' -test.benchtime 10x >> /tmp/fusionh_off.txt; \
-		/tmp/vax_fusion.test -test.run xxx -test.bench '^BenchmarkFusionHooks$$/^on$$' -test.benchtime 10x >> /tmp/fusionh_on.txt; \
-	done; \
-	rm -f /tmp/fusionh_interp.json /tmp/fusionh_fused.json; \
-	sed 's|^BenchmarkFusionHooks/off|BenchmarkFusionHooks/on|' /tmp/fusionh_off.txt \
-		| $(GO) run ./cmd/vaxbench -history /tmp/fusionh_interp.json -label interpreted-hooks; \
-	$(GO) run ./cmd/vaxbench -history /tmp/fusionh_fused.json -label fused-hooks < /tmp/fusionh_on.txt; \
-	$(GO) run ./cmd/vaxbench -compare -threshold 3 /tmp/fusionh_interp.json /tmp/fusionh_fused.json
+	$(GO) test -c -o $(AB_BIN) .
+	$(GO) run ./cmd/vaxbench -compare -threshold 3 \
+		'$(AB_BIN):^BenchmarkFusionHooks$$/^off$$' '$(AB_BIN):^BenchmarkFusionHooks$$/^on$$'
 
-# The service cache-hit gate; compare against BENCH_vaxd.json (a
+# The service cache-hit gate; compare against the "vaxd cache-hit seed"
+# entry of BENCH_history.json (a
 # regression past the generous threshold means resubmissions started
 # re-simulating instead of hitting the content-addressed store).
 bench-vaxd:

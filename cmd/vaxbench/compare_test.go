@@ -62,16 +62,16 @@ func TestRunCompareExitCodes(t *testing.T) {
 	same := writeHistory(t, dir, "same.json", map[string]Result{"B": {NsPerOp: 1010}})
 	other := writeHistory(t, dir, "other.json", map[string]Result{"C": {NsPerOp: 1}})
 
-	if code := runCompare(oldPath, same, 5); code != 0 {
+	if code := runCompare(oldPath, same, 5, "", ""); code != 0 {
 		t.Fatalf("clean compare exit = %d, want 0", code)
 	}
-	if code := runCompare(oldPath, slow, 5); code != 1 {
+	if code := runCompare(oldPath, slow, 5, "", ""); code != 1 {
 		t.Fatalf("regressed compare exit = %d, want 1", code)
 	}
-	if code := runCompare(oldPath, other, 5); code != 2 {
+	if code := runCompare(oldPath, other, 5, "", ""); code != 2 {
 		t.Fatalf("disjoint compare exit = %d, want 2", code)
 	}
-	if code := runCompare(oldPath, filepath.Join(dir, "missing.json"), 5); code != 1 {
+	if code := runCompare(oldPath, filepath.Join(dir, "missing.json"), 5, "", ""); code != 1 {
 		t.Fatalf("missing-file compare exit = %d, want 1", code)
 	}
 }
@@ -90,5 +90,35 @@ func TestLoadResultsSingleEntry(t *testing.T) {
 	}
 	if res["X"].NsPerOp != 7 {
 		t.Fatalf("single-entry results = %+v", res)
+	}
+}
+
+// TestLoadResultsLatestPerBenchmark: a ledger answers per benchmark, so
+// a benchmark missing from the last entry still compares against the
+// latest earlier entry that recorded it.
+func TestLoadResultsLatestPerBenchmark(t *testing.T) {
+	dir := t.TempDir()
+	h := History{Entries: []Entry{
+		{Label: "fusion", Results: map[string]Result{"X": {NsPerOp: 100}, "Y": {NsPerOp: 5}}},
+		{Label: "hooks", Results: map[string]Result{"Y": {NsPerOp: 7}}},
+	}}
+	data, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := filepath.Join(dir, "ledger.json")
+	if err := os.WriteFile(ledger, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := loadResults(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res["X"].NsPerOp != 100 || res["Y"].NsPerOp != 7 {
+		t.Fatalf("per-benchmark latest = %+v, want X from the first entry and Y from the last", res)
+	}
+	head := writeHistory(t, dir, "head.json", map[string]Result{"X": {NsPerOp: 101}})
+	if code := runCompare(ledger, head, 5, "", ""); code != 0 {
+		t.Fatalf("compare of X against the ledger exit = %d, want 0", code)
 	}
 }

@@ -1,26 +1,34 @@
-// Command vaxbench maintains BENCH_history.json, the repo's
-// longitudinal benchmark record: it parses `go test -bench` output on
-// stdin, reduces each benchmark's repetitions to medians (ns/op plus
-// the sim_cycles/op metric the perf benchmarks report, from which it
-// derives ns per simulated cycle), and appends one dated entry. The
-// per-PR BENCH_*.json files freeze each change's measurement method
-// and adjudication; the history file strings their headline numbers
-// into one comparable series.
+// Command vaxbench maintains BENCH_history.json, the repo's one bench
+// ledger: it parses `go test -bench` output on stdin, reduces each
+// benchmark's repetitions to medians (ns/op plus the sim_cycles/op
+// metric the perf benchmarks report, from which it derives ns per
+// simulated cycle), and appends one dated entry. An entry may also
+// carry the measurement method, the adjudication prose, and the OLD
+// arm's medians as its baseline, so each change's gate record sits in
+// the same series as the headline numbers.
 //
 // Usage:
 //
 //	go test -run xxx -bench 'Faults|Telemetry|ParallelRun' -count 3 . | vaxbench -label "my change"
 //	vaxbench -print
 //	vaxbench -compare [-threshold 5] old.json new.json
+//	vaxbench -compare [-threshold 5] [-history h.json -label l] old.test:regex new.test:regex
 //
 // -history selects the file (default BENCH_history.json). -print
 // renders the recorded series as a table instead of appending.
-// -compare diffs two recorded files (each a history file or a single
-// entry; a history contributes its latest entry) benchmark by
-// benchmark and exits nonzero when any common benchmark slowed by more
-// than -threshold percent — the CI tripwire's adjudication step. Exit
-// codes: 0 on success, 1 when parsing/the file fails or -compare found
-// a regression, 2 on usage errors (e.g. no benchmark lines on stdin).
+// -compare diffs two sides benchmark by benchmark and exits nonzero
+// when any common benchmark slowed by more than -threshold percent. A
+// side is a result file (a history answers per benchmark, from the
+// latest entry that has it; a single entry object also works) or an
+// arm, binary:regex — a compiled test binary and its -test.bench
+// pattern. With two arms vaxbench runs the interleaved A/B itself: 12
+// single-process rounds per arm at 25x, OLD first in rounds 1-6 and NEW
+// first in rounds 7-12, each arm pooled to medians. When each arm
+// yields one benchmark, the two pair under NEW's name. An A/B appends
+// its entry (NEW's medians, OLD's as baseline) only when -history is
+// given explicitly. Exit codes: 0 on success, 1 when parsing, a file,
+// or an arm fails or -compare found a regression, 2 on usage errors
+// (e.g. no benchmark lines on stdin, a file compared with an arm).
 package main
 
 import (
@@ -31,10 +39,10 @@ import (
 	"io"
 	"os"
 	"regexp"
-	"runtime"
 	"sort"
 	"strconv"
-	"time"
+
+	"vax780/internal/upc"
 )
 
 // benchLine matches one `go test -bench` result line; repetition
@@ -49,16 +57,21 @@ type Result struct {
 	NsPerOp        float64 `json:"ns_per_op"`
 	SimCyclesPerOp float64 `json:"sim_cycles_per_op,omitempty"`
 	NsPerSimCycle  float64 `json:"ns_per_sim_cycle,omitempty"`
-	Runs           int     `json:"runs"`
+	Runs           int     `json:"runs,omitempty"`
 }
 
-// Entry is one dated benchmark session.
+// Entry is one dated benchmark session. Method and Adjudication record
+// how a gate was measured and judged; Baseline holds the OLD arm's
+// medians when the entry records an A/B.
 type Entry struct {
-	Date    string            `json:"date"`
-	Label   string            `json:"label"`
-	GOOS    string            `json:"goos"`
-	GOARCH  string            `json:"goarch"`
-	Results map[string]Result `json:"results"`
+	Date         string            `json:"date"`
+	Label        string            `json:"label"`
+	GOOS         string            `json:"goos"`
+	GOARCH       string            `json:"goarch"`
+	Method       string            `json:"method,omitempty"`
+	Adjudication string            `json:"adjudication,omitempty"`
+	Results      map[string]Result `json:"results"`
+	Baseline     map[string]Result `json:"baseline,omitempty"`
 }
 
 // History is the whole BENCH_history.json document.
@@ -71,25 +84,30 @@ func main() {
 	historyPath := flag.String("history", "BENCH_history.json", "history file to append to / print")
 	label := flag.String("label", "", "label of the appended entry (e.g. the change being measured)")
 	printOnly := flag.Bool("print", false, "print the recorded series instead of appending")
-	compare := flag.Bool("compare", false, "compare two result files (old new args); exit 1 on regression")
+	compare := flag.Bool("compare", false, "compare two sides, each a result file or a binary:regex arm (old new args); exit 1 on regression")
 	threshold := flag.Float64("threshold", 5, "regression threshold for -compare, in percent ns/op growth")
 	flag.Parse()
 
 	if *compare {
 		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "vaxbench: -compare needs exactly two files: old.json new.json")
+			fmt.Fprintln(os.Stderr, "vaxbench: -compare needs exactly two operands: old new")
 			os.Exit(2)
 		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *threshold))
-	}
-
-	hist, err := loadHistory(*historyPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vaxbench:", err)
-		os.Exit(1)
+		ledger := ""
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "history" {
+				ledger = *historyPath
+			}
+		})
+		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *threshold, ledger, *label))
 	}
 
 	if *printOnly {
+		hist, err := loadHistory(*historyPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vaxbench:", err)
+			os.Exit(1)
+		}
 		printHistory(hist)
 		return
 	}
@@ -103,14 +121,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vaxbench: no benchmark result lines on stdin (pipe `go test -bench` output in)")
 		os.Exit(2)
 	}
-	hist.Entries = append(hist.Entries, Entry{
-		Date:    time.Now().UTC().Format("2006-01-02"),
-		Label:   *label,
-		GOOS:    runtime.GOOS,
-		GOARCH:  runtime.GOARCH,
-		Results: results,
-	})
-	if err := saveHistory(*historyPath, hist); err != nil {
+	if err := appendEntry(*historyPath, Entry{Label: *label, Results: results}); err != nil {
 		fmt.Fprintln(os.Stderr, "vaxbench:", err)
 		os.Exit(1)
 	}
@@ -132,7 +143,7 @@ func loadHistory(path string) (*History, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) || (err == nil && len(data) == 0) {
 		return &History{
-			Description: "Longitudinal benchmark record: one dated entry per session, medians over -count repetitions. Appended by cmd/vaxbench (make bench-all); per-change measurement methods live in the BENCH_*.json files.",
+			Description: "Bench ledger: one dated entry per measurement session, medians over its repetitions. Appended by cmd/vaxbench; A/B entries also carry their method, adjudication, and the OLD arm's medians as baseline.",
 		}, nil
 	}
 	if err != nil {
@@ -145,12 +156,15 @@ func loadHistory(path string) (*History, error) {
 	return &h, nil
 }
 
+// saveHistory replaces the file atomically: a crash mid-write leaves
+// the previous ledger, never a truncated one.
 func saveHistory(path string, h *History) error {
-	data, err := json.MarshalIndent(h, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return upc.AtomicWriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetEscapeHTML(false) // the prose says "<1%", not "\u003c1%"
+		enc.SetIndent("", "  ")
+		return enc.Encode(h)
+	})
 }
 
 // parseBench reduces `go test -bench` output to per-benchmark medians.

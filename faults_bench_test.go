@@ -3,10 +3,10 @@ package vax780
 // Fault-hook overhead benchmarks. The fault injectors ride the same
 // nil-checked hook pattern as the telemetry probes, so a run with no
 // plan attached must cost within 1% of the telemetry-era baseline
-// (BENCH_telemetry.json's "off" variant) — that gate is recorded in
-// BENCH_faults.json. The other variants price an attached-but-inert
-// plan (all rates zero: every hook called, nothing fires) and an
-// actively injecting one.
+// (the "off" variant of BENCH_history.json's "telemetry layer" entry)
+// — that gate is recorded in its "fault-injection hooks" entry. The
+// other variants price an attached-but-inert plan (all rates zero:
+// every hook called, nothing fires) and an actively injecting one.
 
 import "testing"
 

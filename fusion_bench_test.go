@@ -5,8 +5,9 @@ package vax780
 // (NoFusion), so the pair prices exactly what fusion buys. The two
 // variants are simulation-identical — same cycles, same histogram —
 // which the determinism suite proves; only host ns/op may differ.
-// BENCH_fusion.json records the adjudicated numbers and the
-// interleaved A/B method.
+// The "superword engine" and "fusion under hooks" entries of
+// BENCH_history.json record the adjudicated numbers and the
+// interleaved A/B method (make bench-fusion, make bench-fusion-hooks).
 
 import "testing"
 

@@ -335,23 +335,26 @@ func (e *EBOX) run(entry uint16) error {
 // sampler countdown, and one free-port I-Fetch advance each — exactly
 // what n calls of tick(addr, false, false) would perform, which is what
 // the analyzer's effect-summary pass proves of every fusible segment.
-// Without a probe nothing can mutate observer state mid-superword, so
-// the bulk variants — proven bit-exact against their single-step
-// loops — apply the whole stream at once.
+// The stream applies in chunks through the bulk variants, each proven
+// bit-exact against its single-step loop. Without a probe nothing can
+// mutate observer state mid-superword, so the chunk is the whole
+// superword.
 //
-// With a telemetry probe attached, observation-free spans (Probe.Quiet)
-// still apply in one call per hook, and any cycle that can observe the
-// machine — an interval roll, a pending board command, or a stopped
-// board — goes through tick itself, monitor first (so a roll inside
-// Probe.Cycle snapshots a histogram that already counts the boundary
-// cycle, as the interpreted run's would). Fast is re-tested per chunk
-// because a board command applied at a boundary can stop or clear the
-// board mid-superword.
+// With a telemetry probe attached, a chunk is an observation-free span
+// (Probe.Quiet), and any cycle that can observe the machine — an
+// interval roll, a pending board command, or a stopped board — goes
+// through tick itself, monitor first (so a roll inside Probe.Cycle
+// snapshots a histogram that already counts the boundary cycle, as the
+// interpreted run's would). Fast is re-tested per chunk because a board
+// command applied at a boundary can stop or clear the board
+// mid-superword.
 func (e *EBOX) fusedReplay(n int) {
-	if p := e.Probe; p != nil {
-		addr := e.upc
-		for n > 0 {
-			k := 0
+	p := e.Probe
+	addr := e.upc
+	for n > 0 {
+		k := n
+		if p != nil {
+			k = 0
 			if e.upcMon.Fast() {
 				k = p.Quiet(e.Now, n)
 			}
@@ -361,30 +364,22 @@ func (e *EBOX) fusedReplay(n int) {
 				n--
 				continue
 			}
-			e.upcMon.TickRun(addr, k)
-			p.CycleRun(e.Now, addr, k)
-			if e.FR != nil {
-				e.FR.RecordRun(e.Now, addr, k)
-			}
-			if e.Samp != nil {
-				e.Samp.SampleRun(addr, k)
-			}
-			e.IB.TickRun(e.Now, k)
-			e.Now += uint64(k)
-			addr += uint16(k)
-			n -= k
 		}
-		return
+		e.upcMon.TickRun(addr, k)
+		if p != nil {
+			p.CycleRun(e.Now, addr, k)
+		}
+		if e.FR != nil {
+			e.FR.RecordRun(e.Now, addr, k)
+		}
+		if e.Samp != nil {
+			e.Samp.SampleRun(addr, k)
+		}
+		e.IB.TickRun(e.Now, k)
+		e.Now += uint64(k)
+		addr += uint16(k)
+		n -= k
 	}
-	e.upcMon.TickRun(e.upc, n)
-	if e.FR != nil {
-		e.FR.RecordRun(e.Now, e.upc, n)
-	}
-	if e.Samp != nil {
-		e.Samp.SampleRun(e.upc, n)
-	}
-	e.IB.TickRun(e.Now, n)
-	e.Now += uint64(n)
 }
 
 // loopCount resolves a loop-counter load against the instruction context.

@@ -11,7 +11,8 @@ import (
 // BenchmarkCacheHit measures the O(1) path the service exists for: a
 // resubmission of an already-committed measurement answered from the
 // content-addressed store without simulating. The seed value is pinned
-// in BENCH_vaxd.json and gated by vaxbench -compare in CI — a
+// in the "vaxd cache-hit seed" entry of BENCH_history.json and gated by
+// vaxbench -compare in CI — a
 // regression here means the cache path started doing real work (the
 // same measurement simulated fresh costs ~10^6x more).
 func BenchmarkCacheHit(b *testing.B) {

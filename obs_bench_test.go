@@ -5,8 +5,8 @@ package vax780
 // and profiler sampler, and its spans are emitted only at run and
 // workload boundaries — so a run with no recorder attached must cost
 // within 1% of the baseline, and CI gates BenchmarkObs/off A/B across
-// base and head with vaxbench -compare (make bench-obs writes the
-// BENCH_obs.json adjudication). The "on" variant prices the attached
+// base and head with vaxbench -compare (the "trace recorder" entry of
+// BENCH_history.json records the adjudication). The "on" variant prices the attached
 // recorder including the JSONL export and wall strip — the exact work
 // a vaxd job performs to stage trace.jsonl into its bundle.
 

@@ -1,8 +1,8 @@
 package vax780
 
-// The parallel-run scaling benchmark behind BENCH_parallel.json and
-// `make bench-parallel`: one composite of eight workload machines, run
-// at worker counts 1/2/4/8. On a multi-core host the wall-clock time
+// The parallel-run scaling benchmark behind the "parallel composite"
+// entry of BENCH_history.json and `make bench-parallel`: one composite
+// of eight workload machines, run at worker counts 1/2/4/8. On a multi-core host the wall-clock time
 // should drop near-linearly until workers exceed cores; on any host the
 // merged results are bit-exact across the whole curve (the determinism
 // suite in parallel_test.go holds the proof).

@@ -4,8 +4,8 @@ package vax780
 // hook pattern as the telemetry probes and fault injectors, so a run
 // with no profiler attached must cost within 1% of the fault-era
 // baseline (BenchmarkFaults/off) — CI gates that A/B across base and
-// head with vaxbench -compare, and BENCH_prof.json records the
-// adjudication. The other variants price the attached sampler at the
+// head with vaxbench -compare, and the "host-time profiler" entry of
+// BENCH_history.json records the adjudication. The other variants price the attached sampler at the
 // default stride and the exact engine's attribution walk over a
 // composite histogram.
 

@@ -4,7 +4,8 @@ package vax780
 // hardware; the reproduction's probes must be near-passive in software.
 // BenchmarkTelemetry/off runs the exact RunConfig the seed ran — its
 // only added cost is the nil probe check on the hot paths — and is the
-// <5%-regression gate recorded in BENCH_telemetry.json. The other
+// <5%-regression gate recorded in the "telemetry layer" entry of
+// BENCH_history.json. The other
 // variants price each telemetry component.
 
 import "testing"
