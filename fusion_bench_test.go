@@ -5,9 +5,10 @@ package vax780
 // (NoFusion), so the pair prices exactly what fusion buys. The two
 // variants are simulation-identical — same cycles, same histogram —
 // which the determinism suite proves; only host ns/op may differ.
-// The "superword engine" and "fusion under hooks" entries of
-// BENCH_history.json record the adjudicated numbers and the
-// interleaved A/B method (make bench-fusion, make bench-fusion-hooks).
+// The "superword engine", "fusion under hooks" and "fusion under hooks
+// removed" entries of BENCH_history.json record the adjudicated numbers
+// and the interleaved A/B method (make bench-fusion, make
+// bench-fusion-hooks).
 
 import "testing"
 
@@ -62,11 +63,10 @@ func benchFusionHooksRun(b *testing.B, noFusion bool) {
 
 func BenchmarkFusionHooks(b *testing.B) {
 	// The telemetry-on cell: probe, interval recorder, and flight
-	// recorder all attached. Before the effect-summary engine this cell
-	// interpreted 100% of cycles; now the fused path replays per-cycle
-	// effects into the hooks in tick() order, so "on" and "off" stay
-	// byte-identical (the bit-exactness suite proves it) and only host
-	// ns/op differs.
+	// recorder all attached. Any per-cycle hook forces single-step
+	// interpretation, so "on" and "off" run the same interpreter and
+	// are byte-identical (the bit-exactness suite proves it); the cell
+	// guards that a hooked default run costs no more than NoFusion.
 	b.Run("on", func(b *testing.B) { benchFusionHooksRun(b, false) })
 	b.Run("off", func(b *testing.B) { benchFusionHooksRun(b, true) })
 }

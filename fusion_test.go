@@ -6,14 +6,12 @@ package vax780
 // interpreted (NoFusion) and compares the strongest artifacts
 // available — histogram arrays, rendered reports, telemetry series and
 // Chrome traces, fault-injection tallies, profiler fingerprints,
-// stripped ledgers, checkpoint resume chains. The measurement hooks
-// (telemetry probe, flight recorder, prof sampler) no longer deopt:
-// fused dispatches replay each superword's statically-proven per-cycle
-// effect stream into them, so a hooked fused run must still be
-// byte-identical to a hooked interpreted one — the strongest form of
-// the effect-summary proof. Only a fault plan still forces single-step
-// mode (its per-reference poll points live in the interpreter), and
-// that deopt contract keeps its own test.
+// stripped ledgers, checkpoint resume chains. Any per-cycle hook
+// (telemetry probe, flight recorder, prof sampler, fault plan) forces
+// single-step interpretation, so a hooked default run must be
+// byte-identical to a hooked NoFusion run: these tests pin that the
+// deopt rule catches every hook, and the hook-free ones pin the
+// effect-summary proof behind fused replay.
 
 import (
 	"bytes"
@@ -68,10 +66,9 @@ func TestFusionAudit(t *testing.T) {
 	}
 }
 
-// TestFusionTelemetryBitExact: an attached telemetry layer no longer
-// deopts — the fused path interleaves the probe cycle by cycle in
-// tick's exact order — and every telemetry artifact (live counters,
-// interval CSV, Chrome trace) is byte-identical fused vs NoFusion.
+// TestFusionTelemetryBitExact: an attached telemetry layer deopts the
+// EBOX to single-step, and every telemetry artifact (live counters,
+// interval CSV, Chrome trace) is byte-identical default vs NoFusion.
 // This matters because Recorder.roll snapshots the monitor histogram
 // from inside Probe.Cycle at interval boundaries: a bulk histogram
 // update would move counts across an interval edge.
@@ -133,12 +130,11 @@ func TestFusionTelemetryBitExact(t *testing.T) {
 
 // TestFusionHooksBitExact is the tentpole acceptance test: with the
 // telemetry probe, flight recorder, and sampling profiler ALL attached
-// — the benchmark matrix's formerly 100%-interpreted cell — the fused
-// composite must be byte-identical to the interpreted one at every -j:
-// histograms, reports, ledgers, telemetry CSV and traces. The sampler
-// rides along inside the profiler-equipped variant below; here the
-// probe and recorder exercise the per-cycle interleave path, and the
-// recorder-only pair exercises the bulk path.
+// — the default run must deopt to the interpreter and be
+// byte-identical to the NoFusion run at every -j: histograms, reports,
+// ledgers, telemetry CSV and traces. The sampler rides along inside the
+// profiler-equipped variant below; the recorder-only pair is
+// TestFusionFlightRecorderBitExact.
 func TestFusionHooksBitExact(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("j=%d", workers), func(t *testing.T) {
@@ -231,9 +227,9 @@ func TestFusionDeoptFaults(t *testing.T) {
 	}
 }
 
-// TestFusionFlightRecorderBitExact: a forced-on flight recorder runs
-// fused via RecordRun's bulk replay; the ring's contents and artifacts
-// match NoFusion exactly.
+// TestFusionFlightRecorderBitExact: a forced-on flight recorder deopts
+// the EBOX to single-step; the ring's contents and artifacts match
+// NoFusion exactly.
 func TestFusionFlightRecorderBitExact(t *testing.T) {
 	fused, interp := runFusionPair(t, RunConfig{
 		Instructions: 1500,
@@ -243,8 +239,8 @@ func TestFusionFlightRecorderBitExact(t *testing.T) {
 	compareResults(t, fused, interp)
 }
 
-// TestFusionProfilerBitExact: the sampling profiler's stride hook runs
-// fused via SampleRun's bulk countdown replay; the sampled fingerprint
+// TestFusionProfilerBitExact: the sampling profiler's stride hook
+// deopts the EBOX to single-step; the sampled fingerprint
 // (flows, cycles, shares, class vectors) and the stripped ledger are
 // byte-identical fused vs NoFusion.
 func TestFusionProfilerBitExact(t *testing.T) {

@@ -36,15 +36,6 @@ type Probe interface {
 	Cycle(now uint64, addr uint16, stalled bool)
 	// TBMiss observes a D-stream translation-buffer microtrap.
 	TBMiss(now uint64, istream bool, va uint32)
-	// Quiet reports how many of the next n cycles are observation-free
-	// (no interval boundary, no pending board command).
-	Quiet(now uint64, n int) int
-	// CycleRun applies n un-stalled cycles in one call, bit-exact with
-	// n individual Cycle calls over a span Quiet approved. The
-	// superword replay path uses the pair to amortize the per-cycle
-	// hook cost while routing every observable event — an interval
-	// roll, a board command — through Cycle at its exact cycle.
-	CycleRun(now uint64, addr uint16, n int)
 }
 
 // InstrCtx carries everything data-dependent about one instruction (or
@@ -105,15 +96,12 @@ type EBOX struct {
 
 	// Fuse, when non-nil, is the compiled superword table
 	// (internal/ufuse): straight-line runs the control store proves
-	// pure execute as one dispatch each. The measurement hooks no
-	// longer deopt: a superword replays its statically-proven per-cycle
-	// effect stream into the flight recorder and sampler in bulk, and —
-	// when a telemetry Probe is attached — interleaves the hooks cycle
-	// by cycle in exactly tick's order, so a probe that snapshots or
-	// reconfigures the board mid-superword observes the same machine an
-	// interpreted run would. Only a fault plan (CheckFaults) or a
-	// Monitor that is not the devirtualized histogram board forces
-	// single-step interpretation (run checks once per flow entry).
+	// pure execute as one dispatch each. Fusion applies only to a bare
+	// machine: any per-cycle hook — a telemetry Probe, the flight
+	// recorder, the sampler, a fault plan (CheckFaults), a Monitor that
+	// is not the devirtualized histogram board, or a board that is not
+	// on its fast path — forces single-step interpretation (run checks
+	// once per flow entry).
 	Fuse *ufuse.Plan
 
 	// Now is the cycle counter (200 ns units).
@@ -246,12 +234,12 @@ func (e *EBOX) RunOverhead(entry uint16, ctx *InstrCtx) error {
 // run is the microsequencer main loop: execute from entry until an
 // end-of-instruction microinstruction completes.
 //
-// With a fusion plan attached, a straight-line run the control store
-// proves pure executes as one superword: the run's statically-proven
-// per-cycle effect stream — histogram increments, I-Fetch advances,
-// flight-recorder entries, sampler hits, telemetry cycles — is replayed
-// by fusedReplay, the cycle counter jumps by the run length, and the
-// run's final word goes through the ordinary sequencer — the proven
+// With a fusion plan attached and no per-cycle hook, a straight-line
+// run the control store proves pure executes as one superword: the
+// run's statically-proven per-cycle effect stream — histogram
+// increments and I-Fetch advances — is applied in bulk by fusedReplay,
+// the cycle counter jumps by the run length, and the run's final word
+// goes through the ordinary sequencer — the proven
 // deopt point for branches, dispatches, loop back-edges, and I-stream
 // redirects. When the final word is a SeqURet whose return site roots
 // another superword, the inner loop chains straight into it without
@@ -263,10 +251,11 @@ func (e *EBOX) RunOverhead(entry uint16, ctx *InstrCtx) error {
 func (e *EBOX) run(entry uint16) error {
 	e.upc = entry
 	fuse := e.Fuse
-	if fuse != nil && (e.upcMon == nil || e.CheckFaults) {
-		// A fault plan needs the interpreter's per-reference poll points,
-		// and a non-board Monitor cannot take the bulk count vector:
-		// both force single-step interpretation.
+	if fuse != nil && (e.upcMon == nil || !e.upcMon.Fast() || e.CheckFaults ||
+		e.Probe != nil || e.FR != nil || e.Samp != nil) {
+		// The one deopt rule: any per-cycle hook interprets. Without a
+		// hook nothing can start, stop or clear the board mid-flow, so
+		// the fast-path test holds for the whole run.
 		fuse = nil
 	}
 	for steps := 0; ; steps++ {
@@ -279,10 +268,8 @@ func (e *EBOX) run(entry uint16) error {
 			// superword and sequences its final word; when the successor
 			// (a jump target or a uret return site) roots another
 			// superword, the chain continues without touching the
-			// outer-loop dispatch. Fast() is re-checked per superword —
-			// and per cycle inside fusedReplay when a probe is attached —
-			// because a probe command can stop the board mid-run.
-			for n := fuse.Len(e.upc); n != 0 && e.upcMon.Fast(); n = fuse.Len(e.upc) {
+			// outer-loop dispatch.
+			for n := fuse.Len(e.upc); n != 0; n = fuse.Len(e.upc) {
 				if steps++; steps > 1_000_000 {
 					return fmt.Errorf("microcode runaway at uPC %#o", e.upc)
 				}
@@ -331,55 +318,14 @@ func (e *EBOX) run(entry uint16) error {
 
 // fusedReplay replays one superword's proven per-cycle effect stream:
 // n consecutive un-stalled cycles at e.upc, e.upc+1, …, with one
-// normal-set histogram increment, one flight-recorder entry, one
-// sampler countdown, and one free-port I-Fetch advance each — exactly
-// what n calls of tick(addr, false, false) would perform, which is what
-// the analyzer's effect-summary pass proves of every fusible segment.
-// The stream applies in chunks through the bulk variants, each proven
-// bit-exact against its single-step loop. Without a probe nothing can
-// mutate observer state mid-superword, so the chunk is the whole
-// superword.
-//
-// With a telemetry probe attached, a chunk is an observation-free span
-// (Probe.Quiet), and any cycle that can observe the machine — an
-// interval roll, a pending board command, or a stopped board — goes
-// through tick itself, monitor first (so a roll inside Probe.Cycle
-// snapshots a histogram that already counts the boundary cycle, as the
-// interpreted run's would). Fast is re-tested per chunk because a board
-// command applied at a boundary can stop or clear the board
-// mid-superword.
+// normal-set histogram increment and one free-port I-Fetch advance each
+// — exactly what n calls of tick(addr, false, false) perform on a
+// hook-free machine, which is what the analyzer's effect-summary pass
+// proves of every fusible segment.
 func (e *EBOX) fusedReplay(n int) {
-	p := e.Probe
-	addr := e.upc
-	for n > 0 {
-		k := n
-		if p != nil {
-			k = 0
-			if e.upcMon.Fast() {
-				k = p.Quiet(e.Now, n)
-			}
-			if k <= 0 {
-				e.tick(addr, false, false)
-				addr++
-				n--
-				continue
-			}
-		}
-		e.upcMon.TickRun(addr, k)
-		if p != nil {
-			p.CycleRun(e.Now, addr, k)
-		}
-		if e.FR != nil {
-			e.FR.RecordRun(e.Now, addr, k)
-		}
-		if e.Samp != nil {
-			e.Samp.SampleRun(addr, k)
-		}
-		e.IB.TickRun(e.Now, k)
-		e.Now += uint64(k)
-		addr += uint16(k)
-		n -= k
-	}
+	e.upcMon.TickRun(e.upc, n)
+	e.IB.TickRun(e.Now, n)
+	e.Now += uint64(n)
 }
 
 // loopCount resolves a loop-counter load against the instruction context.

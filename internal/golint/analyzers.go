@@ -26,9 +26,7 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickRun"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
-	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "RecordRun"},
 	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "Sample"},
-	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "SampleRun"},
 }
 
 // HotPathAnalyzer flags heap allocations, defers, goroutine launches and
@@ -38,20 +36,22 @@ var DefaultHotTargets = []HotTarget{
 // interface dispatch there is a measured regression (the PR that
 // devirtualized the monitor hook bought ~18% on the cycle loop). Guarded
 // interface calls (`if e.Probe != nil { e.Probe.Cycle(...) }`) are the
-// sanctioned escape hatch for optional hooks.
+// sanctioned escape hatch for optional hooks. A target whose package is
+// loaded but declares no such function is itself a diagnostic, so a
+// rename or deletion cannot silently drop a function from the check.
 func HotPathAnalyzer(targets []HotTarget) *Analyzer {
 	an := &Analyzer{
 		Name: "hotpath",
 		Doc:  "forbid allocations and unguarded interface calls in per-cycle functions",
 	}
 	an.Run = func(pass *Pass) {
-		want := make(map[[2]string]bool)
+		found := make(map[[2]string]bool)
 		for _, t := range targets {
 			if t.PkgPath == pass.Pkg.Path {
-				want[[2]string{t.Recv, t.Func}] = true
+				found[[2]string{t.Recv, t.Func}] = false
 			}
 		}
-		if len(want) == 0 {
+		if len(found) == 0 {
 			return
 		}
 		for _, file := range pass.Pkg.Files {
@@ -60,11 +60,24 @@ func HotPathAnalyzer(targets []HotTarget) *Analyzer {
 				if !ok || fd.Body == nil {
 					continue
 				}
-				if !want[[2]string{recvTypeName(fd), fd.Name.Name}] {
+				key := [2]string{recvTypeName(fd), fd.Name.Name}
+				if _, ok := found[key]; !ok {
 					continue
 				}
+				found[key] = true
 				checkHotBody(pass, fd)
 			}
+		}
+		for _, t := range targets {
+			if t.PkgPath != pass.Pkg.Path || found[[2]string{t.Recv, t.Func}] {
+				continue
+			}
+			name := t.Func
+			if t.Recv != "" {
+				name = t.Recv + "." + t.Func
+			}
+			pass.Reportf(pass.Pkg.Files[0].Package,
+				"hot target %s not declared in %s; update the target list", name, t.PkgPath)
 		}
 	}
 	return an

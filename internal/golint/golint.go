@@ -71,7 +71,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			an.Run(&Pass{Analyzer: an, Pkg: pkg, diags: &diags})
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
+	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename

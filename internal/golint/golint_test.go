@@ -132,6 +132,19 @@ func TestHotPathOtherPackageIgnored(t *testing.T) {
 	}
 }
 
+func TestHotPathMissingTarget(t *testing.T) {
+	// A target naming a function its loaded package does not declare is
+	// stale: it must be reported, not silently skipped.
+	an := HotPathAnalyzer([]HotTarget{
+		{PkgPath: "p", Recv: "M", Func: "tick"},
+		{PkgPath: "p", Recv: "M", Func: "tickRun"},
+		{PkgPath: "p", Func: "gone"},
+	})
+	wantMsgs(t, runOn(t, hotSrc, an),
+		"hot target M.tickRun not declared in p",
+		"hot target gone not declared in p")
+}
+
 const probeSrc = `package p
 
 type Hook interface{ Fire(int) }

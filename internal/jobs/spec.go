@@ -204,12 +204,26 @@ func (s *Spec) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("%w: negative parallelism", ErrBadSpec)
 	}
-	if s.IsSweep() {
-		_, err := s.sweepPoints()
+	cfg, err := s.runConfig()
+	if err != nil {
 		return err
 	}
-	_, err := s.runConfig()
-	return err
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	if !s.IsSweep() {
+		return nil
+	}
+	pts, err := s.sweepPoints()
+	if err != nil {
+		return err
+	}
+	for _, pt := range pts {
+		if err := pt.Config.Validate(); err != nil {
+			return fmt.Errorf("%w: point %q: %v", ErrBadSpec, pt.Label, err)
+		}
+	}
+	return nil
 }
 
 // Key returns the spec's content address: a 16-hex-digit rendering of

@@ -90,6 +90,14 @@ func TestSpecValidate(t *testing.T) {
 		{"negative deadline", Spec{DeadlineMS: -5}, false},
 		{"unlabeled point", Spec{Points: []Point{{CacheBytes: 4096}}}, false},
 		{"labeled points", Spec{Points: []Point{{Label: "a"}, {Label: "b", CacheWays: 1}}}, true},
+		{"negative cache ways", Spec{CacheWays: -2}, false},
+		{"negative cache bytes", Spec{CacheBytes: -8192}, false},
+		{"negative tb entries", Spec{TBEntries: -128}, false},
+		{"negative miss latency", Spec{MissLatency: -6}, false},
+		{"negative write busy", Spec{WriteBusy: -6}, false},
+		{"negative ctx switch headway", Spec{CtxSwitchHeadway: -1}, false},
+		{"negative point cache ways", Spec{Points: []Point{{Label: "a"}, {Label: "b", CacheWays: -2}}}, false},
+		{"negative point miss latency", Spec{Points: []Point{{Label: "a", MissLatency: -6}}}, false},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

@@ -106,10 +106,10 @@ type Config struct {
 	// Fusion, when non-nil, attaches the flow-fusion superword plan:
 	// the EBOX executes ulint-proven straight-line runs as single
 	// dispatches whenever every per-cycle hook is disabled. The plan is
-	// threaded through unconditionally — the EBOX itself deopts to
-	// single-step interpretation while any telemetry probe, fault plan,
-	// flight recorder, or sampler is attached, so observability
-	// semantics are unchanged.
+	// threaded through unconditionally — the EBOX itself interprets
+	// every microword while any telemetry probe, fault plan, flight
+	// recorder, or sampler is attached, so observability semantics are
+	// unchanged.
 	Fusion *ufuse.Plan
 }
 

@@ -68,22 +68,6 @@ func (r *Recorder) cycle(t *Telemetry, abs uint64) {
 	}
 }
 
-// quiet returns how many consecutive cycles starting at absolute cycle
-// abs can elapse before the next interval boundary: a cycle at c is
-// boundary-free iff c+1 < nextAt, so a run of k cycles from abs is
-// quiet iff k <= nextAt-1-abs. The superword replay path uses this to
-// bulk-apply spans that provably contain no roll.
-func (r *Recorder) quiet(abs uint64) int {
-	if abs+1 >= r.nextAt {
-		return 0
-	}
-	q := r.nextAt - 1 - abs
-	if q > 1<<30 {
-		q = 1 << 30
-	}
-	return int(q)
-}
-
 // flush closes a trailing partial interval (end of a machine or run).
 func (r *Recorder) flush(t *Telemetry, abs uint64) {
 	if r.mon != nil && abs > r.start {

@@ -274,44 +274,6 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 	}
 }
 
-// Quiet returns how many of the next n cycles starting at now are
-// observation-free: no pending board command and no interval-recorder
-// boundary. The superword replay path bulk-applies exactly that many
-// cycles through CycleRun and routes the boundary cycle itself through
-// the ordinary per-cycle Cycle, so rolls and board commands execute at
-// a cycle boundary with the monitor histogram in precisely the state
-// the interpreted run would show them. A command that arrives
-// asynchronously during a bulk span is noticed at the span's end — the
-// same store-to-observation latency a Unibus CSR write always had.
-// Implements the ebox Probe.
-func (t *Telemetry) Quiet(now uint64, n int) int {
-	if t.cmd.Load() != 0 {
-		return 0
-	}
-	if t.rec != nil {
-		if q := t.rec.quiet(now + t.offset); q < n {
-			return q
-		}
-	}
-	return n
-}
-
-// CycleRun observes n consecutive un-stalled cycles at addr, addr+1, …
-// in one call: the counters advance by n, and the tracer coalesces the
-// span by control-store region. Callers must bound n by Quiet first —
-// the span must contain no interval boundary and no pending board
-// command — which makes the call bit-exact with n individual Cycle
-// calls. Implements the ebox Probe.
-func (t *Telemetry) CycleRun(now uint64, addr uint16, n int) {
-	abs := now + t.offset
-	t.maxAbs = abs + uint64(n)
-	t.finished = false
-	t.C.Cycles.Add(uint64(n))
-	if t.tr != nil {
-		t.tr.cycleRun(abs, addr, n)
-	}
-}
-
 // TBMiss observes a translation-buffer miss (shared by the ebox and
 // ibox probes: the D-stream microtrap and the I-stream miss flag).
 func (t *Telemetry) TBMiss(now uint64, istream bool, va uint32) {

@@ -222,43 +222,6 @@ func (tr *Tracer) cycle(abs uint64, addr uint16, stalled bool) {
 	}
 }
 
-// cycleRun observes n consecutive un-stalled cycles at addr, addr+1, …
-// — the superword replay path's bulk tracer application. The first
-// cycle goes through the ordinary per-cycle observer (it may close a
-// stall slice left open by the preceding memory reference and start a
-// new region slice, in that order); the rest advance by runs of
-// identical control-store region, emitting exactly the region
-// transitions n individual cycle calls would. Within a same-region run
-// nothing changes, so the cost is one table scan instead of n state
-// machine steps.
-func (tr *Tracer) cycleRun(abs uint64, addr uint16, n int) {
-	tr.cycle(abs, addr, false)
-	for i := 1; i < n; {
-		a := int(addr) + i
-		r := ucode.RegNone
-		lbl := ""
-		if a < len(tr.region) {
-			r = tr.region[a]
-			lbl = tr.label[a]
-		}
-		if r != tr.curRegion {
-			tr.closeRegion(abs + uint64(i))
-			tr.curRegion, tr.regionStart, tr.regionLabel = r, abs+uint64(i), lbl
-		}
-		j := i + 1
-		if a < len(tr.region) {
-			for j < n && int(addr)+j < len(tr.region) && tr.region[int(addr)+j] == r {
-				j++
-			}
-		} else {
-			for j < n && int(addr)+j >= len(tr.region) {
-				j++
-			}
-		}
-		i = j
-	}
-}
-
 func (tr *Tracer) closeRegion(end uint64) {
 	tr.slice(tr.curRegion.String(), tidRegion, tr.regionStart, end, argsEntry, tr.regionLabel, 0, 0)
 }

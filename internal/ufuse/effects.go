@@ -1,11 +1,11 @@
 package ufuse
 
-// Effect-summary auditing: the fused executor no longer deopts when the
-// per-cycle measurement hooks (telemetry probe, sampler, flight
-// recorder) are attached — it replays each superword's proven per-cycle
-// effect stream into them instead. The stream is closed-form: cycle i
-// of a superword rooted at S observes micro-PC S+i, un-stalled, with
-// one normal-set histogram increment and one I-Fetch advance. This file
+// Effect-summary auditing: on a hook-free machine the fused executor
+// applies each superword's per-cycle effect stream in bulk
+// (Monitor.TickRun, IBox.TickRun) instead of stepping its words. The
+// stream is closed-form: cycle i of a superword rooted at S observes
+// micro-PC S+i, un-stalled, with one normal-set histogram increment
+// and one I-Fetch advance. This file
 // re-derives that stream independently from the control-store image and
 // cross-checks it against the analyzer's symbolically-executed summary,
 // so the replay the EBOX performs and the proof vaxlint reports can
@@ -34,8 +34,8 @@ type Summary struct {
 
 // ReplayStream independently derives the per-cycle micro-PC stream of
 // the superword rooted at start: it re-verifies the run's legality word
-// by word and returns the trajectory the fused dispatch will replay
-// into the hooks. The derivation uses only the single-step sequencing
+// by word and returns the trajectory the fused dispatch applies in
+// bulk. The derivation uses only the single-step sequencing
 // rule legality guarantees (every interior word falls through), so a
 // legal run's stream is exactly start, start+1, …, start+n-1.
 func ReplayStream(img *ucode.Image, start uint16, n int) ([]uint16, error) {
@@ -62,7 +62,7 @@ func ReplayStream(img *ucode.Image, start uint16, n int) ([]uint16, error) {
 // summaries: every superword must carry a summary with its exact start
 // and length, and the summary's trajectory must equal the replay stream
 // this package derives independently from the image. This is the
-// vaxlint -effects gate — a superword whose replay would feed the hooks
+// vaxlint -effects gate — a superword whose replay would apply
 // anything but its proven per-cycle stream fails loudly.
 func AuditEffects(p *Plan, rom *urom.ROM, sums []Summary) error {
 	byStart := make(map[uint16]Summary, len(sums))

@@ -2,10 +2,10 @@ package ulint
 
 // The effect-summary engine: for every fusible segment the analyzer
 // proves, derive the closed-form per-cycle effect stream that executing
-// the segment as one superword must replay into the measurement hooks —
-// and prove, by symbolic execution of the single-step semantics over
-// the control-store image, that the stream is exactly what interpreting
-// the segment word by word would produce.
+// the segment as one superword must reproduce — and prove, by symbolic
+// execution of the single-step semantics over the control-store image,
+// that the stream is exactly what interpreting the segment word by word
+// would produce.
 //
 // The closed form for a fusible segment rooted at S with length n is:
 //
@@ -22,9 +22,9 @@ package ulint
 // fall-through, an interior I-stream function, or a bucket the Table 8
 // attribution map does not cover — is a KindEffectMismatch error, the
 // same grade of failure as a hole in the 783/783 attribution proof.
-// A clean pass therefore licenses the fused executor to replay the
-// closed form into the telemetry probe, sampler, and flight recorder
-// without consulting the words again.
+// A clean pass therefore licenses the fused executor to apply the
+// closed form in bulk (histogram and I-Fetch) without consulting the
+// words again.
 //
 // The second pass proves return-site fusion legality: every location a
 // SeqURet can transfer to (cfg.go's collected return sites) must be a

@@ -54,24 +54,6 @@ func (r *FlightRecorder) Record(now uint64, addr uint16, stalled bool) {
 	r.n++
 }
 
-// RecordRun captures n consecutive un-stalled cycles at addr, addr+1, …
-// starting at cycle now — the fused executor's bulk replay of a
-// superword's proven effect stream. Bit-exact with n calls of
-// Record(now+i, addr+i, false); field stores, not composite literals,
-// for the same hot-path budget as Record.
-func (r *FlightRecorder) RecordRun(now uint64, addr uint16, n int) {
-	for i := 0; i < n; i++ {
-		e := &r.buf[r.next]
-		e.Cycle = now
-		e.UPC = addr
-		e.Stalled = false
-		r.next = (r.next + 1) & r.mask
-		now++
-		addr++
-	}
-	r.n += uint64(n)
-}
-
 // Depth returns the ring capacity.
 func (r *FlightRecorder) Depth() int { return len(r.buf) }
 

@@ -57,24 +57,6 @@ func (s *Sampler) Sample(addr uint16, stalled bool) {
 	s.taken++
 }
 
-// SampleRun observes n consecutive un-stalled cycles at addr, addr+1, …
-// in one call — the fused executor's bulk replay of a superword's
-// proven effect stream. It is bit-exact with n calls of
-// Sample(addr+i, false): the countdown crosses zero at most n/stride
-// times, and each crossing counts the micro-PC the per-cycle loop would
-// have sampled at that cycle.
-func (s *Sampler) SampleRun(addr uint16, n int) {
-	for uint32(n) >= s.left {
-		hit := addr + uint16(s.left) - 1
-		n -= int(s.left)
-		addr = hit + 1
-		s.left = s.stride
-		s.counts[uint32(hit)&(Buckets-1)]++
-		s.taken++
-	}
-	s.left -= uint32(n)
-}
-
 // Stride returns the sampling period in cycles.
 func (s *Sampler) Stride() int { return int(s.stride) }
 

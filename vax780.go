@@ -219,10 +219,9 @@ type RunConfig struct {
 	// NoFusion disables the flow-fusion superword engine, forcing
 	// single-step interpretation of every microword. Fusion is on by
 	// default and bit-exact with interpretation — ulint proves each
-	// fused run pure, and any enabled observation hook (telemetry,
-	// fault plan, flight recorder, profiler sampler) already forces
-	// single-step — so this escape hatch exists for A/B measurement
-	// and debugging. Like Parallelism, it is excluded from the
+	// fused run pure, and any per-cycle hook (telemetry, fault plan,
+	// flight recorder, profiler sampler) forces single-step on its own
+	// — so this escape hatch exists for A/B measurement and debugging. Like Parallelism, it is excluded from the
 	// checkpoint fingerprint: a fused run may resume an unfused one
 	// and vice versa, bit-identically.
 	NoFusion bool
@@ -268,14 +267,30 @@ func (c *RunConfig) fill() {
 	}
 }
 
-// validate rejects configurations Run cannot honor. Checked before any
-// work starts, so a bad configuration fails fast with a clear error
-// instead of silently rounding or misbehaving mid-run.
-func (c *RunConfig) validate() error {
+// Validate rejects configurations Run cannot honor. Run checks it
+// before any work starts, so a bad configuration fails fast with a
+// clear error instead of panicking or producing a meaningless CPI
+// mid-run; services call it to reject a request before admission.
+func (c *RunConfig) Validate() error {
 	if d := c.FlightDepth; d > 0 && d&(d-1) != 0 {
 		return fmt.Errorf("vax780: FlightDepth %d is not a power of two "+
 			"(the flight recorder ring is mask-indexed; use the next power of two, "+
 			"0 for the default, or a negative depth to disable the recorder)", d)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"CacheBytes", c.CacheBytes},
+		{"CacheWays", c.CacheWays},
+		{"TBEntries", c.TBEntries},
+		{"MissLatency", c.MissLatency},
+		{"WriteBusy", c.WriteBusy},
+		{"CtxSwitchHeadway", c.CtxSwitchHeadway},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("vax780: %s %d is negative (0 selects the 11/780 default)", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -408,7 +423,7 @@ func Run(cfg RunConfig) (*Results, error) {
 func RunContext(ctx context.Context, cfg RunConfig) (*Results, error) {
 	cfg.ctx = ctx
 	cfg.fill()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	plan, planErr := cfg.fusionPlan()

@@ -126,6 +126,37 @@ func TestHardwareOverrides(t *testing.T) {
 	}
 }
 
+// TestNegativeHardwareRejected: a negative hardware override is an
+// error before any work starts, never a panic or a meaningless CPI.
+func TestNegativeHardwareRejected(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*RunConfig)
+	}{
+		{"CacheBytes", func(c *RunConfig) { c.CacheBytes = -8192 }},
+		{"CacheWays", func(c *RunConfig) { c.CacheWays = -2 }},
+		{"TBEntries", func(c *RunConfig) { c.TBEntries = -128 }},
+		{"MissLatency", func(c *RunConfig) { c.MissLatency = -6 }},
+		{"WriteBusy", func(c *RunConfig) { c.WriteBusy = -6 }},
+		{"CtxSwitchHeadway", func(c *RunConfig) { c.CtxSwitchHeadway = -1 }},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Run panicked: %v", r)
+				}
+			}()
+			cfg := RunConfig{Instructions: 200, Workloads: []WorkloadID{TimesharingA}}
+			c.set(&cfg)
+			if _, err := Run(cfg); err == nil {
+				t.Fatal("Run accepted a negative override")
+			} else if !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("error %q does not name %s", err, c.field)
+			}
+		})
+	}
+}
+
 func TestCtxSwitchHeadwaySweepChangesTBMisses(t *testing.T) {
 	frequent, err := Run(RunConfig{
 		Instructions: 40000, Workloads: []WorkloadID{TimesharingA},
