@@ -1,20 +1,17 @@
 // Command vaxlint runs the control-store static analyzer over the
 // shipped microprogram: the dispatch-rooted CFG passes that prove
 // attribution completeness (every tickable histogram bucket maps to a
-// Table 8 CPI cell), flow termination, stall/trap path legality, and
-// dead-word absence. It then audits the flow-fusion superword plan:
-// every fused segment must be exactly one straight-line run the
-// analyzer proved legal, re-verified word by word. Exit status is
+// Table 8 CPI cell), flow termination, path legality (stall entries,
+// trap service, uret return sites), and dead-word absence. It then
+// audits the flow-fusion superword plan: every fused segment must be
+// exactly one straight-line run the analyzer segmented as fusible,
+// re-verified word by word by ufuse's legality proof. Exit status is
 // nonzero on any error-severity finding or audit failure, so CI can
 // gate on it.
 //
 //	-bounds   also print the per-flow worst-case cycle bounds
-//	-effects  also run the effect-summary audit: every fusible segment
-//	          must carry a proven per-cycle effect stream, every
-//	          superword's replay must match it, and every fusible uret
-//	          return edge must land on a superword head
-//	-json     write the machine-readable proof report to stdout (implies
-//	          -effects; nothing else is printed on success)
+//	-json     write the machine-readable proof report to stdout (nothing
+//	          else is printed on success)
 //	-strict   fail on warnings too
 package main
 
@@ -28,7 +25,6 @@ import (
 
 func main() {
 	bounds := flag.Bool("bounds", false, "print per-flow worst-case cycle bounds")
-	effects := flag.Bool("effects", false, "audit superword effect summaries and return-site fusion")
 	jsonOut := flag.Bool("json", false, "write the machine-readable proof report to stdout")
 	strict := flag.Bool("strict", false, "treat warnings as failures")
 	flag.Parse()
@@ -66,20 +62,6 @@ func main() {
 	}
 	fmt.Printf("fusion: %d superwords audited, every one an ulint-proven straight-line segment\n",
 		superwords)
-
-	if *effects {
-		audit, err := vax780.FusionEffectsAudit()
-		if err != nil {
-			fmt.Println("effects:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("effects: %d/%d fusible segments carry a proven per-cycle effect summary\n",
-			audit.SummarizedEffects, audit.FusibleSegments)
-		fmt.Printf("effects: %d superword replay streams match their summaries\n",
-			audit.Superwords)
-		fmt.Printf("effects: %d uret return edges, %d fusible (land on a superword head)\n",
-			audit.ReturnEdges, audit.FusibleReturnEdges)
-	}
 
 	if len(rep.Errors()) > 0 || (*strict && !rep.Clean()) || !rep.Proven() {
 		os.Exit(1)

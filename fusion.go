@@ -12,7 +12,6 @@ package vax780
 // why NoFusion does not participate in the checkpoint fingerprint.
 
 import (
-	"fmt"
 	"sync"
 
 	"vax780/internal/ufuse"
@@ -75,65 +74,4 @@ func FusionAudit() (int, error) {
 		return 0, err
 	}
 	return plan.Superwords(), nil
-}
-
-// EffectsAuditReport is the result of the effect-summary audit over the
-// shipped microprogram, printed by vaxlint -effects.
-type EffectsAuditReport struct {
-	// FusibleSegments / SummarizedEffects are the analyzer's coverage
-	// counts: the -effects gate requires them equal (a proven summary
-	// for 100% of fusible segments).
-	FusibleSegments   int
-	SummarizedEffects int
-	// Superwords is the number of compiled superwords whose replay
-	// stream was cross-checked against its summary.
-	Superwords int
-	// ReturnEdges / FusibleReturnEdges count the cross-flow uret fusion
-	// edges and how many land on a superword head (chainable returns).
-	ReturnEdges        int
-	FusibleReturnEdges int
-}
-
-// FusionEffectsAudit runs the effect-summary gate over the shipped
-// microprogram: the analyzer must have derived a proven EffectSummary
-// for every fusible segment, the compiled plan's every superword must
-// carry one, and each summary's micro-PC trajectory must equal the
-// replay stream ufuse derives independently from the image. It also
-// checks the return-site fusion edges: every edge marked fusible must
-// land on a compiled superword head. Any failure means the fused
-// executor could feed the measurement hooks a stream the analyzer did
-// not prove — vaxlint fails the build on it.
-func FusionEffectsAudit() (EffectsAuditReport, error) {
-	var rep EffectsAuditReport
-	plan, err := defaultFusionPlan()
-	if err != nil {
-		return rep, err
-	}
-	rom := machineROM()
-	lint := LintControlStore()
-	rep.FusibleSegments = lint.FusibleSegments
-	rep.SummarizedEffects = lint.SummarizedEffects
-	if rep.SummarizedEffects != rep.FusibleSegments {
-		return rep, fmt.Errorf("effects: %d of %d fusible segments have a proven summary",
-			rep.SummarizedEffects, rep.FusibleSegments)
-	}
-	sums := make([]ufuse.Summary, 0, len(lint.Effects))
-	for _, s := range lint.Effects {
-		sums = append(sums, ufuse.Summary{Start: s.Start, Len: s.Len, UPCs: s.UPCs})
-	}
-	if err := ufuse.AuditEffects(plan, rom, sums); err != nil {
-		return rep, err
-	}
-	rep.Superwords = plan.Superwords()
-	for _, e := range lint.URetEdges {
-		rep.ReturnEdges++
-		if e.Fusible {
-			rep.FusibleReturnEdges++
-			if plan.Len(e.To) == 0 {
-				return rep, fmt.Errorf("effects: return edge %05o->%05o marked fusible but %05o heads no superword",
-					e.From, e.To, e.To)
-			}
-		}
-	}
-	return rep, nil
 }

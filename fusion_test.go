@@ -187,24 +187,6 @@ func TestFusionHooksBitExact(t *testing.T) {
 	}
 }
 
-// TestFusionEffectsAudit: the -effects gate. Every fusible segment of
-// the shipped store carries a proven effect summary, every superword's
-// replay stream matches it, and every fusible return edge lands on a
-// superword head.
-func TestFusionEffectsAudit(t *testing.T) {
-	rep, err := FusionEffectsAudit()
-	if err != nil {
-		t.Fatalf("FusionEffectsAudit: %v", err)
-	}
-	if rep.FusibleSegments == 0 || rep.SummarizedEffects != rep.FusibleSegments {
-		t.Fatalf("effect coverage %d/%d; the gate requires 100%%",
-			rep.SummarizedEffects, rep.FusibleSegments)
-	}
-	if rep.Superwords == 0 {
-		t.Fatal("no superword replay streams audited")
-	}
-}
-
 // TestFusionDeoptFaults: a fault plan forces single-step mode (its
 // per-cycle injection decisions must see every micro-PC), and the
 // injection tallies, retries, and degradation-annotated report are

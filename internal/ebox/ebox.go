@@ -95,8 +95,8 @@ type EBOX struct {
 	Samp *upc.Sampler
 
 	// Fuse, when non-nil, is the compiled superword table
-	// (internal/ufuse): straight-line runs the control store proves
-	// pure execute as one dispatch each. Fusion applies only to a bare
+	// (internal/ufuse): straight-line runs ufuse.verify proves pure
+	// execute as one dispatch each. Fusion applies only to a bare
 	// machine: any per-cycle hook — a telemetry Probe, the flight
 	// recorder, the sampler, a fault plan (CheckFaults), a Monitor that
 	// is not the devirtualized histogram board, or a board that is not
@@ -235,19 +235,18 @@ func (e *EBOX) RunOverhead(entry uint16, ctx *InstrCtx) error {
 // end-of-instruction microinstruction completes.
 //
 // With a fusion plan attached and no per-cycle hook, a straight-line
-// run the control store proves pure executes as one superword: the
-// run's statically-proven per-cycle effect stream — histogram
-// increments and I-Fetch advances — is applied in bulk by fusedReplay,
-// the cycle counter jumps by the run length, and the run's final word
-// goes through the ordinary sequencer — the proven
-// deopt point for branches, dispatches, loop back-edges, and I-stream
-// redirects. When the final word is a SeqURet whose return site roots
-// another superword, the inner loop chains straight into it without
-// re-entering the interpreter: the analyzer's return-site fusion pass
-// proves every site such a return can land on is a legal superword head
-// or single-step entry. Memory words, IB-stall waits, and loop-counter
-// loads are never inside a superword, so the data-dependent paths below
-// are reached exactly as the interpreter reaches them.
+// run ufuse.verify proves pure executes as one superword: fusedReplay
+// applies its histogram increments and I-Fetch advances in bulk, the
+// cycle counter jumps by the run length, and the run's final word goes
+// through the ordinary sequencer — the deopt point for branches,
+// dispatches, loop back-edges, and I-stream redirects. When the
+// successor (a jump target or a uret return site) roots another
+// superword, the inner loop chains straight into it; the loop re-reads
+// fuse.Len at every landing, so wherever control lands — a head, or a
+// superword's interior — it runs a verified run from that address or
+// single-steps. Memory words, IB-stall waits, and loop-counter loads are
+// never inside a superword, so the data-dependent paths below are
+// reached exactly as the interpreter reaches them.
 func (e *EBOX) run(entry uint16) error {
 	e.upc = entry
 	fuse := e.Fuse
@@ -316,12 +315,13 @@ func (e *EBOX) run(entry uint16) error {
 	}
 }
 
-// fusedReplay replays one superword's proven per-cycle effect stream:
-// n consecutive un-stalled cycles at e.upc, e.upc+1, …, with one
-// normal-set histogram increment and one free-port I-Fetch advance each
-// — exactly what n calls of tick(addr, false, false) perform on a
-// hook-free machine, which is what the analyzer's effect-summary pass
-// proves of every fusible segment.
+// fusedReplay executes one superword: n consecutive un-stalled cycles
+// at e.upc, e.upc+1, …, with one normal-set histogram increment and one
+// free-port I-Fetch advance each — exactly what n calls of
+// tick(addr, false, false) perform on a hook-free machine, because
+// ufuse.verify proved every word of the run touches no memory, loop
+// counter, IB stall or (before the last word) IB function, and falls
+// through.
 func (e *EBOX) fusedReplay(n int) {
 	e.upcMon.TickRun(e.upc, n)
 	e.IB.TickRun(e.Now, n)

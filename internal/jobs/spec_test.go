@@ -98,6 +98,15 @@ func TestSpecValidate(t *testing.T) {
 		{"negative ctx switch headway", Spec{CtxSwitchHeadway: -1}, false},
 		{"negative point cache ways", Spec{Points: []Point{{Label: "a"}, {Label: "b", CacheWays: -2}}}, false},
 		{"negative point miss latency", Spec{Points: []Point{{Label: "a", MissLatency: -6}}}, false},
+		// Oversized overrides used to pass Validate and then panic in
+		// the cache and TB constructors, or stall without end.
+		{"oversized cache ways", Spec{CacheWays: 1 << 61}, false},
+		{"oversized cache bytes", Spec{CacheBytes: 1 << 40}, false},
+		{"oversized tb entries", Spec{TBEntries: 1 << 62}, false},
+		{"oversized miss latency", Spec{MissLatency: 1 << 62}, false},
+		{"oversized write busy", Spec{WriteBusy: 1 << 62}, false},
+		{"oversized point tb entries", Spec{Points: []Point{{Label: "a"}, {Label: "b", TBEntries: 1 << 62}}}, false},
+		{"largest in-repo sweep point", Spec{Points: []Point{{Label: "16KB/4-way", CacheBytes: 16 << 10, CacheWays: 4}}}, true},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

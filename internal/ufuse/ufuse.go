@@ -5,8 +5,9 @@
 // exports the per-address run-length table the EBOX consults in its
 // hot loop.
 //
-// Legality is proven statically, per word, so a superword is safe no
-// matter how execution reaches it:
+// Legality is proven statically, per word, by verify — the one proof a
+// superword needs — so a superword is safe no matter how execution
+// reaches it:
 //
 //   - every word but the last: Seq == SeqNext (pure fall-through), no
 //     memory function, no loop-counter load, no IB-stall wait, and no
@@ -27,7 +28,12 @@
 // word, and everything whose behavior varies at runtime runs through
 // the unchanged interpreter paths.
 //
-// The proven segment set comes from internal/ulint's flow
+// Entry needs no separate proof either. The EBOX re-reads Len at every
+// landing — a jump target, a uret return site, a superword's own
+// interior — and any nonzero entry there is a run verify proved from
+// that address; a landing the table does not head single-steps.
+//
+// The candidate segment set comes from internal/ulint's flow
 // segmentation, but this package deliberately receives it as plain
 // (start, length) data and re-proves every word itself: the EBOX and
 // machine layers must stay free of the analyzer's dependency tree, and

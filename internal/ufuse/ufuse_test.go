@@ -153,3 +153,57 @@ func TestAuditCatchesTamper(t *testing.T) {
 		t.Fatalf("restored plan fails audit: %v", err)
 	}
 }
+
+// TestReturnIntoSuperwordInterior: a conditional branch whose uret
+// return site (mid.x) lands inside another flow's superword. The landing
+// is legal without any return-site proof: the EBOX re-reads Len at
+// every landing, and Len at mid.x is the shorter run the branch's own
+// flow segments from there, verified word by word like every other.
+// So Compile and Audit accept the store, exec.a keeps its 4-word
+// superword, and a return to mid.x executes the verified 3-word run.
+func TestReturnIntoSuperwordInterior(t *testing.T) {
+	a := ucode.NewAssembler()
+	a.Region(ucode.RegDecode)
+	a.Label("ird").DecodeInstr("decode")
+	a.Region(ucode.RegExecSimple)
+	a.Label("exec.a").Compute(1, "w0")
+	a.Label("mid.x").Compute(1, "w1: the foreign return site")
+	a.Compute(1, "w2")
+	a.End("w3")
+	a.Label("exec.b").CondTaken("mid.x", "returns mid-segment")
+	img, err := a.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rom := &urom.ROM{Image: img, IRD: img.Addr("ird")}
+	for op, entry := range []uint16{img.Addr("exec.a"), img.Addr("exec.b")} {
+		rom.HasExecFlow[op] = true
+		rom.ExecEntry[op] = entry
+	}
+
+	var segs []Segment
+	for _, f := range ulint.NewFlowIndex(rom).Flows() {
+		for _, s := range f.Segments {
+			if s.Fusible {
+				segs = append(segs, Segment{Start: s.Start, Len: s.Len})
+			}
+		}
+	}
+	p, err := Compile(rom, segs)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if err := Audit(p, rom, segs); err != nil {
+		t.Fatalf("Audit: %v", err)
+	}
+	mid := img.Addr("mid.x")
+	if err := verify(img, mid, 3); err != nil {
+		t.Fatalf("the 3-word run from mid.x: %v", err)
+	}
+	if got := p.Len(mid); got != 3 {
+		t.Errorf("Len(mid.x) = %d, want the verified 3-word run", got)
+	}
+	if got := p.Len(img.Addr("exec.a")); got != 4 {
+		t.Errorf("Len(exec.a) = %d, want 4", got)
+	}
+}

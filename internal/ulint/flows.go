@@ -76,14 +76,6 @@ func (f *Flow) FusibleWords() int {
 type FlowIndex struct {
 	flows []Flow
 	owner []int32 // per address; -1 = no flow owns it
-
-	// effects maps a fusible segment head to its proven EffectSummary
-	// (passEffects); retEdges are the cross-flow return-fusion edges
-	// (passReturnFusion). Both come from the same AnalyzeROM run that
-	// supplies the flow bounds, so the index and the lint report cannot
-	// disagree about which superwords carry a proof.
-	effects  map[uint16]EffectSummary
-	retEdges []URetEdge
 }
 
 // NewFlowIndex builds the flow index of an assembled ROM.
@@ -122,39 +114,8 @@ func NewFlowIndex(rom *urom.ROM) *FlowIndex {
 			ix.flows[i].Worst = b.Worst
 		}
 	}
-	ix.effects = make(map[uint16]EffectSummary, len(rep.Effects))
-	for _, sum := range rep.Effects {
-		// Longest proven summary per head wins, matching ufuse.Compile's
-		// longer-run-wins plan construction.
-		if prev, ok := ix.effects[sum.Start]; !ok || sum.Len > prev.Len {
-			ix.effects[sum.Start] = sum
-		}
-	}
-	ix.retEdges = rep.URetEdges
 	return ix
 }
-
-// EffectOf returns the proven EffectSummary rooted at addr, if the
-// effect pass derived one (addr heads a fusible segment and the
-// symbolic execution matched the closed form).
-func (ix *FlowIndex) EffectOf(addr uint16) (EffectSummary, bool) {
-	sum, ok := ix.effects[addr]
-	return sum, ok
-}
-
-// Effects returns every proven summary, sorted by segment head.
-func (ix *FlowIndex) Effects() []EffectSummary {
-	out := make([]EffectSummary, 0, len(ix.effects))
-	for _, sum := range ix.effects {
-		out = append(out, sum)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
-// ReturnEdges returns the cross-flow return-fusion edges. The slice is
-// shared: callers must not mutate it.
-func (ix *FlowIndex) ReturnEdges() []URetEdge { return ix.retEdges }
 
 // Flows returns the flows in entry order. The slice is shared: callers
 // must not mutate it.

@@ -71,9 +71,11 @@ func (a *analyzer) passAttribution(r *Report) {
 // sequencer or IB function in a trap flow is a runtime error waiting for
 // the first TB miss. PTE reads bypass translation and are meaningful
 // only inside trap service, so one reachable anywhere else is flagged.
+// It records the trap-flow word set in a.inTrap for passReturnSites.
 func (a *analyzer) passTrapLegality() {
 	n := a.img.Size()
 	inTrap := make([]bool, n)
+	a.inTrap = inTrap
 	stack := append([]uint16(nil), a.roots.Trap...)
 	for len(stack) > 0 {
 		w := stack[len(stack)-1]
@@ -127,6 +129,34 @@ func (a *analyzer) passStallEntry() {
 					"IB-stall word entered by %v edge from %05o; stall words may only be dispatch targets",
 					p.Kind, p.From)
 			}
+		}
+	}
+}
+
+// passReturnSites checks that every location a SeqURet can transfer to
+// (cfg.go's collected return sites) is a place the B-DISP subroutine may
+// legally land: inside the image, and not an IB-stall wait, trap
+// service, or the abort word. A return onto a stall word counts phantom
+// IB-stall cycles; one into trap service or the abort word runs a
+// microtrap no fault raised. passStallEntry cannot see these landings
+// when the store has no uret word to draw the return edge from.
+func (a *analyzer) passReturnSites() {
+	for _, site := range a.cfg.returnSites {
+		if int(site) >= a.img.Size() {
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o lies outside the %d-word image", site, a.img.Size())
+			continue
+		}
+		switch {
+		case a.img.At(site).IBStall:
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o is an IB-stall wait word; returns would count phantom stall cycles", site)
+		case a.inTrap[site]:
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o lies inside a microtrap service flow", site)
+		case a.roots.Abort != 0 && site == a.roots.Abort:
+			a.addf(KindURetBadTarget, ucode.SevError, site, "",
+				"uret return site %05o is the abort word", site)
 		}
 	}
 }

@@ -19,8 +19,9 @@
 //     in a flow closes through a bounded SeqLoop back edge;
 //   - path legality: trap service flows use only the sequencer
 //     functions the EBOX trap loop accepts, PTE reads appear only
-//     inside trap flows, and IB-stall wait words are entered only by
-//     dispatch (never by sequential fall-through or jump);
+//     inside trap flows, IB-stall wait words are entered only by
+//     dispatch (never by sequential fall-through or jump), and every
+//     uret return site is a legal landing for the B-DISP subroutine;
 //   - dead-word detection rooted at the true dispatch entry points, so
 //     a labelled flow nothing dispatches into is found dead even though
 //     the label-rooted verifier considers it live;
@@ -57,17 +58,14 @@ const (
 	KindPTEOutsideTrap             // PTE read reachable outside trap service flows
 	KindIllegalStall               // IB-stall word entered by fall-through or jump
 	KindBadRoot                    // dispatch-table entry outside the image
-	KindEffectMismatch             // fusible segment whose symbolic effects diverge from the closed form
 	KindURetBadTarget              // uret return site landing somewhere a return must never enter
-	KindURetMidSegment             // uret return site inside a fusible segment's interior
 	NumKinds
 )
 
 var kindNames = [...]string{
 	"verify", "dead-word", "unattributed", "non-terminating", "no-exit",
 	"trap-illegal-seq", "trap-illegal-ib", "pte-outside-trap",
-	"illegal-stall", "bad-root", "effect-mismatch", "uret-bad-target",
-	"uret-mid-segment",
+	"illegal-stall", "bad-root", "uret-bad-target",
 }
 
 func (k Kind) String() string {
@@ -112,17 +110,6 @@ type Report struct {
 	// Bounds holds per-flow worst-case cycle bounds for flows that
 	// passed the termination checks.
 	Bounds []FlowBound
-
-	// Effect-summary proof results (passEffects): one proven summary per
-	// fusible segment, plus the counts behind the 100%-coverage claim.
-	Effects           []EffectSummary
-	FusibleSegments   int // distinct fusible (start, len) segments found
-	SummarizedEffects int // of those, with a proven EffectSummary
-
-	// URetEdges are the cross-flow fusion edges of the return-site pass:
-	// for every reachable SeqURet word, one edge per collected return
-	// site, marked fusible when the site roots a fusible segment.
-	URetEdges []URetEdge
 }
 
 // Clean reports whether the analysis found no findings at all.
@@ -186,6 +173,9 @@ type analyzer struct {
 
 	// reached is the dispatch-rooted reachable set (passDeadWords).
 	reached []bool
+	// inTrap marks the words of the microtrap service flows
+	// (passTrapLegality).
+	inTrap []bool
 	// badFlows marks flow entries with termination findings, which the
 	// bounds pass must skip (a longest path over a cyclic graph is
 	// meaningless).
@@ -265,10 +255,9 @@ func Analyze(img *ucode.Image, roots Roots) *Report {
 		a.passAttribution(r)
 		a.passTrapLegality()
 		a.passStallEntry()
+		a.passReturnSites()
 		a.passTermination()
 		a.passBounds(r)
-		a.passEffects(r)
-		a.passReturnFusion(r)
 	}
 
 	for _, f := range a.findings {

@@ -191,30 +191,57 @@ func TestGoldenCounterReloadInLoop(t *testing.T) {
 
 // TestGoldenUnattributedBucket: a reachable word outside every region is
 // invisible to the Table 8 decomposition — its cycles would be counted
-// by the monitor and dropped by the reduction.
+// by the monitor and dropped by the reduction. The second store splices
+// the regionless word into the interior of a straight-line run the
+// segmentation calls fusible; fusion adds no blind spot, because
+// attribution is proven per word whatever superword contains it.
 func TestGoldenUnattributedBucket(t *testing.T) {
-	img, roots := brokenStore(t, func(a *ucode.Assembler) {
-		a.Region(ucode.RegExecSimple)
-		a.Label("exec.ok").Compute(1, "fine")
-		a.Region(ucode.RegNone)
-		a.End("regionless tail, reachable by fall-through")
-	})
-	rep := Analyze(img, roots)
-	if kindCount(rep, KindUnattributed) != 1 {
-		t.Fatalf("unattributed bucket not reported exactly once: %v", rep.Findings)
-	}
-	if rep.Proven() {
-		t.Error("Proven() must be false with an unattributed bucket")
-	}
-	// The per-word region check fires too; both views of the same rot.
-	hasNoRegion := false
-	for _, f := range rep.ByKind(KindVerify) {
-		if f.VerifyKind == ucode.IssueNoRegion {
-			hasNoRegion = true
-		}
-	}
-	if !hasNoRegion {
-		t.Error("expected the wrapped no-region verify issue alongside")
+	for _, tc := range []struct {
+		name  string
+		build func(a *ucode.Assembler)
+		entry string // the flow entry; the regionless word is the next one
+	}{
+		{"regionless-tail", func(a *ucode.Assembler) {
+			a.Region(ucode.RegExecSimple)
+			a.Label("exec.ok").Compute(1, "fine")
+			a.Region(ucode.RegNone)
+			a.End("regionless tail, reachable by fall-through")
+		}, "exec.ok"},
+		{"regionless-interior", func(a *ucode.Assembler) {
+			a.Region(ucode.RegExecSimple)
+			a.Label("exec.fx").Compute(1, "head")
+			a.Region(ucode.RegNone)
+			a.Compute(1, "regionless interior")
+			a.Region(ucode.RegExecSimple)
+			a.Compute(1, "third")
+			a.End("done")
+		}, "exec.fx"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img, roots := brokenStore(t, tc.build)
+			rep := Analyze(img, roots)
+			bad := img.Addr(tc.entry) + 1
+			un := rep.ByKind(KindUnattributed)
+			if len(un) != 1 {
+				t.Fatalf("unattributed bucket not reported exactly once: %v", rep.Findings)
+			}
+			if un[0].Addr != bad {
+				t.Errorf("unattributed at %05o, want the regionless word %05o", un[0].Addr, bad)
+			}
+			if rep.Proven() {
+				t.Error("Proven() must be false with an unattributed bucket")
+			}
+			// The per-word region check fires too; both views of the same rot.
+			hasNoRegion := false
+			for _, f := range rep.ByKind(KindVerify) {
+				if f.VerifyKind == ucode.IssueNoRegion && f.Addr == bad {
+					hasNoRegion = true
+				}
+			}
+			if !hasNoRegion {
+				t.Error("expected the wrapped no-region verify issue alongside")
+			}
+		})
 	}
 }
 
@@ -289,6 +316,38 @@ func TestGoldenBadRoot(t *testing.T) {
 	}
 	if rep.TickableBuckets != 0 {
 		t.Error("graph passes should not run on a structurally broken store")
+	}
+}
+
+// TestGoldenURetBadTarget: conditional branches whose taken-path return
+// sites are an IB-stall wait word and a trap-service word — locations a
+// B-DISP return must never land on. Both words are structurally
+// well-formed; only the return-site pass sees the illegal landing.
+func TestGoldenURetBadTarget(t *testing.T) {
+	img, roots := brokenStore(t, func(a *ucode.Assembler) {
+		a.Region(ucode.RegExecSimple)
+		a.Label("exec.br1").CondTaken("stall.bad", "returns to a stall word")
+		a.Label("exec.br2").CondTaken("trap.bad", "returns into trap service")
+		a.Region(ucode.RegDecode)
+		a.Label("stall.bad").IBStallLoc(ucode.IBDecodeSpec, "stall")
+		a.Region(ucode.RegMemMgmt)
+		a.Label("trap.bad").Compute(1, "trap work").TrapRet("rfi")
+	})
+	roots.Trap = []uint16{img.Addr("trap.bad")}
+	rep := Analyze(img, roots)
+
+	bad := rep.ByKind(KindURetBadTarget)
+	if len(bad) != 2 {
+		t.Fatalf("want two bad return sites (stall + trap), got %v", rep.Findings)
+	}
+	want := map[uint16]bool{img.Addr("stall.bad"): true, img.Addr("trap.bad"): true}
+	for _, f := range bad {
+		if !want[f.Addr] {
+			t.Errorf("unexpected bad-target finding at %05o", f.Addr)
+		}
+		if f.Severity != ucode.SevError {
+			t.Errorf("bad return site must be an error: %v", f)
+		}
 	}
 }
 

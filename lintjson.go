@@ -1,10 +1,10 @@
 package vax780
 
 // Machine-readable lint report: the full static proof state of the
-// shipped microprogram — findings, attribution coverage, effect-summary
-// coverage, fusion audit counts — serialized deterministically so CI
-// can archive it as an artifact and diff it against the committed
-// golden (vaxlint_golden.json). A diff means the shipped control store
+// shipped microprogram — findings, attribution coverage, the fusion
+// audit count — serialized deterministically so CI can archive it as
+// an artifact and diff it against the committed golden
+// (vaxlint_golden.json). A diff means the shipped control store
 // or an analyzer pass changed what is proven; both deserve a reviewed
 // golden update, never a silent drift.
 
@@ -36,35 +36,26 @@ type LintJSONReport struct {
 	TickableBuckets   int `json:"tickable_buckets"`
 	AttributedBuckets int `json:"attributed_buckets"`
 
-	FusibleSegments   int `json:"fusible_segments"`
-	SummarizedEffects int `json:"summarized_effects"`
-
-	Superwords         int `json:"superwords"`
-	ReturnEdges        int `json:"return_edges"`
-	FusibleReturnEdges int `json:"fusible_return_edges"`
+	Superwords int `json:"superwords"`
 
 	Findings []LintJSONFinding `json:"findings"`
 }
 
 // lintJSONSchema versions the report shape; bump it when fields change
 // meaning so a stale golden fails loudly instead of diffing confusingly.
-const lintJSONSchema = 1
+const lintJSONSchema = 2
 
 // buildLintJSON assembles the report from an analyzer run and the
-// effects-audit counts.
-func buildLintJSON(rep *ulint.Report, audit EffectsAuditReport) *LintJSONReport {
+// fusion audit's superword count.
+func buildLintJSON(rep *ulint.Report, superwords int) *LintJSONReport {
 	out := &LintJSONReport{
-		Schema:             lintJSONSchema,
-		Words:              rep.Words,
-		Reachable:          rep.Reachable,
-		TickableBuckets:    rep.TickableBuckets,
-		AttributedBuckets:  rep.AttributedBuckets,
-		FusibleSegments:    rep.FusibleSegments,
-		SummarizedEffects:  rep.SummarizedEffects,
-		Superwords:         audit.Superwords,
-		ReturnEdges:        audit.ReturnEdges,
-		FusibleReturnEdges: audit.FusibleReturnEdges,
-		Findings:           []LintJSONFinding{}, // [] not null: stable goldens
+		Schema:            lintJSONSchema,
+		Words:             rep.Words,
+		Reachable:         rep.Reachable,
+		TickableBuckets:   rep.TickableBuckets,
+		AttributedBuckets: rep.AttributedBuckets,
+		Superwords:        superwords,
+		Findings:          []LintJSONFinding{}, // [] not null: stable goldens
 	}
 	for _, f := range rep.Findings {
 		out.Findings = append(out.Findings, LintJSONFinding{
@@ -79,15 +70,15 @@ func buildLintJSON(rep *ulint.Report, audit EffectsAuditReport) *LintJSONReport 
 }
 
 // LintJSON renders the shipped microprogram's full proof report as
-// deterministic, newline-terminated, indented JSON. The effects audit
+// deterministic, newline-terminated, indented JSON. The fusion audit
 // runs as part of it; an audit failure is an error, not a report —
 // a report must only ever describe a provable store.
 func LintJSON() ([]byte, error) {
-	audit, err := FusionEffectsAudit()
+	superwords, err := FusionAudit()
 	if err != nil {
 		return nil, err
 	}
-	b, err := json.MarshalIndent(buildLintJSON(LintControlStore(), audit), "", "  ")
+	b, err := json.MarshalIndent(buildLintJSON(LintControlStore(), superwords), "", "  ")
 	if err != nil {
 		return nil, err
 	}

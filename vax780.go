@@ -267,6 +267,19 @@ func (c *RunConfig) fill() {
 	}
 }
 
+// Upper bounds on the hardware overrides, each far above every in-repo
+// sweep (at most 32 KB, 4-way, 256 TB entries, 12-cycle latencies). The
+// sizes bound the cache and TB allocations, which overflow or exhaust
+// memory long before a value near the int range; the latencies bound
+// stalls the EBOX simulates one cycle at a time, so a latency near the
+// int range would never return.
+const (
+	maxCacheBytes = 1 << 20
+	maxCacheWays  = 1 << 8
+	maxTBEntries  = 1 << 16
+	maxLatency    = 1 << 16
+)
+
 // Validate rejects configurations Run cannot honor. Run checks it
 // before any work starts, so a bad configuration fails fast with a
 // clear error instead of panicking or producing a meaningless CPI
@@ -280,16 +293,20 @@ func (c *RunConfig) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
+		max  int // 0: unbounded
 	}{
-		{"CacheBytes", c.CacheBytes},
-		{"CacheWays", c.CacheWays},
-		{"TBEntries", c.TBEntries},
-		{"MissLatency", c.MissLatency},
-		{"WriteBusy", c.WriteBusy},
-		{"CtxSwitchHeadway", c.CtxSwitchHeadway},
+		{"CacheBytes", c.CacheBytes, maxCacheBytes},
+		{"CacheWays", c.CacheWays, maxCacheWays},
+		{"TBEntries", c.TBEntries, maxTBEntries},
+		{"MissLatency", c.MissLatency, maxLatency},
+		{"WriteBusy", c.WriteBusy, maxLatency},
+		{"CtxSwitchHeadway", c.CtxSwitchHeadway, 0},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("vax780: %s %d is negative (0 selects the 11/780 default)", f.name, f.v)
+		}
+		if f.max > 0 && f.v > f.max {
+			return fmt.Errorf("vax780: %s %d exceeds the supported maximum %d", f.name, f.v, f.max)
 		}
 	}
 	return nil

@@ -126,20 +126,18 @@ func TestHardwareOverrides(t *testing.T) {
 	}
 }
 
-// TestNegativeHardwareRejected: a negative hardware override is an
-// error before any work starts, never a panic or a meaningless CPI.
-func TestNegativeHardwareRejected(t *testing.T) {
-	for _, c := range []struct {
-		field string
-		set   func(*RunConfig)
-	}{
-		{"CacheBytes", func(c *RunConfig) { c.CacheBytes = -8192 }},
-		{"CacheWays", func(c *RunConfig) { c.CacheWays = -2 }},
-		{"TBEntries", func(c *RunConfig) { c.TBEntries = -128 }},
-		{"MissLatency", func(c *RunConfig) { c.MissLatency = -6 }},
-		{"WriteBusy", func(c *RunConfig) { c.WriteBusy = -6 }},
-		{"CtxSwitchHeadway", func(c *RunConfig) { c.CtxSwitchHeadway = -1 }},
-	} {
+// hardwareCase is one out-of-range hardware override.
+type hardwareCase struct {
+	field string
+	set   func(*RunConfig)
+}
+
+// assertHardwareRejected runs each override and requires Run to refuse
+// it with an error naming the field before any work starts — never a
+// panic or a meaningless CPI.
+func assertHardwareRejected(t *testing.T, cases []hardwareCase) {
+	t.Helper()
+	for _, c := range cases {
 		t.Run(c.field, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -149,12 +147,40 @@ func TestNegativeHardwareRejected(t *testing.T) {
 			cfg := RunConfig{Instructions: 200, Workloads: []WorkloadID{TimesharingA}}
 			c.set(&cfg)
 			if _, err := Run(cfg); err == nil {
-				t.Fatal("Run accepted a negative override")
+				t.Fatal("Run accepted an out-of-range override")
 			} else if !strings.Contains(err.Error(), c.field) {
 				t.Fatalf("error %q does not name %s", err, c.field)
 			}
 		})
 	}
+}
+
+// TestNegativeHardwareRejected: a negative hardware override is an
+// error before any work starts.
+func TestNegativeHardwareRejected(t *testing.T) {
+	assertHardwareRejected(t, []hardwareCase{
+		{"CacheBytes", func(c *RunConfig) { c.CacheBytes = -8192 }},
+		{"CacheWays", func(c *RunConfig) { c.CacheWays = -2 }},
+		{"TBEntries", func(c *RunConfig) { c.TBEntries = -128 }},
+		{"MissLatency", func(c *RunConfig) { c.MissLatency = -6 }},
+		{"WriteBusy", func(c *RunConfig) { c.WriteBusy = -6 }},
+		{"CtxSwitchHeadway", func(c *RunConfig) { c.CtxSwitchHeadway = -1 }},
+	})
+}
+
+// TestOversizedHardwareRejected: an override far past any real design
+// point is an error before any work starts. Unchecked, the cache and TB
+// constructors overflow (CacheWays 1<<61 divides by zero) or fail to
+// allocate (TBEntries 1<<62), and a latency near the int range stalls
+// one simulated cycle at a time without end.
+func TestOversizedHardwareRejected(t *testing.T) {
+	assertHardwareRejected(t, []hardwareCase{
+		{"CacheBytes", func(c *RunConfig) { c.CacheBytes = 1 << 40 }},
+		{"CacheWays", func(c *RunConfig) { c.CacheWays = 1 << 61 }},
+		{"TBEntries", func(c *RunConfig) { c.TBEntries = 1 << 62 }},
+		{"MissLatency", func(c *RunConfig) { c.MissLatency = 1 << 62 }},
+		{"WriteBusy", func(c *RunConfig) { c.WriteBusy = 1 << 62 }},
+	})
 }
 
 func TestCtxSwitchHeadwaySweepChangesTBMisses(t *testing.T) {
