@@ -21,8 +21,11 @@ const (
 
 // fakeNs is each fake pattern's ns/op before the per-arm call index is
 // added, so call k of an arm reports base+k and twelve calls pool to a
-// median of base+6.5.
-var fakeNs = map[string]float64{"old": 1000, "new": 900, "slow": 2000}
+// median of base+6.5. fakeAllocs is its constant allocs/op.
+var (
+	fakeNs     = map[string]float64{"old": 1000, "new": 900, "slow": 2000}
+	fakeAllocs = map[string]int{"old": 50, "new": 40, "slow": 50}
+)
 
 func TestMain(m *testing.M) {
 	switch {
@@ -55,7 +58,8 @@ func fakeArm(logPath string) {
 	}
 	fmt.Fprintln(f, args)
 	f.Close()
-	fmt.Printf("BenchmarkFake/%s-8  25  %.0f ns/op  100 sim_cycles/op\nPASS\n", pattern, fakeNs[pattern]+float64(k))
+	fmt.Printf("BenchmarkFake/%s-8  25  %.0f ns/op  100 sim_cycles/op  %d B/op  %d allocs/op\nPASS\n",
+		pattern, fakeNs[pattern]+float64(k), 16*fakeAllocs[pattern], fakeAllocs[pattern])
 }
 
 func arm(pattern string) string { return os.Args[0] + ":" + pattern }
@@ -84,8 +88,8 @@ func armCalls(t *testing.T, logPath string) []string {
 			continue
 		}
 		if want := "-test.run ^$ -test.bench "; !strings.HasPrefix(line, want) ||
-			!strings.HasSuffix(line, " -test.benchtime 25x -test.count 1") {
-			t.Fatalf("arm call %q, want %s<pattern> -test.benchtime 25x -test.count 1", line, want)
+			!strings.HasSuffix(line, " -test.benchtime 25x -test.count 1 -test.benchmem") {
+			t.Fatalf("arm call %q, want %s<pattern> -test.benchtime 25x -test.count 1 -test.benchmem", line, want)
 		}
 		calls = append(calls, strings.Fields(line)[3])
 	}
@@ -135,6 +139,9 @@ func TestArmModeInterleavesAndPools(t *testing.T) {
 	}
 	if b.NsPerSimCycle != 10.065 {
 		t.Fatalf("baseline ns/sim-cycle = %v, want 10.065", b.NsPerSimCycle)
+	}
+	if r.AllocsPerOp == nil || *r.AllocsPerOp != 40 || b.AllocsPerOp == nil || *b.AllocsPerOp != 50 {
+		t.Fatalf("allocs/op new %v old %v, want 40 and 50 from -benchmem", r.AllocsPerOp, b.AllocsPerOp)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -98,6 +99,36 @@ func compareResults(old, new map[string]Result, threshold float64) []delta {
 	return out
 }
 
+// proxyChanges lists, exactly, every -benchmem proxy that differs
+// between the two sides of a shared benchmark. Allocation counts do not
+// drift with the host, so any change is reported whatever the ns
+// threshold says; proxies never gate.
+func proxyChanges(old, new map[string]Result) []string {
+	var out []string
+	for _, name := range sortedKeys(new) {
+		o, ok := old[name]
+		if !ok {
+			continue
+		}
+		n := new[name]
+		for _, p := range []struct {
+			unit string
+			o, n *float64
+		}{{"B/op", o.BytesPerOp, n.BytesPerOp}, {"allocs/op", o.AllocsPerOp, n.AllocsPerOp}} {
+			if p.o == nil || p.n == nil || *p.o == *p.n {
+				continue
+			}
+			line := fmt.Sprintf("%-44s %14s %14s %s", name,
+				strconv.FormatFloat(*p.o, 'f', -1, 64), strconv.FormatFloat(*p.n, 'f', -1, 64), p.unit)
+			if *p.o != 0 {
+				line += fmt.Sprintf(" (%+.2f%%)", 100*(*p.n-*p.o) / *p.o)
+			}
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
 // runArms runs the interleaved A/B over two binary:regex arms and
 // returns each arm's pooled medians.
 func runArms(oldOp, newOp string) (old, new map[string]Result, err error) {
@@ -142,7 +173,7 @@ func runArm(op string, out io.Writer) error {
 		bin = "." + string(filepath.Separator) + bin // never a $PATH lookup
 	}
 	cmd := exec.Command(bin, "-test.run", "^$", "-test.bench", pattern,
-		"-test.benchtime", abBenchtime, "-test.count", "1")
+		"-test.benchtime", abBenchtime, "-test.count", "1", "-test.benchmem")
 	cmd.Stdout = out
 	cmd.Stderr = os.Stderr
 	if err := cmd.Run(); err != nil {
@@ -189,6 +220,12 @@ func runCompare(oldOp, newOp string, threshold float64, ledger, label string) in
 			regressed++
 		}
 		fmt.Printf("%-44s %14.0f %14.0f %+8.2f%%%s\n", d.name, d.oldNs, d.newNs, d.percent, mark)
+	}
+	if changes := proxyChanges(old, new); len(changes) > 0 {
+		fmt.Println("proxy changes (exact, never gated):")
+		for _, c := range changes {
+			fmt.Println(c)
+		}
 	}
 	code := 0
 	if regressed > 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -120,5 +121,38 @@ func TestLoadResultsLatestPerBenchmark(t *testing.T) {
 	head := writeHistory(t, dir, "head.json", map[string]Result{"X": {NsPerOp: 101}})
 	if code := runCompare(ledger, head, 5, "", ""); code != 0 {
 		t.Fatalf("compare of X against the ledger exit = %d, want 0", code)
+	}
+}
+
+// TestProxyChangesExactAndUngated: a proxy change is listed with both
+// exact values even when ns/op is flat, an unchanged or one-sided proxy
+// is not, and no proxy change turns into a regression.
+func TestProxyChangesExactAndUngated(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	old := map[string]Result{
+		"BenchmarkGenerate": {NsPerOp: 1000, BytesPerOp: f(8698823), AllocsPerOp: f(104691)},
+		"BenchmarkSame":     {NsPerOp: 10, AllocsPerOp: f(3)},
+		"BenchmarkOneSided": {NsPerOp: 10},
+	}
+	new := map[string]Result{
+		"BenchmarkGenerate": {NsPerOp: 1000, BytesPerOp: f(4928290), AllocsPerOp: f(1223.5)},
+		"BenchmarkSame":     {NsPerOp: 10, AllocsPerOp: f(3)},
+		"BenchmarkOneSided": {NsPerOp: 10, AllocsPerOp: f(7)},
+	}
+	got := proxyChanges(old, new)
+	if len(got) != 2 {
+		t.Fatalf("proxy changes = %q, want BenchmarkGenerate's B/op and allocs/op only", got)
+	}
+	for i, want := range [][]string{{"8698823", "4928290", "B/op"}, {"104691", "1223.5", "allocs/op"}} {
+		for _, w := range want {
+			if !strings.Contains(got[i], w) {
+				t.Fatalf("line %q lacks %q", got[i], w)
+			}
+		}
+	}
+	for _, d := range compareResults(old, new, 5) {
+		if d.regression {
+			t.Fatalf("%s flagged as a regression on proxies alone", d.name)
+		}
 	}
 }

@@ -2,7 +2,8 @@
 // ledger: it parses `go test -bench` output on stdin, reduces each
 // benchmark's repetitions to medians (ns/op plus the sim_cycles/op
 // metric the perf benchmarks report, from which it derives ns per
-// simulated cycle), and appends one dated entry. An entry may also
+// simulated cycle, and the -benchmem B/op and allocs/op proxies when
+// the run reports them), and appends one dated entry. An entry may also
 // carry the measurement method, the adjudication prose, and the OLD
 // arm's medians as its baseline, so each change's gate record sits in
 // the same series as the headline numbers.
@@ -17,12 +18,14 @@
 // -history selects the file (default BENCH_history.json). -print
 // renders the recorded series as a table instead of appending.
 // -compare diffs two sides benchmark by benchmark and exits nonzero
-// when any common benchmark slowed by more than -threshold percent. A
+// when any common benchmark slowed by more than -threshold percent; it
+// also prints every B/op or allocs/op change exactly, never gating on
+// one. A
 // side is a result file (a history answers per benchmark, from the
 // latest entry that has it; a single entry object also works) or an
 // arm, binary:regex — a compiled test binary and its -test.bench
 // pattern. With two arms vaxbench runs the interleaved A/B itself: 12
-// single-process rounds per arm at 25x, OLD first in rounds 1-6 and NEW
+// single-process rounds per arm at 25x with -benchmem, OLD first in rounds 1-6 and NEW
 // first in rounds 7-12, each arm pooled to medians. When each arm
 // yields one benchmark, the two pair under NEW's name. An A/B appends
 // its entry (NEW's medians, OLD's as baseline) only when -history is
@@ -53,11 +56,15 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)((?:\s+[\d.
 var metricPair = regexp.MustCompile(`([\d.e+]+) (\S+)`)
 
 // Result is one benchmark's reduced measurement in a history entry.
+// BytesPerOp and AllocsPerOp are the -benchmem proxies, nil when the run
+// did not report them; unlike ns they do not drift with the host.
 type Result struct {
-	NsPerOp        float64 `json:"ns_per_op"`
-	SimCyclesPerOp float64 `json:"sim_cycles_per_op,omitempty"`
-	NsPerSimCycle  float64 `json:"ns_per_sim_cycle,omitempty"`
-	Runs           int     `json:"runs,omitempty"`
+	NsPerOp        float64  `json:"ns_per_op"`
+	SimCyclesPerOp float64  `json:"sim_cycles_per_op,omitempty"`
+	NsPerSimCycle  float64  `json:"ns_per_sim_cycle,omitempty"`
+	BytesPerOp     *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp    *float64 `json:"allocs_per_op,omitempty"`
+	Runs           int      `json:"runs,omitempty"`
 }
 
 // Entry is one dated benchmark session. Method and Adjudication record
@@ -169,8 +176,7 @@ func saveHistory(path string, h *History) error {
 
 // parseBench reduces `go test -bench` output to per-benchmark medians.
 func parseBench(f io.Reader) (map[string]Result, error) {
-	nsRuns := map[string][]float64{}
-	cycleRuns := map[string][]float64{}
+	runs := map[string]map[string][]float64{} // benchmark → unit → repetitions
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -179,34 +185,45 @@ func parseBench(f io.Reader) (map[string]Result, error) {
 			continue
 		}
 		name := m[1]
+		if runs[name] == nil {
+			runs[name] = map[string][]float64{}
+		}
 		for _, mp := range metricPair.FindAllStringSubmatch(m[3], -1) {
-			v, err := strconv.ParseFloat(mp[1], 64)
-			if err != nil {
-				continue
-			}
-			switch mp[2] {
-			case "ns/op":
-				nsRuns[name] = append(nsRuns[name], v)
-			case "sim_cycles/op":
-				cycleRuns[name] = append(cycleRuns[name], v)
+			if v, err := strconv.ParseFloat(mp[1], 64); err == nil {
+				runs[name][mp[2]] = append(runs[name][mp[2]], v)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	out := make(map[string]Result, len(nsRuns))
-	for name, runs := range nsRuns {
-		r := Result{NsPerOp: median(runs), Runs: len(runs)}
-		if cycles := cycleRuns[name]; len(cycles) > 0 {
+	out := make(map[string]Result, len(runs))
+	for name, units := range runs {
+		ns := units["ns/op"]
+		if len(ns) == 0 {
+			continue
+		}
+		r := Result{NsPerOp: median(ns), Runs: len(ns)}
+		if cycles := units["sim_cycles/op"]; len(cycles) > 0 {
 			r.SimCyclesPerOp = median(cycles)
 			if r.SimCyclesPerOp > 0 {
 				r.NsPerSimCycle = r.NsPerOp / r.SimCyclesPerOp
 			}
 		}
+		r.BytesPerOp = medianOrNil(units["B/op"])
+		r.AllocsPerOp = medianOrNil(units["allocs/op"])
 		out[name] = r
 	}
 	return out, nil
+}
+
+// medianOrNil is median for a metric a run may not report.
+func medianOrNil(v []float64) *float64 {
+	if len(v) == 0 {
+		return nil
+	}
+	m := median(v)
+	return &m
 }
 
 func median(v []float64) float64 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -42,6 +43,40 @@ ok  	vax780	1.234s
 	a := results["BenchmarkAlloc"]
 	if a.NsPerOp != 2000 || a.NsPerSimCycle != 0 {
 		t.Errorf("no-cycles benchmark = %+v, want bare ns/op", a)
+	}
+	if r.BytesPerOp != nil || r.AllocsPerOp != nil {
+		t.Errorf("BenchmarkFaults/off without -benchmem got proxies %v %v", r.BytesPerOp, r.AllocsPerOp)
+	}
+}
+
+// TestParseBenchProxies: -benchmem's B/op and allocs/op reduce to
+// medians, a zero count included, and stay absent from the JSON of a
+// result without them, so ledgers written before the proxies load and
+// re-save unchanged.
+func TestParseBenchProxies(t *testing.T) {
+	out := `BenchmarkGenerate-2   10   14000000 ns/op   0.024 allocs/instr   4928290 B/op   1223 allocs/op
+BenchmarkGenerate-2   10   15000000 ns/op   0.024 allocs/instr   4928300 B/op   1225 allocs/op
+BenchmarkGenerate-2   10   16000000 ns/op   0.024 allocs/instr   4928310 B/op   1224 allocs/op
+BenchmarkTraceCacheHit-2   1000   72 ns/op   0 B/op   0 allocs/op
+`
+	results, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := results["BenchmarkGenerate"]
+	if g.BytesPerOp == nil || *g.BytesPerOp != 4928300 || g.AllocsPerOp == nil || *g.AllocsPerOp != 1224 {
+		t.Fatalf("BenchmarkGenerate proxies = %v %v, want medians 4928300 B/op, 1224 allocs/op", g.BytesPerOp, g.AllocsPerOp)
+	}
+	h := results["BenchmarkTraceCacheHit"]
+	if h.AllocsPerOp == nil || *h.AllocsPerOp != 0 {
+		t.Fatalf("a zero allocs/op must be recorded, got %v", h.AllocsPerOp)
+	}
+	enc, err := json.Marshal(Result{NsPerOp: 5, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(enc) != `{"ns_per_op":5,"runs":1}` {
+		t.Fatalf("proxy-free result encodes as %s", enc)
 	}
 }
 

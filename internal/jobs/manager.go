@@ -460,15 +460,12 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	j.snap = Job{ID: id, Key: key, Tenant: spec.Tenant, State: StateQueued, Spec: spec}
 
 	if m.store.Has(key) {
-		j.snap.State = StateDone
-		j.snap.Cached = true
-		m.fillFromMeta(&j.snap)
 		m.jobs[id] = j
 		m.mux.Attach(id, j.bus)
 		m.emit(runlog.JobQueuedEvent(id, key, spec.Tenant, spec.DeadlineMS, spec),
 			obs.Rec{Msg: runlog.EvJobQueued, Tenant: spec.Tenant})
-		m.emitDone(j)
-		return j.snap, nil
+		m.settleCached(j)
+		return j.get(), nil
 	}
 
 	if !m.take(spec.Tenant) {
@@ -506,14 +503,35 @@ func (m *Manager) fillFromMeta(snap *Job) {
 	}
 }
 
-// emitDone journals a job's terminal record and publishes it on the
-// job's live bus so SSE subscribers see the lifecycle close.
-func (m *Manager) emitDone(j *job) {
-	s := j.get()
-	ev := runlog.JobDoneEvent(s.ID, s.Key, string(s.State), s.Cause, s.Cached,
-		s.Instructions, s.Cycles, s.CPI)
-	m.emit(ev, obs.Rec{Msg: runlog.EvJobDone, Tenant: s.Tenant,
-		State: string(s.State), Cached: s.Cached})
+// finish moves a job to the terminal state s.
+func (m *Manager) finish(j *job, s State, cause string) {
+	next := j.get()
+	next.State, next.Cause = s, cause
+	m.settle(j, next)
+}
+
+// settleCached finishes a job whose result is already in the store.
+func (m *Manager) settleCached(j *job) {
+	next := j.get()
+	next.State, next.Cached = StateDone, true
+	m.fillFromMeta(&next)
+	m.settle(j, next)
+}
+
+// settle journals the terminal snapshot next, then makes it the job's
+// snapshot and publishes the record on the job's live bus so SSE
+// subscribers see the lifecycle close. The record goes first:
+// obs.AssembleJob hangs an attempt's run spans under its done record,
+// so a client that sees a terminal state from Get must find that record
+// when it assembles the job's trace.
+func (m *Manager) settle(j *job, next Job) {
+	ev := runlog.JobDoneEvent(next.ID, next.Key, string(next.State), next.Cause, next.Cached,
+		next.Instructions, next.Cycles, next.CPI)
+	m.emit(ev, obs.Rec{Msg: runlog.EvJobDone, Tenant: next.Tenant,
+		State: string(next.State), Cached: next.Cached})
+	j.mu.Lock()
+	j.snap = next
+	j.mu.Unlock()
 	j.bus.Publish(ev)
 }
 
@@ -573,29 +591,19 @@ func (m *Manager) worker() {
 	}
 }
 
-func (m *Manager) setState(j *job, s State, cause string) {
-	j.mu.Lock()
-	j.snap.State = s
-	j.snap.Cause = cause
-	j.mu.Unlock()
-}
-
 // runJob executes one job end to end: re-check the cache (a twin job
 // may have committed while this one queued), run with checkpoint and
 // deadline, classify the outcome, assemble and commit the bundle.
 func (m *Manager) runJob(j *job) {
 	snap := j.get()
 	if m.store.Has(snap.Key) {
-		j.mu.Lock()
-		j.snap.State = StateDone
-		j.snap.Cached = true
-		m.fillFromMeta(&j.snap)
-		j.mu.Unlock()
-		m.emitDone(j)
+		m.settleCached(j)
 		return
 	}
 
-	m.setState(j, StateRunning, "")
+	j.mu.Lock()
+	j.snap.State, j.snap.Cause = StateRunning, ""
+	j.mu.Unlock()
 	m.emit(runlog.JobStartEvent(snap.ID, snap.Key, snap.Requeues),
 		obs.Rec{Msg: runlog.EvJobStart})
 	started := m.cfg.Clock()
@@ -609,8 +617,7 @@ func (m *Manager) runJob(j *job) {
 
 	stage, err := m.store.Stage(snap.ID)
 	if err != nil {
-		m.setState(j, StateFailed, err.Error())
-		m.emitDone(j)
+		m.finish(j, StateFailed, err.Error())
 		return
 	}
 	var runErr error
@@ -623,21 +630,20 @@ func (m *Manager) runJob(j *job) {
 	switch {
 	case runErr == nil:
 		// runSingle/runSweep committed the bundle and filled the totals.
-		m.setState(j, StateDone, "")
+		m.finish(j, StateDone, "")
 	case errors.Is(runErr, context.DeadlineExceeded):
 		// The job's own deadline fired. Terminal: a requeue would meet
 		// the same deadline. The staged checkpoint is discarded.
 		stage.Abandon()
-		m.setState(j, StateTimedOut, ErrDeadlineExceeded.Error())
+		m.finish(j, StateTimedOut, ErrDeadlineExceeded.Error())
 	case errors.Is(runErr, context.Canceled) && m.root.Err() != nil:
 		// Drain. Keep the staging directory: the checkpoint written at
 		// the last workload boundary is the requeued job's resume point.
-		m.setState(j, StateEvicted, "drained: requeued for next process")
+		m.finish(j, StateEvicted, "drained: requeued for next process")
 	default:
 		stage.Abandon()
-		m.setState(j, StateFailed, runErr.Error())
+		m.finish(j, StateFailed, runErr.Error())
 	}
-	m.emitDone(j)
 	m.cfg.Metrics.Observe("vaxd_job_duration_seconds", snap.Tenant,
 		m.cfg.Clock().Sub(started).Seconds())
 	// A twin job may have won the commit while this one ran; surface the
@@ -867,8 +873,7 @@ func (m *Manager) Drain(reason string) int {
 	m.pending = nil
 	m.mu.Unlock()
 	for _, j := range queued {
-		m.setState(j, StateEvicted, "drained: requeued for next process")
-		m.emitDone(j)
+		m.finish(j, StateEvicted, "drained: requeued for next process")
 	}
 	requeued := 0
 	for _, s := range m.List() {

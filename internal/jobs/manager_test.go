@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -509,5 +510,60 @@ func TestSoakConcurrentSubmitters(t *testing.T) {
 	}
 	if requeued := m.Drain("soak-end"); requeued != 0 {
 		t.Errorf("drain after quiesce requeued %d jobs", requeued)
+	}
+}
+
+// gateWriter passes journal lines through, holding back the first line
+// containing match until release is closed.
+type gateWriter struct {
+	w       io.Writer
+	match   []byte
+	once    sync.Once
+	reached chan struct{}
+	release chan struct{}
+}
+
+func (g *gateWriter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, g.match) {
+		g.once.Do(func() {
+			close(g.reached)
+			<-g.release
+		})
+	}
+	return g.w.Write(p)
+}
+
+// TestTerminalStateFollowsDoneRecord: a job turns terminal only once its
+// done record is journaled. A client that sees "done" and then fetches
+// /trace/{id} must find the record obs.AssembleJob hangs the attempt's
+// run spans under.
+func TestTerminalStateFollowsDoneRecord(t *testing.T) {
+	m := newManager(t, Config{})
+	gate := &gateWriter{
+		w:       m.store.JournalWriter(),
+		match:   []byte(`"msg":"` + runlog.EvJobDone + `"`),
+		reached: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	m.journal = runlog.NewOn(gate, m.events)
+	j, err := m.Submit(tinySpec(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gate.reached:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the job's done record was never journaled")
+	}
+	snap, err := m.Get(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(gate.release)
+	if snap.State.Terminal() {
+		t.Fatalf("state %s visible before the done record was journaled", snap.State)
+	}
+	if done := waitTerminal(t, m, j.ID); done.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", done.State, done.Cause)
 	}
 }

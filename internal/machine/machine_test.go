@@ -16,14 +16,14 @@ func layout(t *testing.T, base uint32, ins []*vax.Instr) *workload.Trace {
 	t.Helper()
 	prog := workload.NewProgram()
 	pc := base
-	items := make([]*workload.Item, 0, len(ins))
+	items := make([]workload.Item, 0, len(ins))
 	for _, in := range ins {
 		in.PC = pc
 		if err := prog.PutInstr(in); err != nil {
 			t.Fatal(err)
 		}
 		pc += uint32(in.Size())
-		items = append(items, &workload.Item{Kind: workload.KindInstr, In: in})
+		items = append(items, workload.Item{Kind: workload.KindInstr, In: in})
 	}
 	return &workload.Trace{Program: prog, Items: items}
 }
@@ -115,7 +115,7 @@ func TestTakenBranchRedirects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items := []*workload.Item{
+	items := []workload.Item{
 		{Kind: workload.KindInstr, In: br},
 		{Kind: workload.KindInstr, In: after},
 	}
@@ -187,9 +187,9 @@ func TestLoopBranchIterates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items := []*workload.Item{}
+	items := []workload.Item{}
 	for _, in := range []*vax.Instr{b0, s0, b1, s1, b2, s2, exit} {
-		items = append(items, &workload.Item{Kind: workload.KindInstr, In: in})
+		items = append(items, workload.Item{Kind: workload.KindInstr, In: in})
 	}
 	tr := &workload.Trace{Program: prog, Items: items}
 	m, _ := newTestMachine(t, tr)
@@ -226,9 +226,9 @@ func TestCallRetStackTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items := []*workload.Item{}
+	items := []workload.Item{}
 	for _, in := range []*vax.Instr{call, callee, ret, after} {
-		items = append(items, &workload.Item{Kind: workload.KindInstr, In: in})
+		items = append(items, workload.Item{Kind: workload.KindInstr, In: in})
 	}
 	tr := &workload.Trace{Program: prog, Items: items}
 	m, _ := newTestMachine(t, tr)
@@ -270,7 +270,7 @@ func TestInterruptDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items := []*workload.Item{
+	items := []workload.Item{
 		{Kind: workload.KindInstr, In: user},
 		{Kind: workload.KindInterrupt, HandlerPC: handler.PC},
 		{Kind: workload.KindInstr, In: handler},
@@ -443,7 +443,7 @@ func TestContextSwitchInsideInterruptBanksSP(t *testing.T) {
 	}
 	sched[2].Target = resume.PC
 
-	items := []*workload.Item{
+	items := []workload.Item{
 		{Kind: workload.KindInterrupt, HandlerPC: sched[0].PC},
 		{Kind: workload.KindInstr, In: sched[0]},
 		{Kind: workload.KindInstr, In: sched[1], SwitchTo: 9},

@@ -55,9 +55,10 @@ func (r *Result) CPI() float64 {
 }
 
 // EstimateTrace walks a trace and returns the nominal time estimate.
-func (m *Model) EstimateTrace(items []*workload.Item) (*Result, error) {
+func (m *Model) EstimateTrace(items []workload.Item) (*Result, error) {
 	res := &Result{PerGroup: make(map[vax.Group]uint64)}
-	for _, it := range items {
+	for i := range items {
+		it := &items[i]
 		if it.Kind != workload.KindInstr {
 			res.SkippedEvents++
 			continue

@@ -96,7 +96,7 @@ func TestEstimateStringScalesWithLength(t *testing.T) {
 }
 
 func TestEstimateTraceSkipsOverhead(t *testing.T) {
-	items := []*workload.Item{
+	items := []workload.Item{
 		{Kind: workload.KindInstr, In: &vax.Instr{Op: vax.NOP}},
 		{Kind: workload.KindInterrupt, HandlerPC: 0x8000_1000},
 		{Kind: workload.KindInstr, In: &vax.Instr{Op: vax.NOP}},

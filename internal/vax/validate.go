@@ -61,6 +61,18 @@ func Validate(in *Instr) error {
 			return fmt.Errorf("vax: %s taken without a target", info.Name)
 		}
 	}
+	// The loop drivers stay within their operands' architectural widths
+	// (a word string length, 31 digits, a 32-bit field), which also
+	// bounds every microcode loop they drive.
+	if in.StrLen > 0xFFFF {
+		return fmt.Errorf("vax: %s string length %d exceeds a word", info.Name, in.StrLen)
+	}
+	if in.Digits > 31 {
+		return fmt.Errorf("vax: %s digit count %d exceeds 31", info.Name, in.Digits)
+	}
+	if in.FieldLen > 32 {
+		return fmt.Errorf("vax: %s field length %d exceeds 32", info.Name, in.FieldLen)
+	}
 	switch info.Flow {
 	case FlowMovc, FlowCmpc, FlowLocc:
 		if in.StrLen <= 0 {

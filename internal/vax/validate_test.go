@@ -89,6 +89,17 @@ func TestValidateRejects(t *testing.T) {
 		{"pushr count range", &Instr{Op: PUSHR, RegCount: 20, Specs: []Specifier{
 			{Mode: ModeLiteral, Disp: 1, Index: -1},
 		}}, "register count"},
+		{"string wider than a word", &Instr{Op: MOVC3, StrLen: 1 << 40, Specs: []Specifier{
+			{Mode: ModeRegister, Reg: 1, Index: -1},
+			{Mode: ModeRegDeferred, Reg: 1, Index: -1},
+			{Mode: ModeRegDeferred, Reg: 2, Index: -1},
+		}}, "exceeds a word"},
+		{"too many digits", &Instr{Op: CVTLP, Digits: 32, Specs: []Specifier{
+			{Mode: ModeRegister, Reg: 1, Index: -1},
+			{Mode: ModeLiteral, Disp: 8, Index: -1},
+			{Mode: ModeRegDeferred, Reg: 2, Index: -1},
+		}}, "exceeds 31"},
+		{"field wider than a longword", &Instr{Op: NOP, FieldLen: 33}, "exceeds 32"},
 	}
 	for _, c := range cases {
 		err := Validate(c.in)

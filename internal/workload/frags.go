@@ -16,11 +16,12 @@ func (g *Generator) fragStraight() {
 
 // layFillers emits k static (never executed) scalar instructions at the
 // cursor — the not-taken path of a forward branch — and returns the
-// total gap in bytes.
+// total gap in bytes. Fillers are only encoded, so the trace keeps no
+// record of them.
 func (g *Generator) layFillers(cursor *uint32, k int) uint32 {
 	start := *cursor
 	for i := 0; i < k; i++ {
-		g.lay(cursor, g.newScalar())
+		g.lay(cursor, g.newTemp(g.scalarOp()))
 	}
 	return *cursor - start
 }
@@ -46,9 +47,7 @@ func (g *Generator) emitForwardBranch(in *vax.Instr, taken bool) {
 	in.BranchDisp = int32(gap)
 	in.Taken = true
 	in.Target = fillerStart + gap
-	if err := g.prog.PutInstr(in); err != nil {
-		g.fail(err)
-	}
+	g.put(in)
 	p.cur = in.Target
 	g.bind(in, p.data)
 	g.exec(in)
@@ -83,34 +82,34 @@ func (g *Generator) fragLowBit() {
 
 // fragLoop emits a counted loop: a static body closed by a loop branch,
 // iterated a geometric number of times (91% taken ≈ 10 iterations avg).
+// The body and the loop branch are protos; each iteration executes
+// clones of them.
 func (g *Generator) fragLoop() {
 	p := g.curProc()
 	bodyStart := p.cur
 	n := 2 + g.rng.Intn(3)
-	body := make([]*vax.Instr, 0, n)
+	body := make([]*vax.Instr, 0, 4)
 	for i := 0; i < n; i++ {
-		in := g.newScalar()
+		in := g.newTemp(g.scalarOp())
 		g.lay(&p.cur, in)
 		body = append(body, in)
 	}
 
 	op := newOpSampler(loopBrOps).sample(g.rng)
-	lop := g.newInstr(op)
+	lop := g.newTemp(op)
 	lop.PC = p.cur
 	next := p.cur + uint32(lop.Size())
 	disp := int32(bodyStart) - int32(next)
 	if op.Info().BranchDispSize == 1 && disp < -127 {
 		// The body outgrew a byte displacement; ACBL carries a word.
 		op = vax.ACBL
-		lop = g.newInstr(op)
+		lop = g.newTemp(op)
 		lop.PC = p.cur
 		next = p.cur + uint32(lop.Size())
 		disp = int32(bodyStart) - int32(next)
 	}
 	lop.BranchDisp = disp
-	if err := g.prog.PutInstr(lop); err != nil {
-		g.fail(err)
-	}
+	g.put(lop)
 	p.cur = next
 
 	iters := 1
@@ -121,7 +120,7 @@ func (g *Generator) fragLoop() {
 		for _, b := range body {
 			g.execClone(b, p.data)
 		}
-		lb := clone(lop)
+		lb := g.clone(lop)
 		g.bind(lb, p.data)
 		lb.Taken = it < iters-1
 		lb.Target = bodyStart
@@ -152,14 +151,13 @@ func (g *Generator) layRoutineInline(body []*vax.Instr) *routine {
 	if bodyBytes > 120 {
 		op = vax.BRW
 	}
-	br := &vax.Instr{Op: op}
+	br := g.recs.instr()
+	br.Op = op
 	br.PC = p.cur
 	br.BranchDisp = int32(bodyBytes)
 	br.Taken = true
 	br.Target = p.cur + uint32(br.Size()) + uint32(bodyBytes)
-	if err := g.prog.PutInstr(br); err != nil {
-		g.fail(err)
-	}
+	g.put(br)
 	p.cur += uint32(br.Size())
 	r := g.newRoutine(&p.cur, body)
 	g.exec(br)
@@ -170,7 +168,7 @@ func (g *Generator) layRoutineInline(body []*vax.Instr) *routine {
 // gets its runtime target and register count.
 func (g *Generator) callRoutine(r *routine, d *DataSpace, retTarget uint32, regCount int) {
 	for i, b := range r.body {
-		c := clone(b)
+		c := g.clone(b)
 		g.bind(c, d)
 		if i == len(r.body)-1 {
 			c.Taken = true
@@ -200,9 +198,9 @@ func (g *Generator) fragSub() {
 		n := 3 + g.rng.Intn(5)
 		body := make([]*vax.Instr, 0, n+1)
 		for i := 0; i < n; i++ {
-			body = append(body, g.newScalar())
+			body = append(body, g.newProto(g.scalarOp()))
 		}
-		body = append(body, g.newInstr(vax.RSB))
+		body = append(body, g.newProto(vax.RSB))
 		p.subs = append(p.subs, g.layRoutineInline(body))
 	}
 
@@ -212,14 +210,16 @@ func (g *Generator) fragSub() {
 	switch {
 	case g.rng.Float64() < 0.10:
 		call = g.newInstr(vax.JSB)
-		call.Specs = []vax.Specifier{{
+		call.Specs[0] = vax.Specifier{
 			Mode: vax.ModeLongDisp, Reg: g.rng.Intn(12),
 			Disp: int32(r.entry), Addr: r.entry, Index: -1,
-		}}
+		}
 	case dist < 120:
-		call = &vax.Instr{Op: vax.BSBB}
+		call = g.recs.instr()
+		call.Op = vax.BSBB
 	default:
-		call = &vax.Instr{Op: vax.BSBW}
+		call = g.recs.instr()
+		call.Op = vax.BSBW
 	}
 	call.PC = p.cur
 	ret := p.cur + uint32(call.Size())
@@ -228,9 +228,7 @@ func (g *Generator) fragSub() {
 	}
 	call.Taken = true
 	call.Target = r.entry
-	if err := g.prog.PutInstr(call); err != nil {
-		g.fail(err)
-	}
+	g.put(call)
 	p.cur = ret
 	g.exec(call)
 	g.callRoutine(r, p.data, ret, 0)
@@ -244,16 +242,16 @@ func (g *Generator) fragProc() {
 		var body []*vax.Instr
 		pushpop := g.rng.Float64() < 0.4
 		if pushpop {
-			body = append(body, g.newInstr(vax.PUSHR))
+			body = append(body, g.newProto(vax.PUSHR))
 		}
 		n := 3 + g.rng.Intn(6)
 		for i := 0; i < n; i++ {
-			body = append(body, g.newScalar())
+			body = append(body, g.newProto(g.scalarOp()))
 		}
 		if pushpop {
-			body = append(body, g.newInstr(vax.POPR))
+			body = append(body, g.newProto(vax.POPR))
 		}
-		body = append(body, g.newInstr(vax.RET))
+		body = append(body, g.newProto(vax.RET))
 		p.procs = append(p.procs, g.layRoutineInline(body))
 	}
 
@@ -273,7 +271,7 @@ func (g *Generator) fragProc() {
 
 	regs := call.RegCount
 	for i, b := range r.body {
-		c := clone(b)
+		c := g.clone(b)
 		g.bind(c, p.data)
 		switch c.Op {
 		case vax.PUSHR, vax.POPR:
@@ -305,9 +303,7 @@ func (g *Generator) fragJmp() {
 	in.Specs[0].Addr = target
 	in.Taken = true
 	in.Target = target
-	if err := g.prog.PutInstr(in); err != nil {
-		g.fail(err)
-	}
+	g.put(in)
 	p.cur = target
 	g.exec(in)
 }
@@ -324,9 +320,7 @@ func (g *Generator) fragCase() {
 	target := p.cur + uint32(in.Size()) + tableBytes
 	in.Taken = true
 	in.Target = target
-	if err := g.prog.PutInstr(in); err != nil {
-		g.fail(err)
-	}
+	g.put(in)
 	p.cur = target // skip the (data) dispatch table
 	g.bind(in, p.data)
 	g.exec(in)
@@ -385,12 +379,12 @@ func (g *Generator) newKernelBody(n int, kernelFrac float64, term vax.Opcode) []
 	body := make([]*vax.Instr, 0, n+1)
 	for i := 0; i < n; i++ {
 		if g.rng.Float64() < kernelFrac {
-			body = append(body, g.newInstr(kOps.sample(g.rng)))
+			body = append(body, g.newProto(kOps.sample(g.rng)))
 		} else {
-			body = append(body, g.newScalar())
+			body = append(body, g.newProto(g.scalarOp()))
 		}
 	}
-	body = append(body, g.newInstr(term))
+	body = append(body, g.newProto(term))
 	return body
 }
 
@@ -435,7 +429,7 @@ func (g *Generator) emitInterrupt() {
 		return
 	}
 	g.deliverInterrupt(g.curProc().cur)
-	g.phase = nil // handler items are not part of the process's phase
+	g.endPhase() // handler items are not part of the process's phase
 }
 
 // deliverInterrupt runs an ordinary (non-rescheduling) interrupt handler,
@@ -446,7 +440,7 @@ func (g *Generator) deliverInterrupt(resume uint32) {
 		g.handler = append(g.handler, g.newRoutine(&g.sysCur, body))
 	}
 	r := g.handler[g.rng.Intn(len(g.handler))]
-	g.items = append(g.items, &Item{Kind: KindInterrupt, HandlerPC: r.entry})
+	g.items = append(g.items, Item{Kind: KindInterrupt, HandlerPC: r.entry})
 	g.callRoutine(r, g.sysData, resume, 0)
 }
 
@@ -459,7 +453,7 @@ func (g *Generator) emitSoftIntRequest() {
 	g.layMain(in)
 	g.exec(in)
 	g.nextSirr = g.headway(g.p.SoftIntHeadway)
-	g.phase = nil
+	g.endPhase()
 }
 
 // emitContextSwitch delivers the rescheduling interrupt: SVPCTX, the
@@ -468,27 +462,27 @@ func (g *Generator) emitContextSwitch() {
 	g.nextCtx = g.headway(g.p.CtxSwitchHeadway)
 	if g.sched == nil {
 		var body []*vax.Instr
-		body = append(body, g.newInstr(vax.SVPCTX))
+		body = append(body, g.newProto(vax.SVPCTX))
 		for i := 0; i < 5; i++ {
-			body = append(body, g.newScalar())
+			body = append(body, g.newProto(g.scalarOp()))
 		}
-		body = append(body, g.newInstr(vax.LDPCTX))
+		body = append(body, g.newProto(vax.LDPCTX))
 		for i := 0; i < 2; i++ {
-			body = append(body, g.newScalar())
+			body = append(body, g.newProto(g.scalarOp()))
 		}
-		body = append(body, g.newInstr(vax.REI))
+		body = append(body, g.newProto(vax.REI))
 		g.sched = g.newRoutine(&g.sysCur, body)
 	}
 
 	next := (g.cur + 1 + g.rng.Intn(len(g.procs)-1)) % len(g.procs)
-	g.items = append(g.items, &Item{Kind: KindInterrupt, HandlerPC: g.sched.entry})
+	g.items = append(g.items, Item{Kind: KindInterrupt, HandlerPC: g.sched.entry})
 	for i, b := range g.sched.body {
-		c := clone(b)
+		c := g.clone(b)
 		g.bind(c, g.sysData)
-		it := g.exec(c)
+		g.exec(c)
 		switch c.Op {
 		case vax.LDPCTX:
-			it.SwitchTo = g.procs[next].asid
+			g.items[len(g.items)-1].SwitchTo = g.procs[next].asid
 			g.cur = next
 		case vax.REI:
 			c.Taken = true
@@ -496,7 +490,7 @@ func (g *Generator) emitContextSwitch() {
 		}
 		_ = i
 	}
-	g.phase = nil // the new process starts a fresh phase
+	g.endPhase() // the new process starts a fresh phase
 }
 
 // emitIdle emits a burst of the VMS Null process: a branch-to-self spin
@@ -504,18 +498,17 @@ func (g *Generator) emitContextSwitch() {
 // itself; each trace item is one (taken) execution of it.
 func (g *Generator) emitIdle() {
 	p := g.curProc()
-	br := &vax.Instr{Op: vax.BRB, BranchDisp: -2, Taken: true}
+	br := g.tmp.instr()
+	br.Op, br.BranchDisp, br.Taken = vax.BRB, -2, true
 	br.PC = p.cur
 	br.Target = p.cur
-	if err := g.prog.PutInstr(br); err != nil {
-		g.fail(err)
-	}
+	g.put(br)
 	p.cur += uint32(br.Size())
 	// ~20 spins per burst at IdleFraction/2 burst probability against
 	// ~8-instruction fragments approximates the requested idle share.
 	n := 10 + g.rng.Intn(20)
 	for i := 0; i < n; i++ {
-		c := clone(br)
+		c := g.clone(br)
 		if i == n-1 {
 			// The final spin falls out of the loop (an interrupt would
 			// break it on the real machine): untaken exit.
@@ -523,5 +516,5 @@ func (g *Generator) emitIdle() {
 		}
 		g.exec(c)
 	}
-	g.phase = nil // idle is not replayable program content
+	g.endPhase() // idle is not replayable program content
 }

@@ -112,13 +112,73 @@ type proc struct {
 	actLeft int // instructions remaining in the activity
 }
 
+// arena carves instruction records and their specifiers from chunks.
+// A chunk is never reallocated, so a record's address is stable for the
+// arena's lifetime: items, replayed items and routine bodies hold record
+// pointers, and the generator still edits a record after its item is
+// appended (the scheduler's REI outcome).
+type arena struct {
+	instrs []vax.Instr
+	specs  []vax.Specifier
+}
+
+const (
+	instrChunk = 512
+	specChunk  = 2048
+)
+
+// instr returns a zeroed record.
+func (a *arena) instr() *vax.Instr {
+	if len(a.instrs) == cap(a.instrs) {
+		a.instrs = make([]vax.Instr, 0, instrChunk)
+	}
+	a.instrs = a.instrs[:len(a.instrs)+1]
+	in := &a.instrs[len(a.instrs)-1]
+	*in = vax.Instr{}
+	return in
+}
+
+// specifiers returns n specifiers for the caller to fill, nil when n is 0.
+// The slice's capacity is exactly n, so an append can never grow one
+// record's specifiers into its neighbour's.
+func (a *arena) specifiers(n int) []vax.Specifier {
+	if n == 0 {
+		return nil
+	}
+	if cap(a.specs)-len(a.specs) < n {
+		a.specs = make([]vax.Specifier, 0, specChunk)
+	}
+	lo := len(a.specs)
+	a.specs = a.specs[:lo+n]
+	return a.specs[lo : lo+n : lo+n]
+}
+
+// reset reuses the current chunks from the start. Only valid when no
+// record carved before it is still referenced.
+func (a *arena) reset() {
+	a.instrs = a.instrs[:0]
+	a.specs = a.specs[:0]
+}
+
 // Generator synthesizes one workload trace.
 type Generator struct {
 	p    Profile
 	rng  *rand.Rand
 	prog *Program
 
-	items []*Item
+	// recs holds exactly the records the trace keeps: the executed
+	// instructions. Protos that are only encoded into the image or
+	// cloned never enter it: protos holds the routine bodies, which
+	// live as long as the generator; tmp holds the protos of one step
+	// of the generation loop (filler gaps, loop bodies, loop-closing
+	// and replay branches, the idle spin) and is reset before every
+	// step. enc is the reused encoding buffer.
+	recs   arena
+	protos arena
+	tmp    arena
+	enc    []byte
+
+	items []Item
 	procs []*proc
 	cur   int
 
@@ -135,8 +195,9 @@ type Generator struct {
 
 	// phase replay state: programs re-execute their code, so recorded
 	// spans of the trace are replayed through a backward ACBL (an outer
-	// loop). This is what gives the I-stream its locality.
-	phase     []*Item
+	// loop). This is what gives the I-stream its locality. The recorded
+	// phase is always the trace's suffix items[phase:].
+	phase     int
 	phaseGoal int
 
 	// Sampler sets: index 0 is the base mix; indexes 1..n correspond to
@@ -165,9 +226,10 @@ func Generate(p Profile) (*Trace, error) {
 		p.Users = 8
 	}
 	g := &Generator{
-		p:    p,
-		rng:  rand.New(rand.NewSource(p.Seed)),
-		prog: NewProgram(),
+		p:     p,
+		rng:   rand.New(rand.NewSource(p.Seed)),
+		prog:  NewProgram(),
+		items: make([]Item, 0, p.Instructions+p.Instructions/64+1024),
 	}
 	g.sysCur = kernelCodeBase
 	g.sysData = NewDataSpace(g.rng, DataConfig{
@@ -204,10 +266,11 @@ func Generate(p Profile) (*Trace, error) {
 
 	g.phaseGoal = g.newPhaseGoal()
 	for g.nInstr < p.Instructions && g.err == nil {
+		g.tmp.reset()
 		if g.nInstr >= g.nextInt {
 			// Interrupts break the recorded phase (their delivery is not
 			// part of the process's repeatable control flow).
-			g.phase = nil
+			g.endPhase()
 			g.emitInterrupt()
 			continue
 		}
@@ -219,9 +282,9 @@ func Generate(p Profile) (*Trace, error) {
 			g.emitIdle()
 			continue
 		}
-		if len(g.phase) >= g.phaseGoal {
+		if len(g.items)-g.phase >= g.phaseGoal {
 			g.replayPhase()
-			g.phase = nil
+			g.endPhase()
 			g.phaseGoal = g.newPhaseGoal()
 		}
 		g.emitFragment()
@@ -353,26 +416,32 @@ func (g *Generator) fail(err error) {
 
 func (g *Generator) curProc() *proc { return g.procs[g.cur] }
 
+// put materializes an instruction's bytes at its PC.
+func (g *Generator) put(in *vax.Instr) {
+	g.enc = vax.Encode(g.enc[:0], in)
+	if err := g.prog.Put(in.PC, g.enc); err != nil {
+		g.fail(err)
+	}
+}
+
 // lay places a proto at the cursor, materializing its bytes.
 func (g *Generator) lay(cursor *uint32, in *vax.Instr) {
 	in.PC = *cursor
-	if err := g.prog.PutInstr(in); err != nil {
-		g.fail(err)
-	}
+	g.put(in)
 	*cursor += uint32(in.Size())
 }
 
 func (g *Generator) layMain(in *vax.Instr) { g.lay(&g.curProc().cur, in) }
 
-// exec appends one executed instruction to the trace and records it in
-// the current replay phase.
-func (g *Generator) exec(in *vax.Instr) *Item {
-	it := &Item{Kind: KindInstr, In: in}
-	g.items = append(g.items, it)
+// exec appends one executed instruction to the trace; it joins the
+// current replay phase, which is the trace's suffix.
+func (g *Generator) exec(in *vax.Instr) {
+	g.items = append(g.items, Item{Kind: KindInstr, In: in})
 	g.nInstr++
-	g.phase = append(g.phase, it)
-	return it
 }
+
+// endPhase starts a fresh (empty) replay phase.
+func (g *Generator) endPhase() { g.phase = len(g.items) }
 
 func (g *Generator) newPhaseGoal() int {
 	return 90 + g.rng.Intn(160)
@@ -383,12 +452,13 @@ func (g *Generator) newPhaseGoal() int {
 // Replayed instructions reuse their recorded operand addresses, giving
 // both the I-stream and the D-stream their temporal locality.
 func (g *Generator) replayPhase() {
-	if len(g.phase) == 0 {
+	lo, hi := g.phase, len(g.items)
+	if lo == hi {
 		return
 	}
 	p := g.curProc()
-	start := g.phase[0].In.PC
-	acbl := g.newInstr(vax.ACBL)
+	start := g.items[lo].In.PC
+	acbl := g.newTemp(vax.ACBL)
 	acbl.PC = p.cur
 	next := p.cur + uint32(acbl.Size())
 	disp := int64(start) - int64(next)
@@ -396,19 +466,17 @@ func (g *Generator) replayPhase() {
 		return // out of word-displacement range or not a backward jump
 	}
 	acbl.BranchDisp = int32(disp)
-	if err := g.prog.PutInstr(acbl); err != nil {
-		g.fail(err)
+	if g.put(acbl); g.err != nil {
 		return
 	}
 	p.cur = next
 
-	seq := append([]*Item(nil), g.phase...)
 	replays := 1 + g.rng.Intn(3)
 	for i := 0; i <= replays; i++ {
 		// A due software-interrupt request ends the outer loop early so
 		// the request's Table 7 headway is not stretched by replay.
 		another := i < replays && g.nInstr < g.nextSirr
-		lb := clone(acbl)
+		lb := g.clone(acbl)
 		g.bind(lb, p.data)
 		lb.Taken = another
 		lb.Target = start
@@ -422,20 +490,22 @@ func (g *Generator) replayPhase() {
 			g.nextInt = g.headway(g.p.InterruptHeadway)
 			g.deliverInterrupt(start)
 		}
-		for _, it := range seq {
-			// Re-execute the identical item: same instruction object,
-			// same control flow, same operand addresses.
-			g.items = append(g.items, it)
-			g.nInstr++
-		}
+		// Re-execute the identical items: same instruction records, same
+		// control flow, same operand addresses. The phase never holds
+		// an interrupt item, so each one is an instruction.
+		g.items = append(g.items, g.items[lo:hi]...)
+		g.nInstr += hi - lo
 	}
 }
 
-// clone copies a proto for one dynamic execution.
-func clone(p *vax.Instr) *vax.Instr {
-	c := *p
-	c.Specs = append([]vax.Specifier(nil), p.Specs...)
-	return &c
+// clone copies a proto into the trace's records for one dynamic
+// execution.
+func (g *Generator) clone(p *vax.Instr) *vax.Instr {
+	c := g.recs.instr()
+	*c = *p
+	c.Specs = g.recs.specifiers(len(p.Specs))
+	copy(c.Specs, p.Specs)
+	return c
 }
 
 // bind assigns the runtime operand addresses of one dynamic execution.
@@ -462,15 +532,18 @@ func (g *Generator) bind(in *vax.Instr, d *DataSpace) {
 
 // execClone binds and executes one dynamic copy of a proto.
 func (g *Generator) execClone(p *vax.Instr, d *DataSpace) *vax.Instr {
-	c := clone(p)
+	c := g.clone(p)
 	g.bind(c, d)
 	g.exec(c)
 	return c
 }
 
-// newScalar builds a fresh scalar instruction proto with sampled
+// newScalar builds a fresh scalar instruction record with sampled
 // specifier modes and static fields.
-func (g *Generator) newScalar() *vax.Instr {
+func (g *Generator) newScalar() *vax.Instr { return g.newInstr(g.scalarOp()) }
+
+// scalarOp samples a scalar opcode from the current activity's mix.
+func (g *Generator) scalarOp() vax.Opcode {
 	sampler := g.scalarSamplers[g.samplerIndex()]
 	total := 0.0
 	for _, c := range sampler {
@@ -488,15 +561,26 @@ func (g *Generator) newScalar() *vax.Instr {
 	if ops == nil {
 		ops = sampler[0].ops
 	}
-	return g.newInstr(ops.sample(g.rng))
+	return ops.sample(g.rng)
 }
 
-// newInstr builds a proto for op with sampled specifiers.
-func (g *Generator) newInstr(op vax.Opcode) *vax.Instr {
+// newInstr builds an executed record for op with sampled specifiers.
+func (g *Generator) newInstr(op vax.Opcode) *vax.Instr { return g.build(&g.recs, op) }
+
+// newProto builds a routine-body proto for op.
+func (g *Generator) newProto(op vax.Opcode) *vax.Instr { return g.build(&g.protos, op) }
+
+// newTemp builds a proto for op that lives through the current fragment.
+func (g *Generator) newTemp(op vax.Opcode) *vax.Instr { return g.build(&g.tmp, op) }
+
+// build carves a record for op from a and samples its specifiers.
+func (g *Generator) build(a *arena, op vax.Opcode) *vax.Instr {
 	info := op.Info()
-	in := &vax.Instr{Op: op}
+	in := a.instr()
+	in.Op = op
+	in.Specs = a.specifiers(len(info.Specs))
 	for i, t := range info.Specs {
-		in.Specs = append(in.Specs, g.buildSpec(i, t))
+		in.Specs[i] = g.buildSpec(i, t)
 	}
 	switch info.Flow {
 	case vax.FlowFieldExt, vax.FlowFieldIns:

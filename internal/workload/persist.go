@@ -2,8 +2,11 @@ package workload
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+
+	"vax780/internal/vax"
 )
 
 // programGob is the wire form of a Program (its maps are unexported).
@@ -91,7 +94,11 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadTrace deserializes a trace written by WriteTo.
+// ReadTrace deserializes a trace written by WriteTo. A trace file comes
+// from outside, so every item is checked before the machine sees it: an
+// item of unknown kind, an instruction item without an instruction, or
+// an instruction vax.Validate rejects (undefined opcode, specifier count
+// off its opcode's, out-of-range operands) fails the read.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	if err := gob.NewDecoder(r).Decode(t); err != nil {
@@ -100,7 +107,26 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if t.Program == nil {
 		return nil, fmt.Errorf("workload: trace file has no program image")
 	}
+	for i := range t.Items {
+		if err := t.Items[i].validate(); err != nil {
+			return nil, fmt.Errorf("workload: trace item %d: %w", i, err)
+		}
+	}
 	return t, nil
+}
+
+// validate reports whether the machine can execute the item.
+func (it *Item) validate() error {
+	switch it.Kind {
+	case KindInterrupt:
+		return nil
+	case KindInstr:
+		if it.In == nil {
+			return errors.New("instruction item without an instruction")
+		}
+		return vax.Validate(it.In)
+	}
+	return fmt.Errorf("unknown item kind %d", it.Kind)
 }
 
 type countingWriter struct {

@@ -52,21 +52,22 @@ type Stream interface {
 
 // SliceStream adapts a pre-built trace to the Stream interface.
 type SliceStream struct {
-	items []*Item
+	items []Item
 	pos   int
 }
 
 // NewSliceStream wraps items.
-func NewSliceStream(items []*Item) *SliceStream {
+func NewSliceStream(items []Item) *SliceStream {
 	return &SliceStream{items: items}
 }
 
-// Next returns the next item.
+// Next returns the next item: a pointer into the wrapped slice, so
+// streaming a trace allocates nothing.
 func (s *SliceStream) Next() (*Item, bool) {
 	if s.pos >= len(s.items) {
 		return nil, false
 	}
-	it := s.items[s.pos]
+	it := &s.items[s.pos]
 	s.pos++
 	return it, true
 }
@@ -156,11 +157,14 @@ func (p *Program) Bytes() int {
 }
 
 // Trace is a complete generated workload: the program image plus the
-// execution trace over it.
+// execution trace over it. Items are values; a generated trace carves
+// the instruction records they point to from chunked arenas, and a
+// replayed execution shares its original's record (see DESIGN.md
+// §15.4).
 type Trace struct {
 	Name    string
 	Program *Program
-	Items   []*Item
+	Items   []Item
 }
 
 // Stream returns a fresh stream over the trace.

@@ -43,13 +43,13 @@ func TestProgramCrossesPages(t *testing.T) {
 }
 
 func TestSliceStream(t *testing.T) {
-	items := []*Item{{Kind: KindInstr}, {Kind: KindInterrupt}}
+	items := []Item{{Kind: KindInstr}, {Kind: KindInterrupt}}
 	s := NewSliceStream(items)
 	if s.Len() != 2 {
 		t.Errorf("Len = %d", s.Len())
 	}
 	a, ok := s.Next()
-	if !ok || a != items[0] {
+	if !ok || a != &items[0] {
 		t.Error("first item wrong")
 	}
 	s.Next()

@@ -12,7 +12,7 @@ import (
 )
 
 // cachedTrace resolves id's trace through tc exactly as a run would.
-func cachedTrace(t *testing.T, tc *traceCache, id WorkloadID, instr int) *workload.Trace {
+func cachedTrace(t testing.TB, tc *traceCache, id WorkloadID, instr int) *workload.Trace {
 	t.Helper()
 	cfg := RunConfig{Instructions: instr}
 	cfg.fill()
@@ -25,6 +25,28 @@ func cachedTrace(t *testing.T, tc *traceCache, id WorkloadID, instr int) *worklo
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// BenchmarkTraceCacheHit prices a warm lookup in the process-wide trace
+// cache: what a run pays for its trace when the shape is cached, against
+// internal/workload's BenchmarkGenerate when it is not.
+func BenchmarkTraceCacheHit(b *testing.B) {
+	cfg := RunConfig{Instructions: 50_000}
+	cfg.fill()
+	p, err := TimesharingA.profile(cfg.Instructions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sharedTraces.get(TimesharingA, p, &cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sharedTraces.get(TimesharingA, p, &cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestTraceCacheReusesSameShape(t *testing.T) {
