@@ -4,11 +4,13 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // HotTarget names one function on the per-cycle hot path: the EBOX and
-// IBOX tick functions and the monitor's inlined count pulse, which
-// together run once per simulated 200 ns cycle. Recv is the receiver
+// IBOX tick functions, the monitor's inlined count pulse, and the
+// telemetry hooks an observed run calls every cycle, which together run
+// once per simulated 200 ns cycle. Recv is the receiver
 // type name ("" for plain functions).
 type HotTarget struct {
 	PkgPath string
@@ -27,14 +29,18 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickRun"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
 	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "Sample"},
+	{PkgPath: "vax780/internal/telemetry", Recv: "Telemetry", Func: "Cycle"},
+	{PkgPath: "vax780/internal/telemetry", Recv: "Tracer", Func: "cycle"},
 }
 
-// HotPathAnalyzer flags heap allocations, defers, goroutine launches and
-// unguarded interface-method calls inside the named hot functions. These
-// functions execute once per simulated cycle — hundreds of millions of
-// times per composite run — so an allocation or an un-devirtualized
-// interface dispatch there is a measured regression (the PR that
-// devirtualized the monitor hook bought ~18% on the cycle loop). Guarded
+// HotPathAnalyzer flags heap allocations, defers, goroutine launches,
+// sync/atomic writes and unguarded interface-method calls inside the
+// named hot functions. These functions execute once per simulated cycle
+// — hundreds of millions of times per composite run — so an allocation,
+// a locked read-modify-write or an un-devirtualized interface dispatch
+// there is a measured regression (devirtualizing the monitor hook
+// bought ~18% on the cycle loop). Atomic loads stay legal: on amd64
+// they are plain loads. Guarded
 // interface calls (`if e.Probe != nil { e.Probe.Cycle(...) }`) are the
 // sanctioned escape hatch for optional hooks. A target whose package is
 // loaded but declares no such function is itself a diagnostic, so a
@@ -120,6 +126,10 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 					pass.Reportf(v.Pos(), "%s: %s allocates on the per-cycle path", name, b)
 				}
 			}
+			if op, ok := atomicWrite(pass.Pkg, v); ok {
+				pass.Reportf(v.Pos(),
+					"%s: atomic %s on the per-cycle path; count in a plain field and publish per event", name, op)
+			}
 			if recv, ok := InterfaceReceiver(pass.Pkg, v); ok && !NilGuarded(stack, recv) {
 				pass.Reportf(v.Pos(),
 					"%s: unguarded interface call %s.%s on the per-cycle path; devirtualize or nil-guard it",
@@ -127,6 +137,38 @@ func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 			}
 		}
 	})
+}
+
+// atomicWriteOps are the sync/atomic writes: the read-modify-write and
+// store methods of the typed atomics, and the prefixes of the
+// package-level functions (AddUint64, CompareAndSwapInt32, OrUint32…).
+var atomicWriteOps = []string{"Add", "Swap", "CompareAndSwap", "Store", "And", "Or"}
+
+// atomicWrite reports whether call is a sync/atomic write, typed
+// (c.n.Add(1)) or package-level (atomic.AddUint64(&n, 1)), and returns
+// the called expression.
+func atomicWrite(pkg *Package, call *ast.CallExpr) (string, bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	path, _, isPkgFunc := PkgFuncCall(pkg, call)
+	if !isPkgFunc {
+		s, ok := pkg.Info.Selections[sel]
+		if !ok || s.Kind() != types.MethodVal || s.Obj().Pkg() == nil {
+			return "", false
+		}
+		path = s.Obj().Pkg().Path()
+	}
+	if path != "sync/atomic" {
+		return "", false
+	}
+	for _, op := range atomicWriteOps {
+		if strings.HasPrefix(sel.Sel.Name, op) {
+			return types.ExprString(sel), true
+		}
+	}
+	return "", false
 }
 
 func isStringType(pkg *Package, e ast.Expr) bool {

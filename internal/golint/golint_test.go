@@ -125,6 +125,60 @@ func (m *M) tick() {
 	}
 }
 
+func TestHotPathFlagsAtomicWrites(t *testing.T) {
+	// Every sync/atomic write is a locked instruction (or a fenced
+	// store) per cycle; loads are plain loads on amd64 and stay legal,
+	// as do methods of the same names on non-atomic types.
+	src := `package p
+
+import "sync/atomic"
+
+type plain struct{ n uint64 }
+
+func (p *plain) Add(d uint64) { p.n += d }
+
+type M struct {
+	n    atomic.Uint64
+	cmd  atomic.Uint32
+	flag atomic.Bool
+	ptr  atomic.Pointer[M]
+	raw  uint64
+	p    plain
+}
+
+func (m *M) tick() {
+	m.n.Add(1)
+	m.cmd.CompareAndSwap(0, 1)
+	m.flag.Store(true)
+	m.ptr.Swap(m)
+	m.cmd.Or(2)
+	atomic.AddUint64(&m.raw, 1)
+	atomic.StoreUint64(&m.raw, 0)
+	atomic.AndUint32(new(uint32), 1)
+	_ = m.cmd.Load()
+	_ = m.ptr.Load()
+	_ = atomic.LoadUint64(&m.raw)
+	m.p.Add(1)
+}
+`
+	an := HotPathAnalyzer([]HotTarget{{PkgPath: "p", Recv: "M", Func: "tick"}})
+	var atomics []Diagnostic
+	for _, d := range runOn(t, src, an) {
+		if strings.Contains(d.Msg, "atomic") {
+			atomics = append(atomics, d)
+		}
+	}
+	wantMsgs(t, atomics,
+		"atomic m.n.Add on the per-cycle path",
+		"atomic m.cmd.CompareAndSwap",
+		"atomic m.flag.Store",
+		"atomic m.ptr.Swap",
+		"atomic m.cmd.Or",
+		"atomic atomic.AddUint64",
+		"atomic atomic.StoreUint64",
+		"atomic atomic.AndUint32")
+}
+
 func TestHotPathOtherPackageIgnored(t *testing.T) {
 	an := HotPathAnalyzer([]HotTarget{{PkgPath: "q", Recv: "M", Func: "slow"}})
 	if diags := runOn(t, hotSrc, an); len(diags) != 0 {

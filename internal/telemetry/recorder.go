@@ -81,6 +81,7 @@ func (r *Recorder) roll(t *Telemetry, end uint64) {
 	if r.mon == nil || end <= r.start {
 		return
 	}
+	t.publishCounts()
 	var delta *upc.Histogram
 	watched := t.watched.Load()
 	if watched {

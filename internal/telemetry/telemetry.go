@@ -49,7 +49,11 @@ type Options struct {
 }
 
 // Counters are the live atomic event counters. They are safe to read
-// from any goroutine while a run executes.
+// from any goroutine while a run executes. Cycles, StallCycles and
+// IBRefills are counted in plain fields on the simulation goroutine and
+// published here at each instruction decode (and at every interval
+// roll, Bind, Finish and Absorb), so a live reader lags the machine by
+// at most one instruction; the other counters move per event.
 type Counters struct {
 	Cycles      atomic.Uint64 // every EBOX cycle
 	StallCycles atomic.Uint64 // read- and write-stalled cycles
@@ -108,6 +112,10 @@ type Telemetry struct {
 	mon   *upc.Monitor
 	stats *mem.Stats
 
+	// Cycle, stall and IB-refill counts not yet published into C
+	// (simulation goroutine only; see publishCounts).
+	cycles, stalls, refills uint64
+
 	cmd    atomic.Uint32                 // pending board commands
 	status atomic.Uint32                 // published CSR status bits
 	snap   atomic.Pointer[boardSnapshot] // latest published histogram
@@ -159,6 +167,7 @@ func (t *Telemetry) ROM() *urom.ROM { return t.rom }
 // timeline continues across binds. Any partial recorder interval of the
 // previous machine is closed first.
 func (t *Telemetry) Bind(mon *upc.Monitor, stats *mem.Stats) {
+	t.publishCounts()
 	if t.rec != nil {
 		t.rec.flush(t, t.maxAbs)
 		t.rec.rebind(mon, stats, t.maxAbs)
@@ -207,6 +216,7 @@ func (t *Telemetry) NewChild() *Telemetry {
 // The child must not be observing concurrently during the call.
 func (t *Telemetry) Absorb(c *Telemetry) {
 	c.Finish()
+	t.publishCounts()
 	shift := t.maxAbs
 	t.C.Cycles.Add(c.C.Cycles.Load())
 	t.C.StallCycles.Add(c.C.StallCycles.Load())
@@ -230,7 +240,11 @@ func (t *Telemetry) Absorb(c *Telemetry) {
 	t.mon = c.mon
 	t.stats = c.stats
 	t.finished = false
-	t.publish(t.maxAbs)
+	if t.watched.Load() {
+		t.publish(t.maxAbs)
+	} else {
+		t.publishStatus()
+	}
 }
 
 // Finish closes the last partial recorder interval and any open trace
@@ -238,6 +252,7 @@ func (t *Telemetry) Absorb(c *Telemetry) {
 // harmless. After Finish the recorded series and trace are complete up
 // to the last observed cycle.
 func (t *Telemetry) Finish() {
+	t.publishCounts()
 	if t.finished {
 		return
 	}
@@ -254,14 +269,16 @@ func (t *Telemetry) Finish() {
 // --- probe methods (simulation goroutine, hot path) ---
 
 // Cycle observes one EBOX cycle: the same observation point as the UPC
-// board's count pulse. Implements the ebox Probe.
+// board's count pulse. Implements the ebox Probe. It counts in plain
+// fields and makes no atomic write: the command poll is its one
+// atomic access, a load.
 func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 	abs := now + t.offset
 	t.maxAbs = abs + 1
 	t.finished = false
-	t.C.Cycles.Add(1)
+	t.cycles++
 	if stalled {
-		t.C.StallCycles.Add(1)
+		t.stalls++
 	}
 	if cmd := t.cmd.Load(); cmd != 0 {
 		t.applyCmd(cmd, abs)
@@ -269,8 +286,25 @@ func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
 	if t.rec != nil {
 		t.rec.cycle(t, abs)
 	}
-	if t.tr != nil {
+	if t.tr != nil && !t.tr.truncated {
 		t.tr.cycle(abs, addr, stalled)
+	}
+}
+
+// publishCounts adds the cycle, stall and IB-refill counts gathered
+// since the last publish to the live counters.
+func (t *Telemetry) publishCounts() {
+	if t.cycles != 0 {
+		t.C.Cycles.Add(t.cycles)
+		t.cycles = 0
+	}
+	if t.stalls != 0 {
+		t.C.StallCycles.Add(t.stalls)
+		t.stalls = 0
+	}
+	if t.refills != 0 {
+		t.C.IBRefills.Add(t.refills)
+		t.refills = 0
 	}
 }
 
@@ -282,7 +316,7 @@ func (t *Telemetry) TBMiss(now uint64, istream bool, va uint32) {
 	} else {
 		t.C.TBMissD.Add(1)
 	}
-	if t.tr != nil {
+	if t.tr != nil && !t.tr.truncated {
 		t.tr.tbMiss(now+t.offset, istream, va)
 	}
 }
@@ -298,13 +332,15 @@ func (t *Telemetry) CacheMiss(now uint64, istream bool, pa uint32, stall int) {
 
 // Refill observes an IB refill reference. Implements the ibox Probe.
 func (t *Telemetry) Refill(now uint64, va uint32, latency int, miss bool) {
-	t.C.IBRefills.Add(1)
+	t.refills++
 }
 
-// Instr observes an instruction decode (machine-level event).
+// Instr observes an instruction decode (machine-level event) and
+// publishes the per-cycle counts gathered since the previous decode.
 func (t *Telemetry) Instr(now uint64, pc uint32, op vax.Opcode) {
+	t.publishCounts()
 	t.C.Instrs.Add(1)
-	if t.tr != nil {
+	if t.tr != nil && !t.tr.truncated {
 		t.tr.instr(now+t.offset, pc, op)
 	}
 }
@@ -423,7 +459,7 @@ func (t *Telemetry) Tracer() *Tracer { return t.tr }
 // which package emits which event, and what each feeds.
 func DescribeProbes() string {
 	return `telemetry probe points (all zero-allocation, nil-checked when detached):
-  ebox.tick          -> Cycle(now, uPC, stalled)   every 200 ns EBOX cycle (the UPC tap)
+  ebox.tick          -> Cycle(now, uPC, stalled)   every 200 ns EBOX cycle (the UPC tap; plain counts)
   ebox.doMem         -> TBMiss(now, d-stream, va)  TB-miss microtrap entry
   ibox.Tick          -> TBMiss(now, i-stream, va)  I-stream miss flag raised
   ibox.Tick          -> Refill(now, va, latency)   IB refill reference issued
@@ -433,7 +469,8 @@ func DescribeProbes() string {
   machine.deliverInterrupt -> Interrupt(now, pc)   interrupt delivery
   machine LDPCTX     -> CtxSwitch(now, from, to)   context switch
 consumers:
-  Counters           live atomics: /metrics, expvar
+  Counters           live atomics: /metrics, expvar (cycle, stall and refill
+                     counts published at each decode)
   Recorder           per-N-cycle UPC+mem snapshots -> interval CPI series (CSV/JSON)
   Tracer             Chrome trace_event JSON (chrome://tracing, Perfetto)
   board registers    /board/{start,stop,clear,read,csr} (Unibus CSR mirror)`

@@ -9,7 +9,9 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
+	"sync/atomic"
 
 	"vax780/internal/ucode"
 	"vax780/internal/urom"
@@ -27,18 +29,18 @@ const (
 // cycleMicros converts an absolute cycle number to trace microseconds.
 func cycleMicros(cycle uint64) float64 { return float64(cycle) * 0.2 }
 
-// argKind tags the typed argument payload of a hot-path trace event.
-// The collector is on the simulation hot path (one call per EBOX cycle
-// with tracing enabled), so events carry their arguments as plain
-// fields, and WriteTrace encodes those fields straight into the JSON
-// args object: no map is built per event, at collection or at export.
-// Only the cold metadata events (emitted at construction) carry a
-// prebuilt map.
+// argKind tags the typed argument payload of a trace event. The
+// collector is on the simulation hot path (one call per EBOX cycle with
+// tracing enabled), so events carry their arguments as plain fields,
+// and WriteTrace encodes those fields straight into the JSON args
+// object: no map is built per event, at collection or at export. Only
+// the cold metadata events (emitted at construction) carry a map, kept
+// in the tracer's side slice.
 type argKind uint8
 
 const (
 	argsNone      argKind = iota
-	argsMap               // cold path: prebuilt map in M
+	argsMap               // cold path: Tracer.metaArgs[A]
 	argsEntry             // {"entry": AS}
 	argsPC                // {"pc": A}
 	argsHandlerPC         // {"handler_pc": A}
@@ -46,81 +48,161 @@ const (
 	argsVA                // {"va": A}
 )
 
-// traceEvent is one collected trace record. Timestamps are kept in
-// integer cycles (not float microseconds) so a child tracer's events
-// can be shifted onto the parent timeline bit-exactly at merge; the
-// float conversion happens once, at write time.
+// traceEvent is one collected trace record: a fixed 40-byte value
+// holding no pointer, so the event buffer is neither scanned by the
+// garbage collector nor written through write barriers. Strings are ids
+// into the tracer's name table, and Ph and S are ASCII letters.
+// Timestamps are integer cycles (not float microseconds) so a child
+// tracer's events can be shifted onto the parent timeline bit-exactly
+// at merge; the float conversion happens once, at write time.
 type traceEvent struct {
-	Name  string
-	Ph    string
 	Start uint64 // cycle (unused by metadata events)
 	End   uint64 // cycle, exclusive (complete "X" events only)
-	Pid   int
-	Tid   int
-	S     string
+	A, B  uint32 // typed argument payload (see argKind)
+	Pid   uint32
+	Tid   int32
+	Name  uint16 // name id
+	AS    uint16 // name id of the string argument (argsEntry)
+	Ph    byte   // 'X' complete, 'i' instant, 'M' metadata
+	S     byte   // instant scope letter; 0 leaves the field out
+	AK    argKind
+}
 
-	// Typed argument payload (see argKind).
-	AK   argKind
-	AS   string
-	A, B uint32
-	M    map[string]any
+// Fixed name ids: newNameTable interns fixedNames first, in order.
+const (
+	nameStall = iota
+	nameInterrupt
+	nameCtxSwitch
+	nameTBMissD
+	nameTBMissI
+)
+
+var fixedNames = [...]string{
+	nameStall:     "stall",
+	nameInterrupt: "interrupt",
+	nameCtxSwitch: "context switch",
+	nameTBMissD:   "TB miss (D)",
+	nameTBMissI:   "TB miss (I)",
+}
+
+// nameTable interns every string a trace event carries. newTracer fills
+// it with the fixed and metadata names, every region name and
+// control-store label, and all 256 opcode names; after that only the
+// parent tracer interns, on the goroutine that merges (phase names).
+// Children carry ids into the parent's table and have no table of their
+// own.
+type nameTable struct {
+	strs []string
+	ids  map[string]uint16
+}
+
+func newNameTable() *nameTable {
+	n := &nameTable{ids: make(map[string]uint16)}
+	for _, s := range fixedNames {
+		n.intern(s)
+	}
+	return n
+}
+
+// intern returns s's id, adding s to the table on first sight.
+func (n *nameTable) intern(s string) uint16 {
+	if id, ok := n.ids[s]; ok {
+		return id
+	}
+	if len(n.strs) > math.MaxUint16 {
+		panic("telemetry: more than 65536 distinct trace names")
+	}
+	id := uint16(len(n.strs))
+	n.strs = append(n.strs, s)
+	n.ids[s] = id
+	return id
+}
+
+// flowNames are the name ids of a control-store address: its region and
+// the label of the flow entry it belongs to.
+type flowNames struct{ region, label uint16 }
+
+// traceTables map the probe stream onto name ids. newTracer builds them
+// once; its children share them read-only.
+type traceTables struct {
+	addr   []flowNames // control-store address -> region and entry label
+	none   flowNames   // an address outside the control store
+	opcode [256]uint16 // opcode -> mnemonic
 }
 
 // Tracer collects trace events from the probe stream. It coalesces
 // consecutive cycles of the same control-store region into one slice,
 // and consecutive stalled cycles into stall slices, so the event volume
 // scales with activity changes rather than raw cycles.
+//
+// A tracer that has dropped an event drops every later one too (the
+// buffer only grows), so once truncated it collects nothing: the hooks
+// skip it and emit returns at once.
 type Tracer struct {
-	max    int // retained-event cap (<0: unlimited)
-	events []traceEvent
+	max       int // retained-event cap (<0: unlimited)
+	events    []traceEvent
+	truncated bool
 
-	region []ucode.Region // control-store address -> region
-	label  []string       // control-store address -> flow entry label
+	// stop is shared by a parent tracer and its children: the parent
+	// sets it once it has truncated, and from then on no child's events
+	// can survive the merge, so a child stops at its next decode.
+	stop *atomic.Bool
+
+	names    *nameTable
+	metaArgs []map[string]any // metadata args, indexed by an argsMap event's A
+	tab      *traceTables
 
 	// open slices
-	curRegion   ucode.Region
+	curRegion   uint16
 	regionStart uint64
-	regionLabel string
+	regionLabel uint16
 	haveRegion  bool
 
 	stallStart uint64
 	inStall    bool
 
-	instrName  string
+	instrName  uint16
 	instrPC    uint32
 	instrStart uint64
 	haveInstr  bool
 
-	truncated bool
-	finished  bool
+	finished bool
 }
 
 func newTracer(rom *urom.ROM, maxEvents int) *Tracer {
+	names := newNameTable()
 	size := rom.Image.Size()
+	tab := &traceTables{
+		addr: make([]flowNames, size),
+		none: flowNames{region: names.intern(ucode.RegNone.String()), label: names.intern("")},
+	}
+	label := tab.none.label
+	for addr := range tab.addr {
+		mi := rom.Image.At(uint16(addr))
+		if mi.Label != "" {
+			label = names.intern(mi.Label)
+		}
+		tab.addr[addr] = flowNames{region: names.intern(mi.Region.String()), label: label}
+	}
+	for op := range tab.opcode {
+		tab.opcode[op] = names.intern(vax.Opcode(op).String())
+	}
 	tr := &Tracer{
 		max:    maxEvents,
 		events: make([]traceEvent, 0, eventPrealloc(maxEvents)),
-		region: make([]ucode.Region, size),
-		label:  make([]string, size),
-	}
-	var lastLabel string
-	for addr := 0; addr < size; addr++ {
-		mi := rom.Image.At(uint16(addr))
-		tr.region[addr] = mi.Region
-		if mi.Label != "" {
-			lastLabel = mi.Label
-		}
-		tr.label[addr] = lastLabel
+		stop:   new(atomic.Bool),
+		names:  names,
+		tab:    tab,
 	}
 	tr.meta()
 	return tr
 }
 
-// eventPrealloc sizes the collector's initial event buffer: enough to
-// absorb a busy run's region and instruction slices without repeated
-// geometric growth (each growth copies every collected event), bounded
-// so a high retained-event cap does not commit tens of megabytes up
-// front.
+// eventPrealloc sizes a collector's event buffer, allocated at its first
+// event: enough to absorb a busy run's region and instruction slices
+// without repeated geometric growth (each growth copies every collected
+// event), bounded so a high retained-event cap does not commit tens of
+// megabytes up front.
 func eventPrealloc(maxEvents int) int {
 	const bound = 1 << 16
 	if maxEvents < 0 || maxEvents > bound {
@@ -130,23 +212,24 @@ func eventPrealloc(maxEvents int) int {
 }
 
 // newChildTracer builds a per-workload tracer for a parallel composite
-// run: it shares the parent's read-only address tables, carries the
-// parent's full event cap (so the merge — which re-applies the cap in
-// workload order — reproduces exactly the sequential truncation
-// point), and emits no metadata events (the parent already has them).
+// run: it shares the parent's read-only tables and stop flag,
+// carries the parent's full event cap (so the merge — which re-applies
+// the cap in workload order — reproduces exactly the sequential
+// truncation point), and emits no metadata events (the parent already
+// has them). Its buffer is allocated at its first event, which a child
+// started after the parent truncated never emits.
 func newChildTracer(parent *Tracer) *Tracer {
 	return &Tracer{
-		max:    parent.max,
-		events: make([]traceEvent, 0, eventPrealloc(parent.max)),
-		region: parent.region,
-		label:  parent.label,
+		max:  parent.max,
+		stop: parent.stop,
+		tab:  parent.tab,
 	}
 }
 
 // meta emits the process/thread naming metadata events.
 func (tr *Tracer) meta() {
 	names := []struct {
-		tid  int
+		tid  int32
 		name string
 	}{
 		{tidInstr, "VAX instructions"},
@@ -154,46 +237,58 @@ func (tr *Tracer) meta() {
 		{tidStall, "memory stalls"},
 		{tidEvents, "system events"},
 	}
-	tr.events = append(tr.events, traceEvent{
-		Name: "process_name", Ph: "M", Pid: 1,
-		AK: argsMap, M: map[string]any{"name": "VAX-11/780 (simulated)"},
-	})
+	tr.metadata("process_name", 0, map[string]any{"name": "VAX-11/780 (simulated)"})
 	for _, n := range names {
-		tr.events = append(tr.events, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: 1, Tid: n.tid,
-			AK: argsMap, M: map[string]any{"name": n.name},
-		})
-		tr.events = append(tr.events, traceEvent{
-			Name: "thread_sort_index", Ph: "M", Pid: 1, Tid: n.tid,
-			AK: argsMap, M: map[string]any{"sort_index": n.tid},
-		})
+		tr.metadata("thread_name", n.tid, map[string]any{"name": n.name})
+		tr.metadata("thread_sort_index", n.tid, map[string]any{"sort_index": int(n.tid)})
 	}
 }
 
-// emit appends an event unless the cap is reached.
+// metadata appends a metadata ("M") event of the simulated process
+// whose args are m; the cap does not apply.
+func (tr *Tracer) metadata(name string, tid int32, m map[string]any) {
+	tr.events = append(tr.events, traceEvent{
+		Name: tr.names.intern(name), Ph: 'M', Pid: 1, Tid: tid, AK: argsMap, A: uint32(len(tr.metaArgs)),
+	})
+	tr.metaArgs = append(tr.metaArgs, m)
+}
+
+// emit appends an event unless the tracer is, or now becomes, truncated.
 func (tr *Tracer) emit(ev traceEvent) {
+	if tr.truncated {
+		return
+	}
 	if tr.max >= 0 && len(tr.events) >= tr.max {
 		tr.truncated = true
 		return
+	}
+	if tr.events == nil {
+		// A child's first event: if the parent has already truncated,
+		// stop here rather than allocate a buffer the merge would drop.
+		if tr.stop.Load() {
+			tr.truncated = true
+			return
+		}
+		tr.events = make([]traceEvent, 0, eventPrealloc(tr.max))
 	}
 	tr.events = append(tr.events, ev)
 }
 
 // slice emits a complete ("X") event spanning [start, end) cycles.
-func (tr *Tracer) slice(name string, tid int, start, end uint64, ak argKind, as string, a, b uint32) {
+func (tr *Tracer) slice(name uint16, tid int32, start, end uint64, ak argKind, as uint16, a, b uint32) {
 	if end <= start {
 		end = start + 1
 	}
 	tr.emit(traceEvent{
-		Name: name, Ph: "X", Pid: 1, Tid: tid,
+		Name: name, Ph: 'X', Pid: 1, Tid: tid,
 		Start: start, End: end, AK: ak, AS: as, A: a, B: b,
 	})
 }
 
 // instant emits an instant ("i") event at the given cycle.
-func (tr *Tracer) instant(name string, tid int, at uint64, ak argKind, a, b uint32) {
+func (tr *Tracer) instant(name uint16, tid int32, at uint64, ak argKind, a, b uint32) {
 	tr.emit(traceEvent{
-		Name: name, Ph: "i", S: "t", Pid: 1, Tid: tid,
+		Name: name, Ph: 'i', S: 't', Pid: 1, Tid: tid,
 		Start: at, AK: ak, A: a, B: b,
 	})
 }
@@ -201,60 +296,64 @@ func (tr *Tracer) instant(name string, tid int, at uint64, ak argKind, a, b uint
 // cycle observes one EBOX cycle at the given control-store address.
 func (tr *Tracer) cycle(abs uint64, addr uint16, stalled bool) {
 	tr.finished = false
-	r := ucode.RegNone
-	lbl := ""
-	if int(addr) < len(tr.region) {
-		r = tr.region[addr]
-		lbl = tr.label[addr]
+	f := tr.tab.none
+	if int(addr) < len(tr.tab.addr) {
+		f = tr.tab.addr[addr]
 	}
 	if !tr.haveRegion {
-		tr.curRegion, tr.regionStart, tr.regionLabel, tr.haveRegion = r, abs, lbl, true
-	} else if r != tr.curRegion {
+		tr.curRegion, tr.regionStart, tr.regionLabel, tr.haveRegion = f.region, abs, f.label, true
+	} else if f.region != tr.curRegion {
 		tr.closeRegion(abs)
-		tr.curRegion, tr.regionStart, tr.regionLabel = r, abs, lbl
+		tr.curRegion, tr.regionStart, tr.regionLabel = f.region, abs, f.label
 	}
 
 	if stalled && !tr.inStall {
 		tr.inStall, tr.stallStart = true, abs
 	} else if !stalled && tr.inStall {
-		tr.slice("stall", tidStall, tr.stallStart, abs, argsNone, "", 0, 0)
+		tr.slice(nameStall, tidStall, tr.stallStart, abs, argsNone, 0, 0, 0)
 		tr.inStall = false
 	}
 }
 
 func (tr *Tracer) closeRegion(end uint64) {
-	tr.slice(tr.curRegion.String(), tidRegion, tr.regionStart, end, argsEntry, tr.regionLabel, 0, 0)
+	tr.slice(tr.curRegion, tidRegion, tr.regionStart, end, argsEntry, tr.regionLabel, 0, 0)
 }
 
 // instr observes an instruction decode: the previous instruction's
-// slice is closed and a new one opened.
+// slice is closed and a new one opened. A child whose parent has
+// truncated stops here.
 func (tr *Tracer) instr(abs uint64, pc uint32, op vax.Opcode) {
-	if tr.haveInstr {
-		tr.slice(tr.instrName, tidInstr, tr.instrStart, abs, argsPC, "", tr.instrPC, 0)
+	if tr.stop.Load() {
+		tr.truncated = true
+		return
 	}
-	tr.instrName, tr.instrPC, tr.instrStart, tr.haveInstr = op.String(), pc, abs, true
+	if tr.haveInstr {
+		tr.slice(tr.instrName, tidInstr, tr.instrStart, abs, argsPC, 0, tr.instrPC, 0)
+	}
+	tr.instrName, tr.instrPC, tr.instrStart, tr.haveInstr = tr.tab.opcode[op], pc, abs, true
 }
 
 func (tr *Tracer) interrupt(abs uint64, handler uint32) {
-	tr.instant("interrupt", tidEvents, abs, argsHandlerPC, handler, 0)
+	tr.instant(nameInterrupt, tidEvents, abs, argsHandlerPC, handler, 0)
 }
 
 func (tr *Tracer) ctxSwitch(abs uint64, from, to uint32) {
-	tr.instant("context switch", tidEvents, abs, argsFromTo, from, to)
+	tr.instant(nameCtxSwitch, tidEvents, abs, argsFromTo, from, to)
 }
 
 func (tr *Tracer) tbMiss(abs uint64, istream bool, va uint32) {
-	name := "TB miss (D)"
+	name := uint16(nameTBMissD)
 	if istream {
-		name = "TB miss (I)"
+		name = nameTBMissI
 	}
 	tr.instant(name, tidEvents, abs, argsVA, va, 0)
 }
 
-// phase marks a workload-experiment boundary.
+// phase marks a workload-experiment boundary. Only a parent tracer
+// receives phases, so interning the name here is safe.
 func (tr *Tracer) phase(abs uint64, name string) {
 	tr.emit(traceEvent{
-		Name: "phase: " + name, Ph: "i", S: "g", Pid: 1, Tid: tidEvents,
+		Name: tr.names.intern("phase: " + name), Ph: 'i', S: 'g', Pid: 1, Tid: tidEvents,
 		Start: abs,
 	})
 }
@@ -270,11 +369,11 @@ func (tr *Tracer) finish(end uint64) {
 		tr.haveRegion = false
 	}
 	if tr.inStall {
-		tr.slice("stall", tidStall, tr.stallStart, end, argsNone, "", 0, 0)
+		tr.slice(nameStall, tidStall, tr.stallStart, end, argsNone, 0, 0, 0)
 		tr.inStall = false
 	}
 	if tr.haveInstr {
-		tr.slice(tr.instrName, tidInstr, tr.instrStart, end, argsPC, "", tr.instrPC, 0)
+		tr.slice(tr.instrName, tidInstr, tr.instrStart, end, argsPC, 0, tr.instrPC, 0)
 		tr.haveInstr = false
 	}
 }
@@ -283,19 +382,25 @@ func (tr *Tracer) finish(end uint64) {
 // parent timeline. The cap is re-applied against the parent's running
 // event count, so a merged trace truncates at exactly the byte the
 // sequential trace would. Timestamps shift exactly because they are
-// integer cycles; nothing is re-derived.
+// integer cycles, and names need no remapping because a child's ids are
+// the parent's; nothing is re-derived. Once the parent has truncated it
+// raises the shared stop flag.
 func (tr *Tracer) absorb(child *Tracer, shift uint64) {
 	for _, ev := range child.events {
 		ev.Start += shift
-		if ev.Ph == "X" {
+		if ev.Ph == 'X' {
 			ev.End += shift
 		}
 		tr.emit(ev)
 	}
 	// A child that hit its own cap dropped events the sequential trace
-	// (which reaches the cap no later) would also have dropped.
+	// (which reaches the cap no later) would also have dropped; a child
+	// stopped by the flag dropped only events the parent would drop.
 	if child.truncated {
 		tr.truncated = true
+	}
+	if tr.truncated {
+		tr.stop.Store(true)
 	}
 }
 
@@ -323,11 +428,7 @@ const (
 // empty; object keys inside args and otherData are sorted; a newline
 // ends the document.
 func (tr *Tracer) WriteTrace(w io.Writer) error {
-	tw := traceWriter{
-		w:      w,
-		buf:    make([]byte, 0, traceBufSize),
-		quoted: make(map[string][]byte),
-	}
+	tw := tr.newWriter(w)
 	tw.buf = append(tw.buf, `{"traceEvents":[`...)
 	for i := range tr.events {
 		if i > 0 {
@@ -351,13 +452,25 @@ func (tr *Tracer) WriteTrace(w io.Writer) error {
 }
 
 // traceWriter is WriteTrace's append-based encoder: a reused output
-// buffer, the first error the writer returned, and the JSON-quoted form
-// of every distinct string seen so far.
+// buffer, the first error the writer returned, the tracer's names and
+// metadata args, and the JSON-quoted form of every name id used so far.
 type traceWriter struct {
 	w      io.Writer
 	buf    []byte
 	err    error
-	quoted map[string][]byte
+	names  []string
+	meta   []map[string]any
+	quoted [][]byte // name id -> quoted form (nil until first use)
+}
+
+func (tr *Tracer) newWriter(w io.Writer) traceWriter {
+	return traceWriter{
+		w:      w,
+		buf:    make([]byte, 0, traceBufSize),
+		names:  tr.names.strs,
+		meta:   tr.metaArgs,
+		quoted: make([][]byte, len(tr.names.strs)),
+	}
 }
 
 // flush hands the buffered bytes to the writer unless an error has
@@ -371,15 +484,15 @@ func (tw *traceWriter) flush() {
 	tw.buf = tw.buf[:0]
 }
 
-// quote returns s as a JSON string literal under encoding/json's
-// escaping rules (HTML-safe, U+2028/U+2029 escaped, invalid UTF-8
-// replaced by U+FFFD). Names, labels and opcodes come from small fixed
-// sets, so each is marshaled once and reused.
-func (tw *traceWriter) quote(s string) []byte {
-	q, ok := tw.quoted[s]
-	if !ok {
-		q, _ = json.Marshal(s) // a string always marshals
-		tw.quoted[s] = q
+// quote returns name id's string as a JSON string literal under
+// encoding/json's escaping rules (HTML-safe, U+2028/U+2029 escaped,
+// invalid UTF-8 replaced by U+FFFD). Each name is marshaled once, on
+// first use, and reused.
+func (tw *traceWriter) quote(id uint16) []byte {
+	q := tw.quoted[id]
+	if q == nil {
+		q, _ = json.Marshal(tw.names[id]) // a string always marshals
+		tw.quoted[id] = q
 	}
 	return q
 }
@@ -391,15 +504,15 @@ func (tw *traceWriter) quote(s string) []byte {
 func (tw *traceWriter) event(ev *traceEvent) {
 	b := append(tw.buf, `{"name":`...)
 	b = append(b, tw.quote(ev.Name)...)
-	b = append(b, `,"ph":`...)
-	b = append(b, tw.quote(ev.Ph)...)
+	b = append(b, `,"ph":"`...)
+	b = append(b, ev.Ph, '"')
 	b = append(b, `,"ts":`...)
-	if ev.Ph == "M" {
+	if ev.Ph == 'M' {
 		b = append(b, '0')
 	} else {
 		b = strconv.AppendFloat(b, cycleMicros(ev.Start), 'f', -1, 64)
 	}
-	if ev.Ph == "X" {
+	if ev.Ph == 'X' {
 		if dur := cycleMicros(ev.End) - cycleMicros(ev.Start); dur != 0 {
 			b = append(b, `,"dur":`...)
 			b = strconv.AppendFloat(b, dur, 'f', -1, 64)
@@ -409,19 +522,19 @@ func (tw *traceWriter) event(ev *traceEvent) {
 	b = strconv.AppendInt(b, int64(ev.Pid), 10)
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(ev.Tid), 10)
-	if ev.S != "" {
-		b = append(b, `,"s":`...)
-		b = append(b, tw.quote(ev.S)...)
+	if ev.S != 0 {
+		b = append(b, `,"s":"`...)
+		b = append(b, ev.S, '"')
 	}
 	switch ev.AK {
 	case argsMap:
-		if len(ev.M) > 0 {
-			m, err := json.Marshal(ev.M) // cold path: metadata events only
+		if m := tw.meta[ev.A]; len(m) > 0 {
+			js, err := json.Marshal(m) // cold path: metadata events only
 			if err != nil {
 				tw.err = err
 			}
 			b = append(b, `,"args":`...)
-			b = append(b, m...)
+			b = append(b, js...)
 		}
 	case argsEntry:
 		b = append(b, `,"args":{"entry":`...)

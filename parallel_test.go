@@ -92,19 +92,25 @@ func TestParallelBitExact(t *testing.T) {
 // both runs: the interval time series, the live counters, and the
 // Chrome trace must splice back to the sequential timeline exactly —
 // on a short three-workload run, and on the 10k-instruction composite
-// with a 50 000-event trace cap that truncates mid-run.
+// with a 50 000-event trace cap that truncates inside the first
+// workload and a 150 000-event cap that truncates in the third, after
+// two workloads have merged whole: that case proves the stop flag the
+// merger raises drops no event that survives.
 func TestParallelTelemetryBitExact(t *testing.T) {
 	for _, c := range []struct {
 		cfg       RunConfig
 		workers   int
 		interval  uint64
 		maxEvents int
+		tag       string // subtest name suffix
 	}{
-		{RunConfig{Instructions: 1800, Workloads: []WorkloadID{TimesharingA, RTEScientific, RTECommercial}}, 3, 1500, 200000},
-		{RunConfig{Instructions: 10_000}, 2, 100_000, 50_000},
-		{RunConfig{Instructions: 10_000}, 4, 100_000, 50_000},
+		{RunConfig{Instructions: 1800, Workloads: []WorkloadID{TimesharingA, RTEScientific, RTECommercial}}, 3, 1500, 200000, ""},
+		{RunConfig{Instructions: 10_000}, 2, 100_000, 50_000, ""},
+		{RunConfig{Instructions: 10_000}, 4, 100_000, 50_000, ""},
+		{RunConfig{Instructions: 10_000}, 2, 100_000, 150_000, "/cap=150000"},
+		{RunConfig{Instructions: 10_000}, 4, 100_000, 150_000, "/cap=150000"},
 	} {
-		t.Run(fmt.Sprintf("n=%d/j=%d", c.cfg.Instructions, c.workers), func(t *testing.T) {
+		t.Run(fmt.Sprintf("n=%d/j=%d%s", c.cfg.Instructions, c.workers, c.tag), func(t *testing.T) {
 			scfg := c.cfg
 			scfg.Parallelism = 1
 			scfg.Telemetry = NewTelemetry(c.interval, c.maxEvents)

@@ -6,7 +6,8 @@ package vax780
 // only added cost is the nil probe check on the hot paths — and is the
 // <5%-regression gate recorded in the "telemetry layer" entry of
 // BENCH_history.json. The other
-// variants price each telemetry component.
+// variants price each telemetry component, and observed prices the
+// whole layer as the benchmark's observed workload attaches it.
 
 import "testing"
 
@@ -42,5 +43,20 @@ func BenchmarkTelemetry(b *testing.B) {
 	})
 	b.Run("full", func(b *testing.B) {
 		benchRun(b, func() *Telemetry { return NewTelemetry(10_000, 1_000_000) })
+	})
+	// observed carries the benchmark's observed-workload telemetry
+	// settings: the five-workload composite at 10k instructions on two
+	// workers, recording intervals and a trace that truncates inside the
+	// first workload. B/op is its deterministic proxy, up to a small
+	// spread: how many events a child collects before the merger's stop
+	// flag reaches it depends on scheduling.
+	b.Run("observed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			cfg := RunConfig{Instructions: 10_000, Parallelism: 2, Telemetry: NewTelemetry(100_000, 50_000)}
+			if _, err := Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }

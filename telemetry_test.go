@@ -2,7 +2,10 @@ package vax780
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -156,4 +159,70 @@ func httpGet(url string) (string, error) {
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
+}
+
+// TestTraceGoldenBytes pins the Chrome trace bytes of the 10k
+// composite under two caps: 50 000 truncates inside the first workload,
+// 150 000 in the third. The oracle and seq-vs-par suites compare two
+// encoders or two worker counts on the same events; these hashes pin
+// the events themselves, so a change to collection, interning or
+// truncation that moves a byte fails here.
+func TestTraceGoldenBytes(t *testing.T) {
+	for _, c := range []struct {
+		maxEvents int
+		sha256    string
+	}{
+		{50_000, "4e2f9f4ba06a7d0b929c08a9ba38a1f287126118b023e1576482027838a94e86"},
+		{150_000, "683960fb0f148bda5251dc9e45a22a771c140c37cf488ee6043ece2225fc5f62"},
+	} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("cap=%d/j=%d", c.maxEvents, workers), func(t *testing.T) {
+				tel := NewTelemetry(100_000, c.maxEvents)
+				if _, err := Run(RunConfig{Instructions: 10_000, Parallelism: workers, Telemetry: tel}); err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				if err := tel.WriteTrace(h); err != nil {
+					t.Fatal(err)
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+					t.Errorf("trace sha256 %s, want %s", got, c.sha256)
+				}
+			})
+		}
+	}
+}
+
+// TestHeadlessRunPublishesNoSnapshot: board snapshots are published
+// only for a mounted HTTP view, at any worker count. A headless run
+// leaves Snapshot nil at -j 1 and -j 2; with Handler mounted, a -j 2
+// run publishes the board as it splices each workload, ending at the
+// run's last cycle.
+func TestHeadlessRunPublishesNoSnapshot(t *testing.T) {
+	run := func(workers int, watch bool) (*Results, *Telemetry) {
+		t.Helper()
+		tel := NewTelemetry(1000, 0)
+		if watch {
+			tel.Handler()
+		}
+		res, err := Run(RunConfig{Instructions: 2000, Parallelism: workers, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tel
+	}
+	for _, workers := range []int{1, 2} {
+		_, tel := run(workers, false)
+		if _, h := tel.inner.Snapshot(); h != nil {
+			t.Errorf("-j %d: headless run published a board snapshot", workers)
+		}
+	}
+	res, tel := run(2, true)
+	cycle, h := tel.inner.Snapshot()
+	if h == nil {
+		t.Fatal("-j 2 with Handler mounted: no board snapshot published")
+	}
+	if want := res.Histogram().TotalCycles(); cycle != want {
+		t.Errorf("last snapshot at cycle %d, run ended at %d", cycle, want)
+	}
 }
