@@ -162,8 +162,9 @@ func httpGet(url string) (string, error) {
 }
 
 // TestTraceGoldenBytes pins the Chrome trace bytes of the 10k
-// composite under two caps: 50 000 truncates inside the first workload,
-// 150 000 in the third. The oracle and seq-vs-par suites compare two
+// composite under four caps: 50 000 truncates inside the first
+// workload, 150 000 in the third, 250 000 in the fifth, and the
+// unlimited trace keeps every event. The oracle and seq-vs-par suites compare two
 // encoders or two worker counts on the same events; these hashes pin
 // the events themselves, so a change to collection, interning or
 // truncation that moves a byte fails here.
@@ -174,8 +175,10 @@ func TestTraceGoldenBytes(t *testing.T) {
 	}{
 		{50_000, "4e2f9f4ba06a7d0b929c08a9ba38a1f287126118b023e1576482027838a94e86"},
 		{150_000, "683960fb0f148bda5251dc9e45a22a771c140c37cf488ee6043ece2225fc5f62"},
+		{250_000, "b1f2b583a3a54ea408ac65a9389d7d8003db4741f0824f9e1ae636790e9491fd"},
+		{-1, "568693db88744c7344bfac890c92952bce2de04ae512ecdf3951fb6282ec4528"},
 	} {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("cap=%d/j=%d", c.maxEvents, workers), func(t *testing.T) {
 				tel := NewTelemetry(100_000, c.maxEvents)
 				if _, err := Run(RunConfig{Instructions: 10_000, Parallelism: workers, Telemetry: tel}); err != nil {
