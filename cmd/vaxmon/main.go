@@ -98,6 +98,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vaxmon:", err)
 		os.Exit(2)
 	}
+	if *traceOut != "" && *traceMax == 0 {
+		// Checked before the run and before the file is created: a zero
+		// cap disables the tracer, so the export could only fail.
+		fmt.Fprintln(os.Stderr, "vaxmon: -trace-max 0 disables tracing; give -trace a positive cap or -1 (unlimited)")
+		os.Exit(2)
+	}
 
 	tel := buildTelemetry(*serve, *interval, *traceOut, *traceMax, *csvOut, *jsonOut)
 	if *load != "" && (tel != nil || *ledgerOut != "" || *progress) {

@@ -1,13 +1,49 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"vax780"
 )
+
+// TestMain runs the command itself when VAXMON_RUN_MAIN is set, so a
+// test can drive the real flag handling and exit codes by re-executing
+// its own binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("VAXMON_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestTraceMaxZeroRejected: -trace with -trace-max 0 asks for a trace
+// of a disabled tracer. It must fail at flag validation with exit 2,
+// before simulating and without creating the output file.
+func TestTraceMaxZeroRejected(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "out.json")
+	cmd := exec.Command(os.Args[0], "-trace", out, "-trace-max", "0", "-n", "200", "-quiet")
+	cmd.Env = append(os.Environ(), "VAXMON_RUN_MAIN=1")
+	stdout, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("vaxmon -trace-max 0: err %v, want exit status 2", err)
+	}
+	if !strings.Contains(string(exit.Stderr), "-trace-max") {
+		t.Errorf("stderr %q does not name -trace-max", exit.Stderr)
+	}
+	if len(stdout) != 0 {
+		t.Errorf("vaxmon printed %q; the run must not start", stdout)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("trace file: stat err %v, want it never created", err)
+	}
+}
 
 func TestJobsParallelism(t *testing.T) {
 	cases := []struct {

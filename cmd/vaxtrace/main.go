@@ -38,6 +38,12 @@ func main() {
 		traceMax = flag.Int("trace-max", 2_000_000, "cap on retained trace events (-1 = unlimited)")
 	)
 	flag.Parse()
+	if *simTrace != "" && *traceMax == 0 {
+		// A zero cap disables the tracer, so the export could only fail:
+		// refuse it before generating and simulating.
+		fmt.Fprintln(os.Stderr, "vaxtrace: -trace-max 0 disables tracing; give -sim-trace a positive cap or -1 (unlimited)")
+		os.Exit(2)
+	}
 
 	var tr *workload.Trace
 	if *load != "" {

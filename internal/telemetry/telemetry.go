@@ -191,27 +191,38 @@ func (t *Telemetry) Phase(name string) {
 	}
 }
 
-// NewChild builds a detached telemetry sink with this instance's
+// NewChildren builds n detached telemetry sinks with this instance's
 // configuration: the same recorder period and trace cap, sharing the
 // read-only ROM tables. A parallel composite run gives each workload
 // machine its own child (observing from cycle 0), then splices the
-// children back in workload order with Absorb. Children have no HTTP
-// side: board commands and published snapshots stay on the parent.
-func (t *Telemetry) NewChild() *Telemetry {
-	c := &Telemetry{rom: t.rom}
-	if t.rec != nil {
-		c.rec = newRecorder(t.rec.period)
-	}
+// children back with Absorb in the order NewChildren returns them,
+// which is the workload order. The children's tracers share one stop
+// rule: a child whose events the merge is certain to drop stops
+// collecting. Children have no HTTP side: board commands and published
+// snapshots stay on the parent.
+func (t *Telemetry) NewChildren(n int) []*Telemetry {
+	var trs []*Tracer
 	if t.tr != nil {
-		c.tr = newChildTracer(t.tr)
+		trs = t.tr.newChildren(n)
 	}
-	return c
+	cs := make([]*Telemetry, n)
+	for i := range cs {
+		c := &Telemetry{rom: t.rom}
+		if t.rec != nil {
+			c.rec = newRecorder(t.rec.period)
+		}
+		if trs != nil {
+			c.tr = trs[i]
+		}
+		cs[i] = c
+	}
+	return cs
 }
 
 // Absorb splices a child sink's observations onto this timeline:
 // counters are summed, recorder intervals are appended with their
 // cycles shifted by the parent's current end-of-timeline, and trace
-// events likewise. Called in workload order, the result is bit-exact
+// events likewise. Called in NewChildren order, the result is bit-exact
 // with a sequential run observing the same machines in that order.
 // The child must not be observing concurrently during the call.
 func (t *Telemetry) Absorb(c *Telemetry) {

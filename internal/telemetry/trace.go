@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -143,10 +144,12 @@ type Tracer struct {
 	events    []traceEvent
 	truncated bool
 
-	// stop is shared by a parent tracer and its children: the parent
-	// sets it once it has truncated, and from then on no child's events
-	// can survive the merge, so a child stops at its next decode.
-	stop *atomic.Bool
+	// A child's stop rule (nil dead on a parent): idx is the child's
+	// position in merge order, and dead, shared by one run's children,
+	// is the first index whose events cannot survive the merge. A child
+	// at or past it stops at its next decode; see newChildren.
+	idx  int64
+	dead *atomic.Int64
 
 	names    *nameTable
 	metaArgs []map[string]any // metadata args, indexed by an argsMap event's A
@@ -190,7 +193,6 @@ func newTracer(rom *urom.ROM, maxEvents int) *Tracer {
 	tr := &Tracer{
 		max:    maxEvents,
 		events: make([]traceEvent, 0, eventPrealloc(maxEvents)),
-		stop:   new(atomic.Bool),
 		names:  names,
 		tab:    tab,
 	}
@@ -211,18 +213,43 @@ func eventPrealloc(maxEvents int) int {
 	return maxEvents
 }
 
-// newChildTracer builds a per-workload tracer for a parallel composite
-// run: it shares the parent's read-only tables and stop flag,
-// carries the parent's full event cap (so the merge — which re-applies
-// the cap in workload order — reproduces exactly the sequential
-// truncation point), and emits no metadata events (the parent already
-// has them). Its buffer is allocated at its first event, which a child
-// started after the parent truncated never emits.
-func newChildTracer(parent *Tracer) *Tracer {
-	return &Tracer{
-		max:  parent.max,
-		stop: parent.stop,
-		tab:  parent.tab,
+// newChildren builds the n per-workload tracers of one parallel
+// composite run, in merge order. Each shares the parent's read-only
+// tables, carries the parent's full event cap (so the merge — which
+// re-applies the cap in workload order — reproduces exactly the
+// sequential truncation point), and emits no metadata events (the
+// parent already has them). Its buffer is allocated at its first event.
+//
+// The children share one dead index, lowered and never raised. A child
+// i that reaches its own cap makes the parent truncate while absorbing
+// it, because the parent already holds its metadata events, so no
+// event of a child j > i can survive: child i lowers dead to i+1 when
+// it truncates, and the merger does the same for child i once the
+// parent has truncated. The index is scoped to this set of children, so
+// a child truncated in a failed run, which is never merged, cannot stop
+// a later run's children; it starts at 0, all dead, if the parent has
+// already truncated.
+func (tr *Tracer) newChildren(n int) []*Tracer {
+	dead := new(atomic.Int64)
+	if !tr.truncated {
+		dead.Store(int64(n))
+	}
+	cs := make([]*Tracer, n)
+	for i := range cs {
+		cs[i] = &Tracer{max: tr.max, idx: int64(i), dead: dead, tab: tr.tab}
+	}
+	return cs
+}
+
+// stopped reports whether the stop rule has reached this child.
+func (tr *Tracer) stopped() bool {
+	return tr.dead != nil && tr.idx >= tr.dead.Load()
+}
+
+// lowerDead lowers a child set's dead index to i unless it is already
+// lower.
+func lowerDead(dead *atomic.Int64, i int64) {
+	for cur := dead.Load(); i < cur && !dead.CompareAndSwap(cur, i); cur = dead.Load() {
 	}
 }
 
@@ -259,13 +286,18 @@ func (tr *Tracer) emit(ev traceEvent) {
 		return
 	}
 	if tr.max >= 0 && len(tr.events) >= tr.max {
+		// Reached the cap: a cold path, taken once per tracer. A child
+		// kills every child after it (see newChildren).
 		tr.truncated = true
+		if tr.dead != nil {
+			lowerDead(tr.dead, tr.idx+1)
+		}
 		return
 	}
 	if tr.events == nil {
-		// A child's first event: if the parent has already truncated,
-		// stop here rather than allocate a buffer the merge would drop.
-		if tr.stop.Load() {
+		// A child's first event: if its events cannot survive the
+		// merge, stop here rather than allocate a buffer.
+		if tr.stopped() {
 			tr.truncated = true
 			return
 		}
@@ -320,10 +352,10 @@ func (tr *Tracer) closeRegion(end uint64) {
 }
 
 // instr observes an instruction decode: the previous instruction's
-// slice is closed and a new one opened. A child whose parent has
-// truncated stops here.
+// slice is closed and a new one opened. A child the stop rule has
+// reached stops here.
 func (tr *Tracer) instr(abs uint64, pc uint32, op vax.Opcode) {
-	if tr.stop.Load() {
+	if tr.stopped() {
 		tr.truncated = true
 		return
 	}
@@ -379,28 +411,41 @@ func (tr *Tracer) finish(end uint64) {
 }
 
 // absorb appends a finished child tracer's events, shifted onto the
-// parent timeline. The cap is re-applied against the parent's running
-// event count, so a merged trace truncates at exactly the byte the
-// sequential trace would. Timestamps shift exactly because they are
-// integer cycles, and names need no remapping because a child's ids are
-// the parent's; nothing is re-derived. Once the parent has truncated it
-// raises the shared stop flag.
+// parent timeline, in one pass. The cap is re-applied against the
+// parent's running event count by emit's rule, so a merged trace
+// truncates at exactly the byte the sequential trace would: the parent
+// keeps as many events as it has room for, and truncates only if the
+// child holds more (a child that exactly fills the room does not
+// truncate it). Timestamps shift exactly because they are integer
+// cycles, and names need no remapping because a child's ids are the
+// parent's; nothing is re-derived. Once the parent has truncated, every
+// later child of the run is dead.
 func (tr *Tracer) absorb(child *Tracer, shift uint64) {
-	for _, ev := range child.events {
-		ev.Start += shift
-		if ev.Ph == 'X' {
-			ev.End += shift
+	if !tr.truncated {
+		evs := child.events
+		if tr.max >= 0 {
+			if room := max(tr.max-len(tr.events), 0); len(evs) > room {
+				evs, tr.truncated = evs[:room], true
+			}
 		}
-		tr.emit(ev)
+		tr.events = slices.Grow(tr.events, len(evs))
+		for _, ev := range evs {
+			ev.Start += shift
+			if ev.Ph == 'X' {
+				ev.End += shift
+			}
+			tr.events = append(tr.events, ev)
+		}
+		// A child that hit its own cap dropped events the sequential
+		// trace (which reaches the cap no later) would also have
+		// dropped; a child stopped by the rule dropped only events the
+		// parent would drop.
+		if child.truncated {
+			tr.truncated = true
+		}
 	}
-	// A child that hit its own cap dropped events the sequential trace
-	// (which reaches the cap no later) would also have dropped; a child
-	// stopped by the flag dropped only events the parent would drop.
-	if child.truncated {
-		tr.truncated = true
-	}
-	if tr.truncated {
-		tr.stop.Store(true)
+	if tr.truncated && child.dead != nil {
+		lowerDead(child.dead, child.idx+1)
 	}
 }
 
@@ -453,7 +498,8 @@ func (tr *Tracer) WriteTrace(w io.Writer) error {
 
 // traceWriter is WriteTrace's append-based encoder: a reused output
 // buffer, the first error the writer returned, the tracer's names and
-// metadata args, and the JSON-quoted form of every name id used so far.
+// metadata args, the JSON-quoted form of every name id used so far, and
+// a cache of formatted durations.
 type traceWriter struct {
 	w      io.Writer
 	buf    []byte
@@ -461,6 +507,7 @@ type traceWriter struct {
 	names  []string
 	meta   []map[string]any
 	quoted [][]byte // name id -> quoted form (nil until first use)
+	durs   *durCache
 }
 
 func (tr *Tracer) newWriter(w io.Writer) traceWriter {
@@ -470,7 +517,67 @@ func (tr *Tracer) newWriter(w io.Writer) traceWriter {
 		names:  tr.names.strs,
 		meta:   tr.metaArgs,
 		quoted: make([][]byte, len(tr.names.strs)),
+		durs:   new(durCache),
 	}
+}
+
+// appendMicros appends cycle c's trace time, cycleMicros(c), in
+// AppendFloat's shortest 'f' form, using integer arithmetic where that
+// is provably the same string. Below 2^50 cycles, when the product
+// equals the correctly rounded quotient float64(c)/5, the double is the
+// nearest one to the one-decimal value c/5 < 2^48. Doubles there are at
+// most 2^-5 apart, so the double's rounding interval holds no other
+// decimal with one fractional digit and no integer (unless c/5 is one),
+// and its shortest form is c/5 itself: the integer part, then "." and
+// 2·(c mod 5) when that is not 0. Every other value is formatted by
+// AppendFloat.
+func appendMicros(b []byte, c uint64) []byte {
+	f := cycleMicros(c)
+	if c >= 1<<50 || f != float64(c)/5 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendUint(b, c/5, 10)
+	if r := c % 5; r != 0 {
+		b = append(b, '.', byte('0'+2*r))
+	}
+	return b
+}
+
+// durCache holds the formatted forms of recently exported durations,
+// direct-mapped by the float's bits: a trace has few distinct durations
+// (hundreds among tens of thousands of slices), and the cache's fixed
+// size keeps export memory constant in the event count.
+type durCache [1 << durCacheBits]durEntry
+
+const durCacheBits = 10
+
+// durEntry is one cache slot: a duration's bits and its AppendFloat
+// form; n is 0 in an empty slot (no form is empty).
+type durEntry struct {
+	bits uint64
+	n    uint8
+	s    [23]byte
+}
+
+// durSlot is the cache slot of a duration's bits (Fibonacci hashing,
+// so durations that differ only in low mantissa bits spread out).
+func durSlot(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> (64 - durCacheBits) }
+
+// appendDur appends dur in AppendFloat's shortest 'f' form, from the
+// cache when its slot holds it. A form too long for a slot is formatted
+// each time.
+func (tw *traceWriter) appendDur(b []byte, dur float64) []byte {
+	bits := math.Float64bits(dur)
+	e := &tw.durs[durSlot(bits)]
+	if e.n != 0 && e.bits == bits {
+		return append(b, e.s[:e.n]...)
+	}
+	n := len(b)
+	b = strconv.AppendFloat(b, dur, 'f', -1, 64)
+	if s := b[n:]; len(s) <= len(e.s) {
+		e.bits, e.n = bits, uint8(copy(e.s[:], s))
+	}
+	return b
 }
 
 // flush hands the buffered bytes to the writer unless an error has
@@ -500,7 +607,9 @@ func (tw *traceWriter) quote(id uint16) []byte {
 // event appends one trace_event record; ts is 0 on metadata events.
 // Times are AppendFloat's shortest 'f' form, which is encoding/json's
 // float64 format for every value a trace holds: 0, or at least 0.2 µs
-// and below 0.2 × 2^64 < 1e21.
+// and below 0.2 × 2^64 < 1e21. appendMicros writes that form of a
+// timestamp with integers where it provably can, and appendDur caches
+// the form of each duration; both produce AppendFloat's exact bytes.
 func (tw *traceWriter) event(ev *traceEvent) {
 	b := append(tw.buf, `{"name":`...)
 	b = append(b, tw.quote(ev.Name)...)
@@ -510,12 +619,12 @@ func (tw *traceWriter) event(ev *traceEvent) {
 	if ev.Ph == 'M' {
 		b = append(b, '0')
 	} else {
-		b = strconv.AppendFloat(b, cycleMicros(ev.Start), 'f', -1, 64)
+		b = appendMicros(b, ev.Start)
 	}
 	if ev.Ph == 'X' {
 		if dur := cycleMicros(ev.End) - cycleMicros(ev.Start); dur != 0 {
 			b = append(b, `,"dur":`...)
-			b = strconv.AppendFloat(b, dur, 'f', -1, 64)
+			b = tw.appendDur(b, dur)
 		}
 	}
 	b = append(b, `,"pid":`...)

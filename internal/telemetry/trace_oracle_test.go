@@ -16,7 +16,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -108,7 +107,7 @@ func MatchOracle(tb testing.TB, t *Telemetry) {
 // newTestTracer builds an empty uncapped tracer over a table holding
 // only the fixed names.
 func newTestTracer() *Tracer {
-	return &Tracer{max: -1, stop: new(atomic.Bool), names: newNameTable()}
+	return &Tracer{max: -1, names: newNameTable()}
 }
 
 // FuzzWriteTrace builds a tracer from synthetic events — names and

@@ -52,16 +52,18 @@ type wlOutcome struct {
 // runParallel executes the pending workloads on a bounded worker pool
 // and merges in workload order.
 func (s *runState) runParallel() error {
-	jobs := make([]wlJob, 0, len(s.cfg.Workloads)-len(s.recs))
-	for i, id := range s.cfg.Workloads {
-		if i < len(s.recs) {
-			continue // resumed from the checkpoint
+	pending := s.cfg.Workloads[len(s.recs):] // not restored from the checkpoint
+	var tels []*telemetry.Telemetry
+	if s.tel != nil {
+		tels = s.tel.NewChildren(len(pending))
+	}
+	jobs := make([]wlJob, len(pending))
+	for n, id := range pending {
+		i := len(s.recs) + n
+		jobs[n] = wlJob{idx: i, id: id, plan: s.cfg.childPlan(i), led: s.led.Child()}
+		if tels != nil {
+			jobs[n].tel = tels[n]
 		}
-		j := wlJob{idx: i, id: id, plan: s.cfg.childPlan(i), led: s.led.Child()}
-		if s.tel != nil {
-			j.tel = s.tel.NewChild()
-		}
-		jobs = append(jobs, j)
 	}
 	return s.runJobs(jobs)
 }

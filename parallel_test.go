@@ -93,10 +93,16 @@ func TestParallelBitExact(t *testing.T) {
 // Chrome trace must splice back to the sequential timeline exactly —
 // on a short three-workload run, and on the 10k-instruction composite
 // with a 50 000-event trace cap that truncates inside the first
-// workload and a 150 000-event cap that truncates in the third, after
-// two workloads have merged whole: that case proves the stop flag the
-// merger raises drops no event that survives.
+// workload, a 150 000-event cap that truncates in the third and a
+// 250 000-event cap that truncates in the fifth, after earlier
+// workloads have merged whole, and a 100-event cap that every child
+// reaches: those cases prove the children's stop rule drops no event
+// that survives. A fault plan with transient retries reuses each child
+// across attempts, and its events must splice back exactly too.
 func TestParallelTelemetryBitExact(t *testing.T) {
+	retried := RunConfig{Instructions: 10_000, Faults: &FaultConfig{
+		Seed: 4, MemParity: 3e-5, MaxRetries: 8, RetryBackoff: 1,
+	}}
 	for _, c := range []struct {
 		cfg       RunConfig
 		workers   int
@@ -109,6 +115,10 @@ func TestParallelTelemetryBitExact(t *testing.T) {
 		{RunConfig{Instructions: 10_000}, 4, 100_000, 50_000, ""},
 		{RunConfig{Instructions: 10_000}, 2, 100_000, 150_000, "/cap=150000"},
 		{RunConfig{Instructions: 10_000}, 4, 100_000, 150_000, "/cap=150000"},
+		{RunConfig{Instructions: 10_000}, 2, 100_000, 250_000, "/cap=250000"},
+		{RunConfig{Instructions: 10_000}, 4, 100_000, 250_000, "/cap=250000"},
+		{RunConfig{Instructions: 10_000}, 4, 100_000, 100, "/cap=100"},
+		{retried, 4, 100_000, 150_000, "/cap=150000/retries"},
 	} {
 		t.Run(fmt.Sprintf("n=%d/j=%d%s", c.cfg.Instructions, c.workers, c.tag), func(t *testing.T) {
 			scfg := c.cfg
@@ -128,6 +138,9 @@ func TestParallelTelemetryBitExact(t *testing.T) {
 			}
 
 			compareResults(t, seq, par)
+			if c.cfg.Faults != nil && par.Retries == 0 {
+				t.Error("the fault plan retried nothing; the case exercises no retry")
+			}
 
 			if sc, pc := scfg.Telemetry.Counters(), pcfg.Telemetry.Counters(); sc != pc {
 				t.Errorf("live counters differ:\nseq %+v\npar %+v", sc, pc)

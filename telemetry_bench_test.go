@@ -9,7 +9,10 @@ package vax780
 // variants price each telemetry component, and observed prices the
 // whole layer as the benchmark's observed workload attaches it.
 
-import "testing"
+import (
+	"io"
+	"testing"
+)
 
 func benchRun(b *testing.B, tel func() *Telemetry) {
 	b.Helper()
@@ -48,13 +51,33 @@ func BenchmarkTelemetry(b *testing.B) {
 	// settings: the five-workload composite at 10k instructions on two
 	// workers, recording intervals and a trace that truncates inside the
 	// first workload. B/op is its deterministic proxy, up to a small
-	// spread: how many events a child collects before the merger's stop
-	// flag reaches it depends on scheduling.
+	// spread: how many events a later child collects before the first
+	// child's truncation stops it depends on scheduling.
 	b.Run("observed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cfg := RunConfig{Instructions: 10_000, Parallelism: 2, Telemetry: NewTelemetry(100_000, 50_000)}
 			if _, err := Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkWriteTrace prices the Chrome trace export alone: observed
+// builds the observed workload's trace once, outside the timer (the
+// 10k composite on two workers, truncated at 50 000 events), then
+// exports it into io.Discard. Its allocations are the export's own.
+func BenchmarkWriteTrace(b *testing.B) {
+	b.Run("observed", func(b *testing.B) {
+		tel := NewTelemetry(100_000, 50_000)
+		if _, err := Run(RunConfig{Instructions: 10_000, Parallelism: 2, Telemetry: tel}); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := tel.WriteTrace(io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
