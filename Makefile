@@ -139,15 +139,15 @@ vaxd-smoke:
 # and append one dated medians entry to BENCH_history.json (cmd/vaxbench).
 # LABEL names the change being measured.
 bench-all:
-	$(GO) test -run xxx -bench 'BenchmarkTelemetry|BenchmarkWriteTrace|BenchmarkFaults|BenchmarkParallelRun|BenchmarkProf|BenchmarkObs' \
-		-benchtime 20x -count 3 -benchmem . | $(GO) run ./cmd/vaxbench -label "$(LABEL)"
+	$(GO) test -run xxx -bench 'BenchmarkTelemetry|BenchmarkWriteTrace|BenchmarkFaults|BenchmarkParallelRun|BenchmarkProf|BenchmarkObs|BenchmarkMemRef|BenchmarkIBRefill' \
+		-benchtime 20x -count 3 -benchmem . ./internal/mem ./internal/ibox | $(GO) run ./cmd/vaxbench -label "$(LABEL)"
 
 # CI's cheap variant: one iteration of each suite piped through the
 # vaxbench parser (into a throwaway history) to prove the toolchain works.
 bench-smoke:
 	@rm -f /tmp/vaxbench_smoke.json
-	$(GO) test -run xxx -bench 'BenchmarkTelemetry|BenchmarkWriteTrace|BenchmarkFaults|BenchmarkParallelRun|BenchmarkProf|BenchmarkObs' \
-		-benchtime 1x -count 1 -benchmem . | $(GO) run ./cmd/vaxbench -history /tmp/vaxbench_smoke.json -label smoke
+	$(GO) test -run xxx -bench 'BenchmarkTelemetry|BenchmarkWriteTrace|BenchmarkFaults|BenchmarkParallelRun|BenchmarkProf|BenchmarkObs|BenchmarkMemRef|BenchmarkIBRefill' \
+		-benchtime 1x -count 1 -benchmem . ./internal/mem ./internal/ibox | $(GO) run ./cmd/vaxbench -history /tmp/vaxbench_smoke.json -label smoke
 
 # The benchmark harness (bench/) is a module of its own, so the root
 # fmt-check, vet and test targets do not reach it: format-check, vet

@@ -162,6 +162,9 @@ func TestAPIErrorMapping(t *testing.T) {
 	if code, _ := postJob(t, srv, `{"bogus_field":1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", code)
 	}
+	if code, _ := postJob(t, srv, `{"cache_bytes":1024,"cache_ways":256}`); code != http.StatusBadRequest {
+		t.Errorf("cache smaller than one set: status %d, want 400", code)
+	}
 	if code := getJSON(t, srv.URL+"/jobs/j-999999", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d, want 404", code)
 	}

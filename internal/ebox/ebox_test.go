@@ -38,17 +38,16 @@ type rig struct {
 	ib   *ibox.IBox
 	e    *EBOX
 	mon  *testMonitor
-	code map[uint32]byte
+	code map[uint32]*[ibox.PageBytes]byte // the code image, by page number
 }
 
 var sharedROM = urom.Build()
 
 func newRig() *rig {
-	r := &rig{rom: sharedROM, code: map[uint32]byte{}}
+	r := &rig{rom: sharedROM, code: map[uint32]*[ibox.PageBytes]byte{}}
 	r.mem = mem.New(mem.Config{})
-	r.ib = ibox.New(r.mem, func(va uint32) (byte, bool) {
-		b, ok := r.code[va]
-		return b, ok
+	r.ib = ibox.New(r.mem, func(va uint32) *[ibox.PageBytes]byte {
+		return r.code[va/ibox.PageBytes]
 	})
 	r.mon = newTestMonitor()
 	r.e = New(r.rom, r.mem, r.ib, r.mon)
@@ -63,7 +62,13 @@ func newRig() *rig {
 func (r *rig) load(in *vax.Instr, pc uint32) {
 	in.PC = pc
 	for i, b := range vax.Encode(nil, in) {
-		r.code[pc+uint32(i)] = b
+		va := pc + uint32(i)
+		pg := r.code[va/ibox.PageBytes]
+		if pg == nil {
+			pg = new([ibox.PageBytes]byte)
+			r.code[va/ibox.PageBytes] = pg
+		}
+		pg[va%ibox.PageBytes] = b
 	}
 }
 
@@ -384,7 +389,7 @@ func TestRunawayMicrocodeDetected(t *testing.T) {
 	rom := &urom.ROM{Image: img}
 	rom.IRD = img.Addr("ird")
 	m := mem.New(mem.Config{})
-	ib := ibox.New(m, func(uint32) (byte, bool) { return 0, false })
+	ib := ibox.New(m, func(uint32) *[ibox.PageBytes]byte { return nil })
 	e := New(rom, m, ib, nil)
 	err := e.RunOverhead(img.Addr("spin"), &InstrCtx{DstSpec: -1, FieldSpec: -1})
 	if err == nil {

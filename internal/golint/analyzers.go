@@ -18,12 +18,18 @@ type HotTarget struct {
 	Func    string
 }
 
-// DefaultHotTargets is the repository's per-cycle path.
+// DefaultHotTargets is the repository's per-cycle path, and the
+// per-reference path below it (TB probes, cache lookups, IB refills).
 var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "tick"},
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "fusedReplay"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "Tick"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "TickRun"},
+	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "tickSlow"},
+	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "accept"},
+	{PkgPath: "vax780/internal/mem", Recv: "Cache", Func: "access"},
+	{PkgPath: "vax780/internal/mem", Recv: "TB", Func: "lookup"},
+	{PkgPath: "vax780/internal/mem", Recv: "System", Func: "Translate"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "Fast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickRun"},

@@ -6,6 +6,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -197,6 +199,60 @@ func TestHotPathMissingTarget(t *testing.T) {
 	wantMsgs(t, runOn(t, hotSrc, an),
 		"hot target M.tickRun not declared in p",
 		"hot target gone not declared in p")
+}
+
+// TestHotPathFlagsCacheAccessAlloc: the per-reference targets are live.
+// A make planted in Cache.access, in a copy of internal/mem, is flagged
+// exactly once.
+func TestHotPathFlagsCacheAccessAlloc(t *testing.T) {
+	root, modPath, err := ModuleRoot("")
+	if err != nil {
+		t.Fatalf("ModuleRoot: %v", err)
+	}
+	const sig = "func (c *Cache) access(pa uint32, allocate bool) bool {\n"
+	src := filepath.Join(root, "internal", "mem")
+	copyRoot := t.TempDir()
+	dst := filepath.Join(copyRoot, "internal", "mem")
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(copyRoot, "go.mod"), []byte("module "+modPath+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := false
+	for _, e := range ents {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "cache.go" {
+			if !strings.Contains(string(data), sig) {
+				t.Fatalf("cache.go no longer declares %q", sig)
+			}
+			data = []byte(strings.Replace(string(data), sig, sig+"\t_ = make([]uint32, c.ways)\n", 1))
+			planted = true
+		}
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !planted {
+		t.Fatal("internal/mem has no cache.go")
+	}
+	pkgs, err := LoadPackages(copyRoot, modPath, []string{modPath + "/internal/mem"})
+	if err != nil {
+		t.Fatalf("LoadPackages: %v", err)
+	}
+	wantMsgs(t, Run(pkgs, []*Analyzer{HotPathAnalyzer(DefaultHotTargets)}),
+		"access: make allocates on the per-cycle path")
 }
 
 const probeSrc = `package p

@@ -25,11 +25,15 @@ var ErrConsumeOverrun = errors.New("ibox: consume beyond buffer")
 // Capacity is the size of the instruction buffer in bytes.
 const Capacity = 8
 
-// ByteSource supplies the actual instruction-stream bytes at a virtual
-// address (the machine's materialized code image). ok=false means no code
-// is materialized there; the IB receives a zero filler byte, which the
-// decode path never consumes.
-type ByteSource func(va uint32) (b byte, ok bool)
+// PageBytes is the size of a code page: the unit PageSource hands out.
+const PageBytes = 512
+
+// PageSource supplies the code page holding va (the machine's
+// materialized code image), or nil when no code is materialized there:
+// the IB then receives zero filler bytes, which the decode path never
+// consumes. The IB keeps the last page it was given and asks again only
+// when the fetch moves to another page (or the page it holds is nil).
+type PageSource func(va uint32) *[PageBytes]byte
 
 // Probe is the passive telemetry hook of the I-Fetch stage; nil on an
 // uninstrumented machine (the fast path).
@@ -51,7 +55,7 @@ type FaultInjector interface {
 // IBox is the I-Fetch stage.
 type IBox struct {
 	mem *mem.System
-	src ByteSource
+	src PageSource
 
 	// Probe, when non-nil, observes refills and I-stream TB misses.
 	Probe Probe
@@ -59,10 +63,25 @@ type IBox struct {
 	// Fault, when non-nil, injects refill drops.
 	Fault FaultInjector
 
-	buf     [Capacity]byte
+	// The buffered bytes are the window win[head : head+bufLen]:
+	// Consume advances head, and accept slides the window back to the
+	// front only when a longword would not fit behind it.
+	win     [4 * Capacity]byte
+	head    int
 	bufLen  int
-	bufVA   uint32 // VA of buf[0]
+	bufVA   uint32 // VA of win[head]
 	fetchVA uint32 // VA of the next byte to request
+
+	// code is the last page src returned, for the page numbered codePg.
+	code   *[PageBytes]byte
+	codePg uint32
+
+	// The last I-stream translation: VAs [xlVA, xlVA+xlSpan) map to
+	// xlPA onward while the memory system's Gen is xlGen. xlSpan is 0
+	// until the first translation.
+	xlVA, xlPA, xlSpan uint32
+	xlGen              uint64
+	memPageBytes       uint32 // the memory system's page size (the translation unit)
 
 	pending       bool
 	pendingArrive uint64
@@ -79,12 +98,12 @@ type IBox struct {
 }
 
 // New builds an IBox over the given memory system and code image.
-func New(m *mem.System, src ByteSource) *IBox {
-	return &IBox{mem: m, src: src}
+func New(m *mem.System, src PageSource) *IBox {
+	return &IBox{mem: m, src: src, memPageBytes: uint32(m.Config().PageBytes)}
 }
 
 // Bytes returns the current IB contents, starting at BufVA.
-func (ib *IBox) Bytes() []byte { return ib.buf[:ib.bufLen] }
+func (ib *IBox) Bytes() []byte { return ib.win[ib.head : ib.head+ib.bufLen] }
 
 // BufVA returns the virtual address of the first buffered byte.
 func (ib *IBox) BufVA() uint32 { return ib.bufVA }
@@ -98,7 +117,7 @@ func (ib *IBox) Consume(n int) error {
 		// the machine-check that wraps it records the VA and fault site.
 		return ErrConsumeOverrun
 	}
-	copy(ib.buf[:], ib.buf[n:ib.bufLen])
+	ib.head += n
 	ib.bufLen -= n
 	ib.bufVA += uint32(n)
 	ib.Consumed += uint64(n)
@@ -108,7 +127,7 @@ func (ib *IBox) Consume(n int) error {
 // Redirect flushes the IB and restarts fetching at target (a taken
 // branch, or an initial resync). Any in-flight refill is discarded.
 func (ib *IBox) Redirect(target uint32) {
-	ib.bufLen = 0
+	ib.head, ib.bufLen = 0, 0
 	ib.bufVA = target
 	ib.fetchVA = target
 	ib.pending = false
@@ -189,15 +208,26 @@ func (ib *IBox) tickSlow(now uint64) {
 		return
 	}
 	va := ib.fetchVA
-	pa, ok := ib.mem.Translate(va)
-	if !ok {
-		ib.itbMiss = true
-		ib.itbMissVA = va
-		ib.mem.NoteTBMiss(true)
-		if ib.Probe != nil {
-			ib.Probe.TBMiss(now, true, va)
+	var pa uint32
+	if d := va - ib.xlVA; d < ib.xlSpan && ib.xlGen == ib.mem.Gen() {
+		// Same page, and nothing that could change its translation has
+		// happened since: the TB would hit with the same frame.
+		ib.mem.Reprobe(va)
+		pa = ib.xlPA + d
+	} else {
+		var ok bool
+		if pa, ok = ib.mem.Translate(va); !ok {
+			ib.itbMiss = true
+			ib.itbMissVA = va
+			ib.mem.NoteTBMiss(true)
+			if ib.Probe != nil {
+				ib.Probe.TBMiss(now, true, va)
+			}
+			return
 		}
-		return
+		off := ib.mem.PageOffset(va)
+		ib.xlVA, ib.xlPA, ib.xlGen = va-off, pa-off, ib.mem.Gen()
+		ib.xlSpan = ib.memPageBytes
 	}
 	latency, miss := ib.mem.IRead(pa&^3, now)
 	ib.Refs++
@@ -215,8 +245,10 @@ func (ib *IBox) tickSlow(now uint64) {
 // costing cycles but never correctness.
 func (ib *IBox) accept() {
 	ib.pending = false
-	if ib.Fault != nil && ib.Fault.DropRefill(ib.fetchVA) {
-		return
+	if ib.Fault != nil {
+		if ib.Fault.DropRefill(ib.fetchVA) {
+			return
+		}
 	}
 	inLongword := 4 - int(ib.fetchVA&3)
 	room := Capacity - ib.bufLen
@@ -224,9 +256,20 @@ func (ib *IBox) accept() {
 	if take > room {
 		take = room
 	}
-	for i := 0; i < take; i++ {
-		b, _ := ib.src(ib.fetchVA + uint32(i))
-		ib.buf[ib.bufLen+i] = b
+	if ib.head+ib.bufLen+take > len(ib.win) {
+		copy(ib.win[:], ib.Bytes())
+		ib.head = 0
+	}
+	// A longword never straddles a code page.
+	if pg := ib.fetchVA / PageBytes; ib.code == nil || pg != ib.codePg {
+		ib.code, ib.codePg = ib.src(ib.fetchVA), pg
+	}
+	dst := ib.win[ib.head+ib.bufLen : ib.head+ib.bufLen+take]
+	if ib.code != nil {
+		off := ib.fetchVA % PageBytes
+		copy(dst, ib.code[off:off+uint32(take)])
+	} else {
+		clear(dst)
 	}
 	ib.bufLen += take
 	ib.fetchVA += uint32(take)

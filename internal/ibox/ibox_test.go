@@ -2,18 +2,24 @@ package ibox
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"vax780/internal/mem"
 )
 
-// linearSource returns va&0xFF for every materialized address.
-func linearSource(materialized map[uint32]bool) ByteSource {
-	return func(va uint32) (byte, bool) {
-		if materialized != nil && !materialized[va] {
-			return 0, false
+// linearSource returns pages holding va&0xFF at every materialized
+// address and 0 elsewhere.
+func linearSource(materialized map[uint32]bool) PageSource {
+	return func(va uint32) *[PageBytes]byte {
+		p := new([PageBytes]byte)
+		base := va &^ (PageBytes - 1)
+		for i := range p {
+			if a := base + uint32(i); materialized == nil || materialized[a] {
+				p[i] = byte(a)
+			}
 		}
-		return byte(va), true
+		return p
 	}
 }
 
@@ -190,4 +196,101 @@ func TestForceResyncCounts(t *testing.T) {
 	if ib.Resyncs != 1 || ib.BufVA() != 0x5000 {
 		t.Errorf("resync: count=%d va=%#x", ib.Resyncs, ib.BufVA())
 	}
+}
+
+// TestTranslationReuse: a refill that reuses the saved I-stream
+// translation must fetch the physical longword a fresh Translate would
+// give, and still leave one TB probe in VTrace per reference, across
+// TB inserts, process-half flushes and context switches that change
+// or evict the mapping.
+func TestTranslationReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	// One set per TB half: the five process pages keep evicting each
+	// other.
+	m := mem.New(mem.Config{TBEntries: 4})
+	twin := mem.New(mem.Config{TBEntries: 4}) // the direct path
+	m.Trace, m.VTrace = &mem.RefTrace{}, &mem.VATrace{}
+	ib := New(m, linearSource(nil))
+	both := func(f func(*mem.System)) { f(m); f(twin) }
+	pages := []uint32{0x1000, 0x1200, 0x1400, 0x5e00, 0x9000, 0x8000_3000, 0x8000_3200}
+	now := uint64(0)
+	reused, fresh := 0, 0
+	for op := 0; op < 20000; op++ {
+		switch r := rng.Intn(16); {
+		case r < 10:
+			probes, refs := len(m.VTrace.Refs), len(m.Trace.Refs)
+			gen := m.Gen()
+			saved := ib.xlSpan != 0 && ib.xlGen == gen && ib.fetchVA-ib.xlVA < ib.xlSpan
+			ib.Tick(now, true)
+			now++
+			if len(m.Trace.Refs) == refs {
+				continue
+			}
+			if saved {
+				reused++
+			} else {
+				fresh++
+			}
+			if len(m.VTrace.Refs) != probes+1 {
+				t.Fatalf("op %d: %d TB probes for one reference", op, len(m.VTrace.Refs)-probes)
+			}
+			va := m.VTrace.Refs[probes].VA
+			pa, ok := twin.Translate(va)
+			if got := m.Trace.Refs[refs].PA; !ok || got != pa&^3 {
+				t.Fatalf("op %d: refill of %#x read %#x, Translate gives %#x (hit %v)", op, va, got, pa&^3, ok)
+			}
+		case r < 12:
+			if ib.bufLen > 0 {
+				ib.Consume(1 + rng.Intn(ib.bufLen))
+			}
+		case r == 12:
+			ib.Redirect(pages[rng.Intn(len(pages))] + uint32(rng.Intn(512)))
+		case r == 13:
+			va := pages[rng.Intn(len(pages))]
+			both(func(s *mem.System) { s.InsertTB(va) })
+		case r == 14:
+			both(func(s *mem.System) { s.FlushProcessTB() })
+		default:
+			asid := uint32(rng.Intn(3))
+			both(func(s *mem.System) { s.SetASID(asid) })
+		}
+		if miss, va := ib.ITBMiss(); miss {
+			both(func(s *mem.System) { s.InsertTB(va) })
+			ib.ClearITBMiss()
+		}
+	}
+	if reused < 500 || fresh < 500 {
+		t.Errorf("%d refills reused the saved translation and %d translated afresh; want both", reused, fresh)
+	}
+}
+
+// BenchmarkIBRefill prices the I-Fetch stage's refill path in
+// isolation: a free cache port every cycle, sequential code over eight
+// TB-resident pages, and a decode side that takes three bytes whenever
+// four are buffered. One op is 4096 cycles; ns/refill divides the time
+// by the references the IB issued.
+func BenchmarkIBRefill(b *testing.B) {
+	const base, end = 0x1000, 0x1000 + 8*PageBytes
+	m := mem.New(mem.Config{})
+	for va := uint32(base); va < end; va += PageBytes {
+		m.InsertTB(va)
+	}
+	code := linearSource(nil)(0)
+	ib := New(m, func(uint32) *[PageBytes]byte { return code })
+	ib.Redirect(base)
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := uint64(0)
+	for i := 0; i < b.N; i++ {
+		for stop := now + 4096; now < stop; now++ {
+			ib.Tick(now, true)
+			if ib.bufLen >= 4 {
+				ib.Consume(3)
+			}
+			if ib.fetchVA >= end {
+				ib.Redirect(base)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ib.Refs), "ns/refill")
 }

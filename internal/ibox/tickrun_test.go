@@ -23,9 +23,12 @@ func sameState(t *testing.T, step, bulk *IBox, ctx string) {
 		step.Refs != bulk.Refs || step.Consumed != bulk.Consumed {
 		t.Fatalf("%s: stage state diverged:\nstep %+v\nbulk %+v", ctx, step, bulk)
 	}
-	for i := 0; i < step.bufLen; i++ {
-		if step.buf[i] != bulk.buf[i] {
+	for i, b := range step.Bytes() {
+		if b != bulk.Bytes()[i] {
 			t.Fatalf("%s: buffered byte %d differs", ctx, i)
+		}
+		if want := byte(step.bufVA + uint32(i)); b != want {
+			t.Fatalf("%s: buffered byte %d is %#x, the code image holds %#x", ctx, i, b, want)
 		}
 	}
 }

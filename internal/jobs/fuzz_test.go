@@ -21,6 +21,10 @@ func FuzzSpec(f *testing.F) {
 	// the cache and TB constructors.
 	f.Add([]byte(`{"cache_ways":2305843009213693952}`))
 	f.Add([]byte(`{"tb_entries":4611686018427387904}`))
+	// Geometries the cache and TB would round: rejected, not simulated.
+	f.Add([]byte(`{"cache_ways":3}`))
+	f.Add([]byte(`{"tb_entries":2}`))
+	f.Add([]byte(`{"cache_bytes":1024,"cache_ways":256}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Spec

@@ -106,6 +106,12 @@ func TestSpecValidate(t *testing.T) {
 		{"oversized miss latency", Spec{MissLatency: 1 << 62}, false},
 		{"oversized write busy", Spec{WriteBusy: 1 << 62}, false},
 		{"oversized point tb entries", Spec{Points: []Point{{Label: "a"}, {Label: "b", TBEntries: 1 << 62}}}, false},
+		// Sizes the cache and TB cannot be built at: they used to run a
+		// rounded geometry under the requested name.
+		{"cache ways not dividing the size", Spec{CacheWays: 3}, false},
+		{"cache smaller than one set", Spec{CacheBytes: 1024, CacheWays: 256}, false},
+		{"tb entries below two halves of two ways", Spec{TBEntries: 2}, false},
+		{"tb entries not a multiple of four", Spec{Points: []Point{{Label: "a", TBEntries: 129}}}, false},
 		{"largest in-repo sweep point", Spec{Points: []Point{{Label: "16KB/4-way", CacheBytes: 16 << 10, CacheWays: 4}}}, true},
 	}
 	for _, tc := range cases {

@@ -7,6 +7,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 
@@ -163,17 +164,10 @@ type Machine struct {
 	// progress is the attached live-progress cell (nil: untracked).
 	progress *ProgressCell
 
-	prog    *workload.Program
 	started bool
-
-	// Hot code-page cache for the IB byte source (one machine = one
-	// goroutine, so this needs no locking).
-	cachePage uint32
-	cacheData *[512]byte
-	cacheUsed *[512]bool
-	inInt     bool   // executing on the interrupt stack
-	savedSP   uint32 // process SP while on the interrupt stack
-	curASID   uint32
+	inInt   bool   // executing on the interrupt stack
+	savedSP uint32 // process SP while on the interrupt stack
+	curASID uint32
 
 	// ctxBuf is the reused execution-context buffer: one InstrCtx per
 	// machine instead of one per instruction (the context is dead once
@@ -181,21 +175,6 @@ type Machine struct {
 	ctxBuf ebox.InstrCtx
 
 	procSP map[uint32]uint32 // per-process saved stack pointers
-}
-
-// codeByte is the IB's byte source: Program.Byte with a one-page cache
-// (instruction fetch is overwhelmingly sequential within a page).
-func (m *Machine) codeByte(va uint32) (byte, bool) {
-	pg := va >> 9
-	if pg != m.cachePage || m.cacheData == nil {
-		m.cacheData, m.cacheUsed = m.prog.Page(va)
-		m.cachePage = pg
-	}
-	if m.cacheData == nil {
-		return 0, false
-	}
-	off := va & 511
-	return m.cacheData[off], m.cacheUsed[off]
 }
 
 // sharedROM is built once: the microprogram is immutable.
@@ -210,10 +189,9 @@ func New(cfg Config, prog *workload.Program) *Machine {
 		Mem:    mem.New(cfg.Mem),
 		ROM:    sharedROM,
 		Mon:    cfg.Monitor,
-		prog:   prog,
 		procSP: make(map[uint32]uint32),
 	}
-	m.IB = ibox.New(m.Mem, m.codeByte)
+	m.IB = ibox.New(m.Mem, prog.Page)
 	var mon ebox.Monitor
 	if cfg.Monitor != nil {
 		mon = cfg.Monitor
@@ -411,46 +389,77 @@ func (m *Machine) runInstr(it *workload.Item) error {
 	return nil
 }
 
+// opCtx is the per-opcode half of buildCtx, read from the opcode's
+// specifier templates once instead of on every instruction.
+type opCtx struct {
+	dst   uint8 // bit i set: slot i is a write or modify operand (≤ 6 slots)
+	field int8  // the (last) bit-field base slot, or -1
+	addr0 int8  // the first address operand slot, or -1
+	addrN int8  // the last address operand slot, or -1
+	flow  vax.ExecFlow
+}
+
+var opCtxTable = func() (t [256]opCtx) {
+	for op := range t {
+		oc := &t[op]
+		oc.field, oc.addr0, oc.addrN = -1, -1, -1
+		info := vax.Opcode(op).Info()
+		if info == nil {
+			continue
+		}
+		oc.flow = info.Flow
+		for i, tmpl := range info.Specs {
+			switch tmpl.Access {
+			case vax.AccWrite, vax.AccModify:
+				oc.dst |= 1 << i
+			case vax.AccVField:
+				oc.field = int8(i)
+			case vax.AccAddress:
+				if oc.addr0 < 0 {
+					oc.addr0 = int8(i)
+				}
+				oc.addrN = int8(i)
+			}
+		}
+	}
+	return t
+}()
+
 // buildCtx derives the execution context of one instruction: destination
 // specifier, field-base specifier, string cursors, and the scalar data
 // cursor, per the conventions the microcode flows rely on.
 func (m *Machine) buildCtx(in *vax.Instr) *ebox.InstrCtx {
-	info := in.Info()
+	oc := &opCtxTable[in.Op]
 	ctx := &m.ctxBuf
 	*ctx = ebox.InstrCtx{
 		In:        in,
 		DstSpec:   -1,
-		FieldSpec: -1,
+		FieldSpec: int(oc.field),
 		ScalarVA:  sysScratchBase + uint32(m.Stats.Instrs%64)*4,
 		Target:    in.Target,
 	}
 
-	addrSpecs := make([]int, 0, 3)
-	for i, t := range info.Specs {
-		sp := &in.Specs[i]
-		switch t.Access {
-		case vax.AccWrite, vax.AccModify:
-			if sp.Mode.IsMemory() {
-				ctx.DstSpec = i // last memory write/modify wins
-			}
-		case vax.AccVField:
-			ctx.FieldSpec = i
-		case vax.AccAddress:
-			addrSpecs = append(addrSpecs, i)
+	// The last write/modify operand in memory is the destination.
+	for mask := oc.dst; mask != 0; {
+		i := bits.Len8(mask) - 1
+		if in.Specs[i].Mode.IsMemory() {
+			ctx.DstSpec = i
+			break
 		}
+		mask &^= 1 << i
 	}
 
 	// String cursors: the first address operand is the source string, the
 	// last the destination (MOVC3: len, src, dst; decimal ops likewise).
-	if len(addrSpecs) > 0 {
-		ctx.StrSrc = in.Specs[addrSpecs[0]].Addr
-		ctx.StrDst = in.Specs[addrSpecs[len(addrSpecs)-1]].Addr
+	if oc.addr0 >= 0 {
+		ctx.StrSrc = in.Specs[oc.addr0].Addr
+		ctx.StrDst = in.Specs[oc.addrN].Addr
 		// The scalar cursor also points at structured data the flow
 		// touches (entry masks, queue headers).
-		ctx.ScalarVA = in.Specs[addrSpecs[len(addrSpecs)-1]].Addr
+		ctx.ScalarVA = ctx.StrDst
 	}
 
-	switch info.Flow {
+	switch oc.flow {
 	case vax.FlowCase:
 		// The case dispatch table follows the instruction.
 		ctx.ScalarVA = in.PC + uint32(in.Size())
@@ -470,6 +479,7 @@ func (m *Machine) CPI() float64 {
 
 // Describe renders the Figure 1 block diagram of the simulated system:
 // the CPU pipeline and memory subsystem components and their connections.
+// The cache and TB sizes are the ones built, not the ones requested.
 func (m *Machine) Describe() string {
 	cfg := m.Mem.Config()
 	ext := m.ROM.Image.RegionExtents()
@@ -504,12 +514,17 @@ func (m *Machine) Describe() string {
 	b.WriteString("        v                                                      v\n")
 	b.WriteString(hdr("memory subsystem"))
 	b.WriteString(box(""))
+	cacheBytes, tbEntries := m.Mem.Geometry()
+	cacheSize := fmt.Sprintf("%d KB", cacheBytes>>10)
+	if cacheBytes%1024 != 0 {
+		cacheSize = fmt.Sprintf("%d bytes", cacheBytes)
+	}
 	b.WriteString(box(fmt.Sprintf("  Translation Buffer: %d entries, %d-way, split system/process",
-		cfg.TBEntries, cfg.TBWays)))
+		tbEntries, cfg.TBWays)))
 	b.WriteString(box("        | physical address"))
 	b.WriteString(box("        v"))
-	b.WriteString(box(fmt.Sprintf("  Cache: %d KB, %d-way, %d-byte blocks, write-through",
-		cfg.CacheBytes>>10, cfg.CacheWays, cfg.CacheBlock)))
+	b.WriteString(box(fmt.Sprintf("  Cache: %s, %d-way, %d-byte blocks, write-through",
+		cacheSize, cfg.CacheWays, cfg.CacheBlock)))
 	b.WriteString(box("        | read miss            \\--> Write Buffer (1 longword)"))
 	b.WriteString(box("        v                                  |"))
 	b.WriteString(box(fmt.Sprintf("  SBI (Synchronous Backplane Interconnect), %d-cycle memory read",

@@ -1,9 +1,11 @@
 package machine
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
+	"vax780/internal/ebox"
 	"vax780/internal/mem"
 	"vax780/internal/upc"
 	"vax780/internal/vax"
@@ -470,5 +472,79 @@ func TestContextSwitchInsideInterruptBanksSP(t *testing.T) {
 	// The outgoing process's SP was banked for its next turn.
 	if banked, ok := m.procSP[1]; !ok || banked != oldSP {
 		t.Errorf("process 1 SP banked as %#x,%v; want %#x", banked, ok, oldSP)
+	}
+}
+
+// specScanCtx is the direct derivation buildCtx's per-opcode table
+// replaced: a scan of the opcode's specifier templates on every
+// instruction.
+func specScanCtx(m *Machine, in *vax.Instr) ebox.InstrCtx {
+	info := in.Info()
+	ctx := ebox.InstrCtx{
+		In:        in,
+		DstSpec:   -1,
+		FieldSpec: -1,
+		ScalarVA:  sysScratchBase + uint32(m.Stats.Instrs%64)*4,
+		Target:    in.Target,
+	}
+	var addrSpecs []int
+	for i, t := range info.Specs {
+		switch t.Access {
+		case vax.AccWrite, vax.AccModify:
+			if in.Specs[i].Mode.IsMemory() {
+				ctx.DstSpec = i
+			}
+		case vax.AccVField:
+			ctx.FieldSpec = i
+		case vax.AccAddress:
+			addrSpecs = append(addrSpecs, i)
+		}
+	}
+	if len(addrSpecs) > 0 {
+		ctx.StrSrc = in.Specs[addrSpecs[0]].Addr
+		ctx.StrDst = in.Specs[addrSpecs[len(addrSpecs)-1]].Addr
+		ctx.ScalarVA = ctx.StrDst
+	}
+	switch info.Flow {
+	case vax.FlowCase:
+		ctx.ScalarVA = in.PC + uint32(in.Size())
+	case vax.FlowSvpctx, vax.FlowLdpctx:
+		ctx.ScalarVA = pcbBase + m.curASID*0x200
+	}
+	return ctx
+}
+
+// TestBuildCtxMatchesSpecScan holds the table-driven decode context to
+// the per-instruction scan for every modelled opcode under random
+// addressing modes, so opcodes with several write operands or address
+// operands are covered whether or not a workload emits them.
+func TestBuildCtxMatchesSpecScan(t *testing.T) {
+	m := New(Config{}, workload.NewProgram())
+	rng := rand.New(rand.NewSource(3))
+	checked := 0
+	for op := 0; op < 256; op++ {
+		info := vax.Opcode(op).Info()
+		if info == nil {
+			continue
+		}
+		for trial := 0; trial < 64; trial++ {
+			in := &vax.Instr{Op: vax.Opcode(op), PC: rng.Uint32(), Target: rng.Uint32()}
+			for range info.Specs {
+				in.Specs = append(in.Specs, vax.Specifier{
+					Mode:  vax.AddrMode(rng.Intn(int(vax.NumAddrModes))),
+					Index: -1,
+					Addr:  rng.Uint32(),
+				})
+			}
+			m.Stats.Instrs = uint64(rng.Intn(1 << 20))
+			m.curASID = uint32(rng.Intn(8))
+			if got, want := *m.buildCtx(in), specScanCtx(m, in); got != want {
+				t.Fatalf("%s: buildCtx %+v, spec scan %+v", info.Name, got, want)
+			}
+			checked++
+		}
+	}
+	if checked < 64*100 {
+		t.Errorf("only %d instructions checked", checked)
 	}
 }

@@ -3,13 +3,18 @@ package mem
 // Cache models the 11/780 data cache: physically addressed, write-through,
 // no write-allocate. Both the D-stream and the IB refill path reference
 // it; a read miss fills the block, a write updates only on hit.
+//
+// The tag store is one flat slice, set s's ways at [s*ways, (s+1)*ways).
+// An entry holds tag+1, so 0 is an invalid way and a probe is one
+// compare per way. (tag+1 cannot wrap: a tag is at most 2^32−1 only for
+// 1-byte blocks in a one-set cache.)
 type Cache struct {
 	ways      int
-	sets      int
+	sets      divisor
+	waysDiv   divisor
 	blockBits uint
 
-	tags  [][]uint32
-	valid [][]bool
+	tags []uint32
 	// round-robin victim pointer per set (the 780 used random
 	// replacement; round-robin is the standard deterministic stand-in).
 	victim []uint32
@@ -20,15 +25,14 @@ func newCache(bytes, ways, block int) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	c := &Cache{ways: ways, sets: sets, blockBits: log2(block)}
-	c.tags = make([][]uint32, sets)
-	c.valid = make([][]bool, sets)
-	c.victim = make([]uint32, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint32, ways)
-		c.valid[i] = make([]bool, ways)
+	return &Cache{
+		ways:      ways,
+		sets:      newDivisor(sets),
+		waysDiv:   newDivisor(ways),
+		blockBits: log2(block),
+		tags:      make([]uint32, sets*ways),
+		victim:    make([]uint32, sets),
 	}
-	return c
 }
 
 func log2(n int) uint {
@@ -43,28 +47,18 @@ func log2(n int) uint {
 // (fill on miss) versus write behaviour (update on hit only). It reports
 // whether the reference hit.
 func (c *Cache) access(pa uint32, allocate bool) bool {
-	blk := pa >> c.blockBits
-	set := blk % uint32(c.sets)
-	tag := blk / uint32(c.sets)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[set][w] && c.tags[set][w] == tag {
+	tag, set := c.sets.divmod(pa >> c.blockBits)
+	key := tag + 1
+	i := int(set) * c.ways
+	row := c.tags[i : i+c.ways]
+	for _, t := range row {
+		if t == key {
 			return true
 		}
 	}
 	if allocate {
-		v := c.victim[set] % uint32(c.ways)
+		row[c.waysDiv.mod(c.victim[set])] = key
 		c.victim[set]++
-		c.tags[set][v] = tag
-		c.valid[set][v] = true
 	}
 	return false
-}
-
-// Flush invalidates the whole cache.
-func (c *Cache) Flush() {
-	for s := range c.valid {
-		for w := range c.valid[s] {
-			c.valid[s][w] = false
-		}
-	}
 }

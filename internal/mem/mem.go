@@ -44,7 +44,9 @@ func Default() Config {
 	}
 }
 
-func (c *Config) fillDefaults() {
+// WithDefaults returns c with every zero field replaced by its 11/780
+// value: the configuration New builds.
+func (c Config) WithDefaults() Config {
 	d := Default()
 	if c.CacheBytes == 0 {
 		c.CacheBytes = d.CacheBytes
@@ -76,6 +78,7 @@ func (c *Config) fillDefaults() {
 	if c.PTERegionBytes == 0 {
 		c.PTERegionBytes = d.PTERegionBytes
 	}
+	return c
 }
 
 // Probe is the passive telemetry hook of the memory subsystem: like the
@@ -180,6 +183,16 @@ type System struct {
 
 	asid uint32 // current process context for process-space translation
 
+	// gen changes whenever a Translate result could change: on every
+	// TB insert, process-half flush and context switch. A caller may
+	// reuse a translation it saved while gen is unchanged (see Gen).
+	gen uint64
+
+	// Index arithmetic without hardware divides (see divisor).
+	page    divisor // VA → page number and offset
+	frames  divisor // frame-hash key → frame number
+	pteHalf divisor // PTE offset within its half of the PTE region
+
 	// sbiFreeAt is the cycle at which the SBI finishes its current
 	// transaction; concurrent activity queues behind it.
 	sbiFreeAt uint64
@@ -189,15 +202,33 @@ type System struct {
 
 // New builds a memory system from cfg (zero fields take 11/780 defaults).
 func New(cfg Config) *System {
-	cfg.fillDefaults()
-	s := &System{cfg: cfg}
-	s.tb = newTB(cfg.TBEntries, cfg.TBWays, cfg.PageBytes)
-	s.cache = newCache(cfg.CacheBytes, cfg.CacheWays, cfg.CacheBlock)
-	return s
+	cfg = cfg.WithDefaults()
+	if cfg.PageBytes < 2 || cfg.CacheBlock < 2 {
+		// Below 2 bytes a page number or cache tag can reach 2^32−1,
+		// and the TB's vpn+1 / the cache's tag+1 encoding would wrap.
+		panic(fmt.Sprintf("mem: page %d and block %d bytes must be at least 2",
+			cfg.PageBytes, cfg.CacheBlock))
+	}
+	return &System{
+		cfg:     cfg,
+		tb:      newTB(cfg.TBEntries, cfg.TBWays),
+		cache:   newCache(cfg.CacheBytes, cfg.CacheWays, cfg.CacheBlock),
+		page:    newDivisor(cfg.PageBytes),
+		frames:  newDivisor(cfg.MemoryBytes / cfg.PageBytes),
+		pteHalf: newDivisor(cfg.PTERegionBytes / 2),
+	}
 }
 
 // Config returns the active configuration.
 func (s *System) Config() Config { return s.cfg }
+
+// Geometry returns the cache bytes and TB entries the system was built
+// with. They equal Config's only when the cache size is a multiple of
+// ways × block and the TB size a multiple of 2 halves × ways; otherwise
+// the constructors round down (to at least one set).
+func (s *System) Geometry() (cacheBytes, tbEntries int) {
+	return len(s.cache.tags) << s.cache.blockBits, len(s.tb.entries)
+}
 
 // SetProbe attaches a telemetry probe (nil detaches it).
 func (s *System) SetProbe(p Probe) { s.probe = p }
@@ -220,7 +251,10 @@ func (s *System) TakeParity() (pa uint32, ok bool) {
 // SetASID switches the process context used for process-space address
 // translation. It does NOT flush the TB: the LDPCTX microcode flow is
 // responsible for calling FlushProcessTB, exactly as on the real machine.
-func (s *System) SetASID(id uint32) { s.asid = id }
+func (s *System) SetASID(id uint32) {
+	s.asid = id
+	s.gen++
+}
 
 // ASID returns the current process context.
 func (s *System) ASID() uint32 { return s.asid }
@@ -229,6 +263,24 @@ func (s *System) ASID() uint32 { return s.asid }
 func (s *System) FlushProcessTB() {
 	s.recordFlush()
 	s.tb.flushProcess()
+	s.gen++
+}
+
+// Gen returns the translation generation. While it is unchanged, every
+// Translate answers exactly as it did before: a caller that saved a hit
+// for a page may compute later addresses on that page itself, calling
+// Reprobe in place of each Translate it skips.
+func (s *System) Gen() uint64 { return s.gen }
+
+// Reprobe stands for a Translate whose hit the caller reused under an
+// unchanged Gen. Translate has no side effect but the VTrace record, so
+// this keeps the captured probe stream identical.
+func (s *System) Reprobe(va uint32) { s.recordVA(va) }
+
+// PageOffset returns va's offset within its page.
+func (s *System) PageOffset(va uint32) uint32 {
+	_, off := s.page.divmod(va)
+	return off
 }
 
 // systemSpace reports whether va is in VAX system space (bit 31 set).
@@ -240,19 +292,20 @@ func systemSpace(va uint32) bool { return va&0x8000_0000 != 0 }
 // before retrying.
 func (s *System) Translate(va uint32) (pa uint32, ok bool) {
 	s.recordVA(va)
-	vpn := va / uint32(s.cfg.PageBytes)
+	vpn, off := s.page.divmod(va)
 	sys := systemSpace(va)
 	if !s.tb.lookup(vpn, sys) {
 		return 0, false
 	}
-	return s.frame(vpn, sys) + va%uint32(s.cfg.PageBytes), true
+	return s.frame(vpn, sys) + off, true
 }
 
 // InsertTB installs the translation for va, evicting as needed. Called by
 // the TB-miss microcode flow after its PTE fetch.
 func (s *System) InsertTB(va uint32) {
-	vpn := va / uint32(s.cfg.PageBytes)
+	vpn, _ := s.page.divmod(va)
 	s.tb.insert(vpn, systemSpace(va))
+	s.gen++
 }
 
 // frame deterministically assigns a physical frame to each (space, asid,
@@ -265,22 +318,20 @@ func (s *System) frame(vpn uint32, sys bool) uint32 {
 	} else {
 		key = key * 2246822519
 	}
-	frames := uint32(s.cfg.MemoryBytes / s.cfg.PageBytes)
-	return (key % frames) * uint32(s.cfg.PageBytes)
+	return s.frames.mod(key) * uint32(s.cfg.PageBytes)
 }
 
 // PTEAddr returns the physical address of the page table entry mapping
 // va. Adjacent pages have adjacent PTEs, so PTE reads enjoy the spatial
 // locality the real machine's page tables had.
 func (s *System) PTEAddr(va uint32) uint32 {
-	vpn := va / uint32(s.cfg.PageBytes)
+	vpn, _ := s.page.divmod(va)
 	base := uint32(s.cfg.MemoryBytes - s.cfg.PTERegionBytes)
 	var off uint32
 	if systemSpace(va) {
-		off = (vpn * 4) % uint32(s.cfg.PTERegionBytes/2)
+		off = s.pteHalf.mod(vpn * 4)
 	} else {
-		off = uint32(s.cfg.PTERegionBytes/2) +
-			((s.asid*16384+vpn)*4)%uint32(s.cfg.PTERegionBytes/2)
+		off = uint32(s.cfg.PTERegionBytes/2) + s.pteHalf.mod((s.asid*16384+vpn)*4)
 	}
 	return base + off
 }

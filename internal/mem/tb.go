@@ -5,50 +5,50 @@ package mem
 // set-associative. A context switch (the LDPCTX microcode) flushes only
 // the process half; this split is why the paper's companion study [3]
 // cares about context-switch headway for TB simulations (§3.4).
+//
+// Both halves live in one flat slice: the process half's sets first,
+// then the system half's, each set's ways contiguous. An entry holds
+// vpn+1, so 0 is an invalid way.
 type TB struct {
-	ways     int
-	sets     int // sets per half
-	pageBits uint
+	ways    int
+	sets    divisor // sets per half
+	waysDiv divisor
+	half    int // entries per half
 
-	// entries[half][set][way]; half 0 = process, 1 = system.
-	entries [2][][]tbEntry
+	entries []uint32
 	// clock drives round-robin replacement, as the real TB's random
 	// replacement is well-approximated by it at this granularity.
 	clock uint32
 }
 
-type tbEntry struct {
-	vpn   uint32
-	valid bool
-}
-
-func newTB(entries, ways, pageBytes int) *TB {
+func newTB(entries, ways int) *TB {
 	setsPerHalf := entries / 2 / ways
 	if setsPerHalf < 1 {
 		setsPerHalf = 1
 	}
-	t := &TB{ways: ways, sets: setsPerHalf}
-	for half := 0; half < 2; half++ {
-		t.entries[half] = make([][]tbEntry, setsPerHalf)
-		for s := range t.entries[half] {
-			t.entries[half][s] = make([]tbEntry, ways)
-		}
+	return &TB{
+		ways:    ways,
+		sets:    newDivisor(setsPerHalf),
+		waysDiv: newDivisor(ways),
+		half:    setsPerHalf * ways,
+		entries: make([]uint32, 2*setsPerHalf*ways),
 	}
-	return t
 }
 
-func (t *TB) halfFor(sys bool) int {
+// row returns the ways of vpn's set in the given space.
+func (t *TB) row(vpn uint32, sys bool) []uint32 {
+	i := int(t.sets.mod(vpn)) * t.ways
 	if sys {
-		return 1
+		i += t.half
 	}
-	return 0
+	return t.entries[i : i+t.ways]
 }
 
 // lookup probes the TB for vpn in the given space.
 func (t *TB) lookup(vpn uint32, sys bool) bool {
-	set := t.entries[t.halfFor(sys)][vpn%uint32(t.sets)]
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
+	key := vpn + 1
+	for _, e := range t.row(vpn, sys) {
+		if e == key {
 			return true
 		}
 	}
@@ -57,25 +57,20 @@ func (t *TB) lookup(vpn uint32, sys bool) bool {
 
 // insert installs vpn, evicting round-robin within its set.
 func (t *TB) insert(vpn uint32, sys bool) {
-	set := t.entries[t.halfFor(sys)][vpn%uint32(t.sets)]
-	for i := range set {
-		if !set[i].valid {
-			set[i] = tbEntry{vpn: vpn, valid: true}
+	key := vpn + 1
+	row := t.row(vpn, sys)
+	for i, e := range row {
+		if e == 0 {
+			row[i] = key
 			return
 		}
-		if set[i].vpn == vpn {
+		if e == key {
 			return
 		}
 	}
 	t.clock++
-	set[t.clock%uint32(t.ways)] = tbEntry{vpn: vpn, valid: true}
+	row[t.waysDiv.mod(t.clock)] = key
 }
 
 // flushProcess invalidates the process half.
-func (t *TB) flushProcess() {
-	for s := range t.entries[0] {
-		for w := range t.entries[0][s] {
-			t.entries[0][s][w].valid = false
-		}
-	}
-}
+func (t *TB) flushProcess() { clear(t.entries[:t.half]) }

@@ -135,12 +135,11 @@ func (p *Program) Byte(va uint32) (byte, bool) {
 	return page[off], p.used[pg][off]
 }
 
-// Page returns the backing arrays for the page containing va, or nil if
-// nothing is materialized there. Callers (one machine each) use it to
-// cache the hot code page instead of re-hashing per byte.
-func (p *Program) Page(va uint32) (data *[512]byte, used *[512]bool) {
-	pg := va / pageSize
-	return p.pages[pg], p.used[pg]
+// Page returns the bytes of the page containing va, or nil if nothing
+// is materialized there: the I-Fetch stage's page source, which keeps
+// the hot code page instead of looking up each byte.
+func (p *Program) Page(va uint32) *[pageSize]byte {
+	return p.pages[va/pageSize]
 }
 
 // Bytes returns the number of materialized code bytes.

@@ -309,6 +309,19 @@ func (c *RunConfig) Validate() error {
 			return fmt.Errorf("vax780: %s %d exceeds the supported maximum %d", f.name, f.v, f.max)
 		}
 	}
+	// The cache is built as sets × ways × blocks and the TB as 2 halves
+	// × sets × ways, at least one set each. Any other size would run a
+	// rounded geometry while the block diagram and the checkpoint hash
+	// named the requested one.
+	hw := c.memConfig().WithDefaults()
+	if hw.CacheBytes%(hw.CacheWays*hw.CacheBlock) != 0 {
+		return fmt.Errorf("vax780: CacheBytes %d is not a multiple of CacheWays %d × %d-byte blocks",
+			hw.CacheBytes, hw.CacheWays, hw.CacheBlock)
+	}
+	if hw.TBEntries%(2*hw.TBWays) != 0 {
+		return fmt.Errorf("vax780: TBEntries %d is not a multiple of 2 halves × %d ways",
+			hw.TBEntries, hw.TBWays)
+	}
 	return nil
 }
 

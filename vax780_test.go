@@ -1,8 +1,12 @@
 package vax780
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"vax780/internal/machine"
+	"vax780/internal/workload"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -181,6 +185,63 @@ func TestOversizedHardwareRejected(t *testing.T) {
 		{"MissLatency", func(c *RunConfig) { c.MissLatency = 1 << 62 }},
 		{"WriteBusy", func(c *RunConfig) { c.WriteBusy = 1 << 62 }},
 	})
+}
+
+// TestInexactGeometryRejected: a cache or TB size the model cannot
+// build exactly is an error; unchecked, it used to simulate a rounded
+// size under the requested name.
+func TestInexactGeometryRejected(t *testing.T) {
+	assertHardwareRejected(t, []hardwareCase{
+		{"CacheBytes", func(c *RunConfig) { c.CacheBytes, c.CacheWays = 1024, 256 }},
+		{"CacheBytes", func(c *RunConfig) { c.CacheWays = 3 }},
+		{"CacheBytes", func(c *RunConfig) { c.CacheBytes = 8200 }},
+		{"TBEntries", func(c *RunConfig) { c.TBEntries = 1 }},
+		{"TBEntries", func(c *RunConfig) { c.TBEntries = 2 }},
+		{"TBEntries", func(c *RunConfig) { c.TBEntries = 129 }},
+	})
+}
+
+// TestGeometryMatchesDescribe: over a grid of cache and TB overrides,
+// Validate accepts exactly the configurations whose built geometry is
+// the requested one, and the block diagram prints that geometry.
+func TestGeometryMatchesDescribe(t *testing.T) {
+	accepted := 0
+	for _, bytes := range []int{0, 16, 24, 1000, 1024, 1536, 2048, 6 << 10, 8 << 10, 24 << 10, 1 << 20} {
+		for _, ways := range []int{0, 1, 2, 3, 4, 5, 256} {
+			for _, entries := range []int{0, 1, 2, 4, 6, 12, 64, 128, 129, 130} {
+				cfg := RunConfig{CacheBytes: bytes, CacheWays: ways, TBEntries: entries}
+				want := cfg.memConfig().WithDefaults()
+				m := machine.New(machine.Config{Mem: cfg.memConfig()}, workload.NewProgram())
+				gotBytes, gotEntries := m.Mem.Geometry()
+				exact := gotBytes == want.CacheBytes && gotEntries == want.TBEntries
+				err := cfg.Validate()
+				if (err == nil) != exact {
+					t.Fatalf("%+v: Validate = %v, but built %d bytes / %d entries for %d / %d",
+						cfg, err, gotBytes, gotEntries, want.CacheBytes, want.TBEntries)
+				}
+				if err != nil {
+					continue
+				}
+				accepted++
+				size := fmt.Sprintf("%d KB", gotBytes>>10)
+				if gotBytes%1024 != 0 {
+					size = fmt.Sprintf("%d bytes", gotBytes)
+				}
+				d := m.Describe()
+				for _, line := range []string{
+					fmt.Sprintf("Translation Buffer: %d entries, %d-way", gotEntries, want.TBWays),
+					fmt.Sprintf("Cache: %s, %d-way, %d-byte blocks", size, want.CacheWays, want.CacheBlock),
+				} {
+					if !strings.Contains(d, line) {
+						t.Fatalf("%+v: block diagram lacks %q:\n%s", cfg, line, d)
+					}
+				}
+			}
+		}
+	}
+	if accepted < 50 {
+		t.Errorf("only %d configurations accepted; the grid is too narrow", accepted)
+	}
 }
 
 func TestCtxSwitchHeadwaySweepChangesTBMisses(t *testing.T) {
