@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-fusion bench-fusion-hooks bench-all bench-smoke bench-harness vaxd-smoke experiments clean
+.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-fusion bench-all bench-smoke bench-harness vaxd-smoke experiments clean
 
 all: fmt-check vet lint build test
 
@@ -94,17 +94,6 @@ bench-fusion:
 	rm -f /tmp/vax780_fusion_ab.json
 	$(GO) run ./cmd/vaxbench -compare -threshold 3 -history /tmp/vax780_fusion_ab.json -label bench-fusion \
 		'$(AB_BIN):^BenchmarkFusion$$/^off$$' '$(AB_BIN):^BenchmarkFusion$$/^on$$'
-
-# The hooks-cell gate: the same A/B as bench-fusion but with the full
-# telemetry layer attached (interval recorder, Chrome tracer, flight
-# recorder). Any per-cycle hook forces the interpreter, so both arms
-# interpret: the gate guards that a hooked default run costs no more
-# than NoFusion. The "fusion under hooks" and "fusion under hooks
-# removed" entries of BENCH_history.json record the history.
-bench-fusion-hooks:
-	$(GO) test -c -o $(AB_BIN) .
-	$(GO) run ./cmd/vaxbench -compare -threshold 3 \
-		'$(AB_BIN):^BenchmarkFusionHooks$$/^off$$' '$(AB_BIN):^BenchmarkFusionHooks$$/^on$$'
 
 # The service cache-hit gate; compare against the "vaxd cache-hit seed"
 # entry of BENCH_history.json (a

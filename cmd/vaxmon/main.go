@@ -93,6 +93,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "vaxmon: -n must be at least 1, got %d\n", *n)
+		os.Exit(2)
+	}
 	parallelism, err := jobsParallelism(*jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vaxmon:", err)

@@ -45,6 +45,32 @@ func TestTraceMaxZeroRejected(t *testing.T) {
 	}
 }
 
+// TestBadCountsRejected: an instruction count below 1 or a negative -j
+// would be replaced by a default the output never names. Each must fail
+// at flag validation with exit 2, before simulating and without
+// creating an output file.
+func TestBadCountsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-n", "-5"}, {"-n", "0"}, {"-j", "-3"}} {
+		out := filepath.Join(t.TempDir(), "out.csv")
+		cmd := exec.Command(os.Args[0], append(args, "-intervals-csv", out, "-quiet")...)
+		cmd.Env = append(os.Environ(), "VAXMON_RUN_MAIN=1")
+		stdout, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("vaxmon %v: err %v, want exit status 2", args, err)
+		}
+		if !strings.Contains(string(exit.Stderr), args[0]) {
+			t.Errorf("vaxmon %v: stderr %q does not name %s", args, exit.Stderr, args[0])
+		}
+		if len(stdout) != 0 {
+			t.Errorf("vaxmon %v printed %q; the run must not start", args, stdout)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("vaxmon %v: output file stat err %v, want it never created", args, err)
+		}
+	}
+}
+
 func TestJobsParallelism(t *testing.T) {
 	cases := []struct {
 		in   int

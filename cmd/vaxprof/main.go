@@ -51,6 +51,10 @@ func main() {
 	spans := flag.String("spans", "", "write the span tree as JSONL rows here")
 	ledger := flag.String("ledger", "", "write the run ledger JSONL here")
 	flag.Parse()
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "vaxprof: -n must be at least 1, got %d\n", *n)
+		os.Exit(2)
+	}
 
 	if *diff {
 		if flag.NArg() != 2 {

@@ -2,13 +2,52 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"vax780"
 	"vax780/internal/obs"
 )
+
+// TestMain runs the command itself when VAXPROF_RUN_MAIN is set, so a
+// test can drive the real flag handling and exit codes by re-executing
+// its own binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("VAXPROF_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadCountsRejected: an instruction count below 1 would be replaced
+// by a default the output never names. It must fail at flag validation
+// with exit 2, before simulating and without creating the -o file.
+func TestBadCountsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-n", "-5"}, {"-n", "0"}} {
+		out := filepath.Join(t.TempDir(), "profile.json")
+		cmd := exec.Command(os.Args[0], append(args, "-o", out)...)
+		cmd.Env = append(os.Environ(), "VAXPROF_RUN_MAIN=1")
+		stdout, err := cmd.Output()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("vaxprof %v: err %v, want exit status 2", args, err)
+		}
+		if !strings.Contains(string(exit.Stderr), args[0]) {
+			t.Errorf("vaxprof %v: stderr %q does not name %s", args, exit.Stderr, args[0])
+		}
+		if len(stdout) != 0 {
+			t.Errorf("vaxprof %v printed %q; the run must not start", args, stdout)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("vaxprof %v: -o file stat err %v, want it never created", args, err)
+		}
+	}
+}
 
 // TestWriteExports: a profiled run's exports are obs span rows that
 // parse back as sweep → run → workload → flow, and valid Chrome JSON.

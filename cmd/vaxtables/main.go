@@ -25,6 +25,13 @@ func main() {
 		jobs = flag.Int("j", 0, "workload machines to run concurrently (0 = GOMAXPROCS; output is bit-exact at any -j)")
 	)
 	flag.Parse()
+	if *n < 1 || *jobs < 0 {
+		// Checked before the run and before -o is created: the library
+		// would replace either value with its default while the
+		// document names the one given.
+		fmt.Fprintf(os.Stderr, "vaxtables: -n must be at least 1 and -j at least 0, got -n %d -j %d\n", *n, *jobs)
+		os.Exit(2)
+	}
 
 	// The telemetry layer rides along on the composite run to produce
 	// the interval time-series section.

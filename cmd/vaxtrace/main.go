@@ -38,6 +38,10 @@ func main() {
 		traceMax = flag.Int("trace-max", 2_000_000, "cap on retained trace events (-1 = unlimited)")
 	)
 	flag.Parse()
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "vaxtrace: -n must be at least 1, got %d\n", *n)
+		os.Exit(2)
+	}
 	if *simTrace != "" && *traceMax == 0 {
 		// A zero cap disables the tracer, so the export could only fail:
 		// refuse it before generating and simulating.

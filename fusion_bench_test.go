@@ -5,10 +5,9 @@ package vax780
 // (NoFusion), so the pair prices exactly what fusion buys. The two
 // variants are simulation-identical — same cycles, same histogram —
 // which the determinism suite proves; only host ns/op may differ.
-// The "superword engine", "fusion under hooks" and "fusion under hooks
-// removed" entries of BENCH_history.json record the adjudicated numbers
-// and the interleaved A/B method (make bench-fusion, make
-// bench-fusion-hooks).
+// The "superword engine" entries of BENCH_history.json record the
+// adjudicated numbers and the interleaved A/B method (make
+// bench-fusion).
 
 import "testing"
 
@@ -40,33 +39,4 @@ func BenchmarkFusion(b *testing.B) {
 		// pre-fusion hot loop.
 		benchFusionRun(b, true)
 	})
-}
-
-func benchFusionHooksRun(b *testing.B, noFusion bool) {
-	b.Helper()
-	var cycles uint64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(RunConfig{
-			Instructions: 10_000,
-			Workloads:    []WorkloadID{TimesharingA},
-			NoFusion:     noFusion,
-			Telemetry:    NewTelemetry(1500, 200000),
-			FlightDepth:  64,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles = res.PerWorkload[0].Cycles
-	}
-	b.ReportMetric(float64(cycles), "sim_cycles/op")
-}
-
-func BenchmarkFusionHooks(b *testing.B) {
-	// The telemetry-on cell: probe, interval recorder, and flight
-	// recorder all attached. Any per-cycle hook forces single-step
-	// interpretation, so "on" and "off" run the same interpreter and
-	// are byte-identical (the bit-exactness suite proves it); the cell
-	// guards that a hooked default run costs no more than NoFusion.
-	b.Run("on", func(b *testing.B) { benchFusionHooksRun(b, false) })
-	b.Run("off", func(b *testing.B) { benchFusionHooksRun(b, true) })
 }

@@ -27,8 +27,8 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "TickRun"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "tickSlow"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "accept"},
-	{PkgPath: "vax780/internal/mem", Recv: "Cache", Func: "access"},
-	{PkgPath: "vax780/internal/mem", Recv: "TB", Func: "lookup"},
+	{PkgPath: "vax780/internal/mem", Recv: "Cache", Func: "Access"},
+	{PkgPath: "vax780/internal/mem", Recv: "TB", Func: "Lookup"},
 	{PkgPath: "vax780/internal/mem", Recv: "System", Func: "Translate"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "Fast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},

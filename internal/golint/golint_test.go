@@ -202,14 +202,14 @@ func TestHotPathMissingTarget(t *testing.T) {
 }
 
 // TestHotPathFlagsCacheAccessAlloc: the per-reference targets are live.
-// A make planted in Cache.access, in a copy of internal/mem, is flagged
+// A make planted in Cache.Access, in a copy of internal/mem, is flagged
 // exactly once.
 func TestHotPathFlagsCacheAccessAlloc(t *testing.T) {
 	root, modPath, err := ModuleRoot("")
 	if err != nil {
 		t.Fatalf("ModuleRoot: %v", err)
 	}
-	const sig = "func (c *Cache) access(pa uint32, allocate bool) bool {\n"
+	const sig = "func (c *Cache) Access(pa uint32, allocate bool) bool {\n"
 	src := filepath.Join(root, "internal", "mem")
 	copyRoot := t.TempDir()
 	dst := filepath.Join(copyRoot, "internal", "mem")
@@ -252,7 +252,7 @@ func TestHotPathFlagsCacheAccessAlloc(t *testing.T) {
 		t.Fatalf("LoadPackages: %v", err)
 	}
 	wantMsgs(t, Run(pkgs, []*Analyzer{HotPathAnalyzer(DefaultHotTargets)}),
-		"access: make allocates on the per-cycle path")
+		"Access: make allocates on the per-cycle path")
 }
 
 const probeSrc = `package p

@@ -20,7 +20,10 @@ type Cache struct {
 	victim []uint32
 }
 
-func newCache(bytes, ways, block int) *Cache {
+// NewCache builds an empty cache of the given geometry: bytes/(ways ×
+// block) sets, at least one, of ways ≥ 1 ways and blocks of block ≥ 2
+// bytes (a block that is not a power of two indexes as the next one up).
+func NewCache(bytes, ways, block int) *Cache {
 	sets := bytes / (ways * block)
 	if sets < 1 {
 		sets = 1
@@ -43,10 +46,10 @@ func log2(n int) uint {
 	return b
 }
 
-// access references physical address pa. allocate selects read behaviour
+// Access references physical address pa. allocate selects read behaviour
 // (fill on miss) versus write behaviour (update on hit only). It reports
 // whether the reference hit.
-func (c *Cache) access(pa uint32, allocate bool) bool {
+func (c *Cache) Access(pa uint32, allocate bool) bool {
 	tag, set := c.sets.divmod(pa >> c.blockBits)
 	key := tag + 1
 	i := int(set) * c.ways
@@ -62,3 +65,6 @@ func (c *Cache) access(pa uint32, allocate bool) bool {
 	}
 	return false
 }
+
+// Flush invalidates every block. The victim pointers keep their places.
+func (c *Cache) Flush() { clear(c.tags) }

@@ -211,8 +211,8 @@ func New(cfg Config) *System {
 	}
 	return &System{
 		cfg:     cfg,
-		tb:      newTB(cfg.TBEntries, cfg.TBWays),
-		cache:   newCache(cfg.CacheBytes, cfg.CacheWays, cfg.CacheBlock),
+		tb:      NewTB(cfg.TBEntries, cfg.TBWays),
+		cache:   NewCache(cfg.CacheBytes, cfg.CacheWays, cfg.CacheBlock),
 		page:    newDivisor(cfg.PageBytes),
 		frames:  newDivisor(cfg.MemoryBytes / cfg.PageBytes),
 		pteHalf: newDivisor(cfg.PTERegionBytes / 2),
@@ -262,7 +262,7 @@ func (s *System) ASID() uint32 { return s.asid }
 // FlushProcessTB invalidates the process half of the translation buffer.
 func (s *System) FlushProcessTB() {
 	s.recordFlush()
-	s.tb.flushProcess()
+	s.tb.FlushProcess()
 	s.gen++
 }
 
@@ -294,7 +294,7 @@ func (s *System) Translate(va uint32) (pa uint32, ok bool) {
 	s.recordVA(va)
 	vpn, off := s.page.divmod(va)
 	sys := systemSpace(va)
-	if !s.tb.lookup(vpn, sys) {
+	if !s.tb.Lookup(vpn, sys) {
 		return 0, false
 	}
 	return s.frame(vpn, sys) + off, true
@@ -304,7 +304,7 @@ func (s *System) Translate(va uint32) (pa uint32, ok bool) {
 // the TB-miss microcode flow after its PTE fetch.
 func (s *System) InsertTB(va uint32) {
 	vpn, _ := s.page.divmod(va)
-	s.tb.insert(vpn, systemSpace(va))
+	s.tb.Insert(vpn, systemSpace(va))
 	s.gen++
 }
 
@@ -358,7 +358,7 @@ func (s *System) DRead(pa uint32, now uint64) (stall int) {
 	if s.fault != nil && s.fault.MemParity(pa) {
 		s.parityPA, s.parityHit = pa, true
 	}
-	if s.cache.access(pa, true) {
+	if s.cache.Access(pa, true) {
 		return 0
 	}
 	s.Stats.DReadMisses++
@@ -380,7 +380,7 @@ func (s *System) PTERead(pa uint32, now uint64) (stall int) {
 	if s.fault != nil && s.fault.MemParity(pa) {
 		s.parityPA, s.parityHit = pa, true
 	}
-	if s.cache.access(pa, true) {
+	if s.cache.Access(pa, true) {
 		return 0
 	}
 	s.Stats.PTEReadMisses++
@@ -408,7 +408,7 @@ func (s *System) DWrite(pa uint32, now uint64) (stall int) {
 	issued := now + uint64(stall)
 	done := s.sbiAcquire(issued, s.cfg.WriteBusy)
 	s.wbFreeAt = done
-	s.cache.access(pa, false) // update on hit; no allocate on miss
+	s.cache.Access(pa, false) // update on hit; no allocate on miss
 	return stall
 }
 
@@ -418,7 +418,7 @@ func (s *System) DWrite(pa uint32, now uint64) (stall int) {
 func (s *System) IRead(pa uint32, now uint64) (latency int, miss bool) {
 	s.Stats.IReads++
 	s.record(RefIRead, pa)
-	if s.cache.access(pa, true) {
+	if s.cache.Access(pa, true) {
 		return 0, false
 	}
 	s.Stats.IReadMisses++

@@ -39,6 +39,13 @@ func newOracleCache(bytes, ways, block int) *oracleCache {
 	return c
 }
 
+// flush invalidates every block and keeps the victim pointers.
+func (c *oracleCache) flush() {
+	for s := range c.valid {
+		clear(c.valid[s])
+	}
+}
+
 func (c *oracleCache) access(pa uint32, allocate bool) bool {
 	blk := pa >> c.blockBits
 	set := blk % uint32(c.sets)
@@ -234,7 +241,9 @@ func (s *oracleSystem) IRead(pa uint32, now uint64) (int, bool) {
 
 // oracleGeometries are the shapes the flat path must match the oracle
 // on: degenerate one-set structures, non-power-of-two set counts and
-// page sizes, 256 ways, and the 11/780 defaults.
+// page sizes, 256 ways, the 11/780 defaults, and the cache and TB
+// geometries the companion studies sweep (Study780Configs and
+// StudyTBConfigs in the root package).
 var oracleGeometries = []struct {
 	name string
 	cfg  Config
@@ -245,6 +254,12 @@ var oracleGeometries = []struct {
 	{"24B-1way", Config{CacheBytes: 24, CacheWays: 1, TBEntries: 6, TBWays: 1}},
 	{"256-way", Config{CacheBytes: 4 << 10, CacheWays: 256, TBEntries: 1024, TBWays: 256}},
 	{"odd-page", Config{PageBytes: 500, CacheBlock: 12, CacheBytes: 7 * 12 * 5, CacheWays: 5}},
+	{"study-1KB-64e", Config{CacheBytes: 1 << 10, TBEntries: 64}},
+	{"study-16KB-512e", Config{CacheBytes: 16 << 10, TBEntries: 512}},
+	{"study-1way", Config{CacheWays: 1, TBWays: 1}},
+	{"study-4way", Config{CacheWays: 4, TBWays: 4, TBEntries: 256}},
+	{"study-4B-block", Config{CacheBytes: 2 << 10, CacheBlock: 4}},
+	{"study-16B-block", Config{CacheBytes: 4 << 10, CacheBlock: 16}},
 }
 
 // oracleRun drives one operation stream through both implementations,
@@ -330,6 +345,9 @@ func (r *oracleRun) step(kind byte, x uint32) {
 			asid := x >> 29
 			r.flat.SetASID(asid)
 			r.ref.asid = asid
+		} else if x%64 == 1 {
+			r.flat.cache.Flush()
+			r.ref.cache.flush()
 		}
 	}
 	if r.flat.Stats != r.ref.Stats {
@@ -369,6 +387,7 @@ func FuzzMemOracle(f *testing.F) {
 	f.Add([]byte{3, 4, 8, 0, 0, 0, 4, 16, 0, 0, 0, 4, 24, 0, 0, 0})
 	f.Add([]byte{4, 2, 0, 0, 0, 0, 2, 0, 32, 0, 0, 2, 0, 64, 0, 0})
 	f.Add([]byte{5, 0, 0xf4, 1, 0, 0, 5, 0xf4, 1, 0, 0})
+	f.Add([]byte{6, 2, 1, 0, 0, 0, 7, 1, 0, 0, 0, 4, 1, 0, 0, 0, 2, 9, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -21,7 +21,9 @@ type TB struct {
 	clock uint32
 }
 
-func newTB(entries, ways int) *TB {
+// NewTB builds an empty TB of entries split between the two halves, each
+// half entries/2/ways sets (at least one) of ways ≥ 1 ways.
+func NewTB(entries, ways int) *TB {
 	setsPerHalf := entries / 2 / ways
 	if setsPerHalf < 1 {
 		setsPerHalf = 1
@@ -44,8 +46,8 @@ func (t *TB) row(vpn uint32, sys bool) []uint32 {
 	return t.entries[i : i+t.ways]
 }
 
-// lookup probes the TB for vpn in the given space.
-func (t *TB) lookup(vpn uint32, sys bool) bool {
+// Lookup probes the TB for vpn in the given space.
+func (t *TB) Lookup(vpn uint32, sys bool) bool {
 	key := vpn + 1
 	for _, e := range t.row(vpn, sys) {
 		if e == key {
@@ -55,8 +57,8 @@ func (t *TB) lookup(vpn uint32, sys bool) bool {
 	return false
 }
 
-// insert installs vpn, evicting round-robin within its set.
-func (t *TB) insert(vpn uint32, sys bool) {
+// Insert installs vpn, evicting round-robin within its set.
+func (t *TB) Insert(vpn uint32, sys bool) {
 	key := vpn + 1
 	row := t.row(vpn, sys)
 	for i, e := range row {
@@ -72,5 +74,5 @@ func (t *TB) insert(vpn uint32, sys bool) {
 	row[t.waysDiv.mod(t.clock)] = key
 }
 
-// flushProcess invalidates the process half.
-func (t *TB) flushProcess() { clear(t.entries[:t.half]) }
+// FlushProcess invalidates the process half.
+func (t *TB) FlushProcess() { clear(t.entries[:t.half]) }
