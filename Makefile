@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-fusion bench-all bench-smoke bench-harness vaxd-smoke experiments clean
+.PHONY: all fmt fmt-check vet lint build test race bench bench-telemetry bench-faults bench-parallel bench-prof bench-obs bench-vaxd bench-all bench-smoke bench-harness vaxd-smoke experiments clean
 
 all: fmt-check vet lint build test
 
@@ -80,20 +80,6 @@ bench-obs:
 	$(GO) test -c -o $(AB_BIN) .
 	$(GO) run ./cmd/vaxbench -compare -threshold 25 \
 		'$(AB_BIN):^BenchmarkObs$$/^off$$' '$(AB_BIN):^BenchmarkObs$$/^on$$'
-
-# The fusion-speedup gate: BenchmarkFusion prices the no-hook hot loop
-# interpreted (NoFusion, the OLD arm) and fused (the default, NEW) over
-# one shared generated trace. The superword engine must never be slower
-# than the interpreter it replaces; a 3% threshold keeps shared-runner
-# noise (one 100ms CPU-steal burst inflates a whole process sample) from
-# tripping the gate. The "superword engine" entries of
-# BENCH_history.json record the adjudications and the fusion verdict.
-# The A/B's own entry goes to a scratch ledger for CI's drift check.
-bench-fusion:
-	$(GO) test -c -o $(AB_BIN) .
-	rm -f /tmp/vax780_fusion_ab.json
-	$(GO) run ./cmd/vaxbench -compare -threshold 3 -history /tmp/vax780_fusion_ab.json -label bench-fusion \
-		'$(AB_BIN):^BenchmarkFusion$$/^off$$' '$(AB_BIN):^BenchmarkFusion$$/^on$$'
 
 # The service cache-hit gate; compare against the "vaxd cache-hit seed"
 # entry of BENCH_history.json (a

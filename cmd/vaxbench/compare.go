@@ -67,8 +67,18 @@ type delta struct {
 	name       string
 	oldNs      float64
 	newNs      float64
+	oldIQR     string // each side's quartile spread, "-" without samples
+	newIQR     string
 	percent    float64 // ns/op growth, positive = slower
 	regression bool
+}
+
+// iqr formats the distance between the quartiles of r's samples.
+func iqr(r Result) string {
+	if len(r.NsSamples) < 2 {
+		return "-"
+	}
+	return strconv.FormatFloat(quantile(r.NsSamples, 0.75)-quantile(r.NsSamples, 0.25), 'f', 0, 64)
 }
 
 // compareResults diffs every benchmark present in both maps. threshold
@@ -86,6 +96,8 @@ func compareResults(old, new map[string]Result, threshold float64) []delta {
 			name:       name,
 			oldNs:      o.NsPerOp,
 			newNs:      n.NsPerOp,
+			oldIQR:     iqr(o),
+			newIQR:     iqr(n),
 			percent:    pct,
 			regression: pct > threshold,
 		})
@@ -211,7 +223,7 @@ func runCompare(oldOp, newOp string, threshold float64, ledger, label string) in
 		return 2
 	}
 	fmt.Printf("benchmark comparison (%s -> %s, threshold %+.1f%%)\n", oldOp, newOp, threshold)
-	fmt.Printf("%-44s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
+	fmt.Printf("%-44s %14s %10s %14s %10s %9s\n", "benchmark", "old ns/op", "old IQR", "new ns/op", "new IQR", "delta")
 	regressed := 0
 	for _, d := range deltas {
 		mark := ""
@@ -219,7 +231,8 @@ func runCompare(oldOp, newOp string, threshold float64, ledger, label string) in
 			mark = "  REGRESSION"
 			regressed++
 		}
-		fmt.Printf("%-44s %14.0f %14.0f %+8.2f%%%s\n", d.name, d.oldNs, d.newNs, d.percent, mark)
+		fmt.Printf("%-44s %14.0f %10s %14.0f %10s %+8.2f%%%s\n",
+			d.name, d.oldNs, d.oldIQR, d.newNs, d.newIQR, d.percent, mark)
 	}
 	if changes := proxyChanges(old, new); len(changes) > 0 {
 		fmt.Println("proxy changes (exact, never gated):")

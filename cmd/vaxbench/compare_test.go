@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,5 +155,51 @@ func TestProxyChangesExactAndUngated(t *testing.T) {
 		if d.regression {
 			t.Fatalf("%s flagged as a regression on proxies alone", d.name)
 		}
+	}
+}
+
+// TestCompareSamplesRoundTripLedger: an A/B keeps every round's ns/op,
+// in round order, for both arms, and the samples survive the ledger
+// entry's write and read back, so two sessions can be pooled.
+func TestCompareSamplesRoundTripLedger(t *testing.T) {
+	dir := t.TempDir()
+	fakeArms(t, dir)
+	ledger := filepath.Join(dir, "ledger.json")
+	if code := runCompare(arm("old"), arm("new"), 5, ledger, "ab"); code != 0 {
+		t.Fatalf("faster NEW arm exit = %d, want 0", code)
+	}
+	h, err := loadHistory(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := h.Entries[0]
+	for _, side := range []struct {
+		name string
+		r    Result
+		base float64
+	}{
+		{"results", e.Results["BenchmarkFake/new"], fakeNs["new"]},
+		{"baseline", e.Baseline["BenchmarkFake/new"], fakeNs["old"]},
+	} {
+		var want []float64
+		for k := 1; k <= abRounds; k++ {
+			want = append(want, side.base+float64(k))
+		}
+		if fmt.Sprint(side.r.NsSamples) != fmt.Sprint(want) {
+			t.Fatalf("%s samples = %v, want %v", side.name, side.r.NsSamples, want)
+		}
+		if got := iqr(side.r); got != "6" {
+			t.Fatalf("%s quartile spread = %s, want 6 (q3 - q1 of twelve consecutive values)", side.name, got)
+		}
+	}
+	loaded, err := loadResults(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded["BenchmarkFake/new"].NsSamples; len(got) != abRounds {
+		t.Fatalf("loadResults kept %d samples, want %d", len(got), abRounds)
+	}
+	if iqr(Result{NsPerOp: 1}) != "-" {
+		t.Fatal("a result without samples must print no spread")
 	}
 }

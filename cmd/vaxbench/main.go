@@ -17,11 +17,13 @@
 //
 // -history selects the file (default BENCH_history.json). -print
 // renders the recorded series as a table instead of appending.
-// -compare diffs two sides benchmark by benchmark and exits nonzero
-// when any common benchmark slowed by more than -threshold percent; it
-// also prints every B/op or allocs/op change exactly, never gating on
-// one. A
-// side is a result file (a history answers per benchmark, from the
+// -compare diffs two sides benchmark by benchmark, printing each side's
+// median ns/op next to the distance between its quartiles, and exits
+// nonzero when any common benchmark slowed by more than -threshold
+// percent; it also prints every B/op or allocs/op change exactly, never
+// gating on one. Every result keeps its per-repetition ns/op as
+// ns_samples, so sessions recorded apart can be pooled. A side is a
+// result file (a history answers per benchmark, from the
 // latest entry that has it; a single entry object also works) or an
 // arm, binary:regex — a compiled test binary and its -test.bench
 // pattern. With two arms vaxbench runs the interleaved A/B itself: 12
@@ -58,13 +60,16 @@ var metricPair = regexp.MustCompile(`([\d.e+]+) (\S+)`)
 // Result is one benchmark's reduced measurement in a history entry.
 // BytesPerOp and AllocsPerOp are the -benchmem proxies, nil when the run
 // did not report them; unlike ns they do not drift with the host.
+// NsSamples keeps every repetition's ns/op in input order, so sessions
+// recorded apart can be pooled into one median later.
 type Result struct {
-	NsPerOp        float64  `json:"ns_per_op"`
-	SimCyclesPerOp float64  `json:"sim_cycles_per_op,omitempty"`
-	NsPerSimCycle  float64  `json:"ns_per_sim_cycle,omitempty"`
-	BytesPerOp     *float64 `json:"bytes_per_op,omitempty"`
-	AllocsPerOp    *float64 `json:"allocs_per_op,omitempty"`
-	Runs           int      `json:"runs,omitempty"`
+	NsPerOp        float64   `json:"ns_per_op"`
+	SimCyclesPerOp float64   `json:"sim_cycles_per_op,omitempty"`
+	NsPerSimCycle  float64   `json:"ns_per_sim_cycle,omitempty"`
+	BytesPerOp     *float64  `json:"bytes_per_op,omitempty"`
+	AllocsPerOp    *float64  `json:"allocs_per_op,omitempty"`
+	Runs           int       `json:"runs,omitempty"`
+	NsSamples      []float64 `json:"ns_samples,omitempty"`
 }
 
 // Entry is one dated benchmark session. Method and Adjudication record
@@ -174,7 +179,8 @@ func saveHistory(path string, h *History) error {
 	})
 }
 
-// parseBench reduces `go test -bench` output to per-benchmark medians.
+// parseBench reduces `go test -bench` output to per-benchmark medians,
+// keeping each benchmark's ns/op repetitions as its samples.
 func parseBench(f io.Reader) (map[string]Result, error) {
 	runs := map[string]map[string][]float64{} // benchmark → unit → repetitions
 	sc := bufio.NewScanner(f)
@@ -203,7 +209,7 @@ func parseBench(f io.Reader) (map[string]Result, error) {
 		if len(ns) == 0 {
 			continue
 		}
-		r := Result{NsPerOp: median(ns), Runs: len(ns)}
+		r := Result{NsPerOp: median(ns), Runs: len(ns), NsSamples: ns}
 		if cycles := units["sim_cycles/op"]; len(cycles) > 0 {
 			r.SimCyclesPerOp = median(cycles)
 			if r.SimCyclesPerOp > 0 {
@@ -226,17 +232,22 @@ func medianOrNil(v []float64) *float64 {
 	return &m
 }
 
-func median(v []float64) float64 {
+func median(v []float64) float64 { return quantile(v, 0.5) }
+
+// quantile interpolates linearly between the order statistics around
+// p·(n-1), so p = 0.5 averages the middle pair of an even count.
+func quantile(v []float64, p float64) float64 {
 	s := append([]float64(nil), v...)
 	sort.Float64s(s)
-	n := len(s)
-	if n == 0 {
+	if len(s) == 0 {
 		return 0
 	}
-	if n%2 == 1 {
-		return s[n/2]
+	h := p * float64(len(s)-1)
+	lo := int(h)
+	if lo+1 == len(s) {
+		return s[lo]
 	}
-	return (s[n/2-1] + s[n/2]) / 2
+	return s[lo] + (h-float64(lo))*(s[lo+1]-s[lo])
 }
 
 func printHistory(h *History) {

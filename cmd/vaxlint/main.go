@@ -2,12 +2,8 @@
 // shipped microprogram: the dispatch-rooted CFG passes that prove
 // attribution completeness (every tickable histogram bucket maps to a
 // Table 8 CPI cell), flow termination, path legality (stall entries,
-// trap service, uret return sites), and dead-word absence. It then
-// audits the flow-fusion superword plan: every fused segment must be
-// exactly one straight-line run the analyzer segmented as fusible,
-// re-verified word by word by ufuse's legality proof. Exit status is
-// nonzero on any error-severity finding or audit failure, so CI can
-// gate on it.
+// trap service, uret return sites), and dead-word absence. Exit status
+// is nonzero on any error-severity finding, so CI can gate on it.
 //
 //	-bounds   also print the per-flow worst-case cycle bounds
 //	-json     write the machine-readable proof report to stdout (nothing
@@ -54,14 +50,6 @@ func main() {
 			fmt.Println(" ", b)
 		}
 	}
-
-	superwords, err := vax780.FusionAudit()
-	if err != nil {
-		fmt.Println("fusion:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("fusion: %d superwords audited, every one an ulint-proven straight-line segment\n",
-		superwords)
 
 	if len(rep.Errors()) > 0 || (*strict && !rep.Clean()) || !rep.Proven() {
 		os.Exit(1)

@@ -16,7 +16,6 @@
 // Usage:
 //
 //	vaxprof [-n 50000] [-top 15] [-stride 64]      hot-flow tables, both engines
-//	vaxprof -targets                               JIT targeting list (fusible segments)
 //	vaxprof -diff old.json new.json                compare two saved profiles
 //	vaxprof -o prof.json -calib-out cal.json       save the exact profile / calibration
 //	vaxprof -calib cal.json                        reuse a saved calibration (skip probing)
@@ -39,10 +38,9 @@ import (
 
 func main() {
 	n := flag.Int("n", 50_000, "instructions per workload")
-	top := flag.Int("top", 15, "flows (or targets) to print")
+	top := flag.Int("top", 15, "flows to print")
 	stride := flag.Int("stride", 0, "sampling stride in cycles (0: default 64)")
 	reps := flag.Int("reps", 3, "interleaved timing repetitions per calibration probe")
-	targets := flag.Bool("targets", false, "print the JIT targeting list instead of the hot-flow tables")
 	diff := flag.Bool("diff", false, "diff two saved profiles (old.json new.json args) and exit")
 	out := flag.String("o", "", "write the exact-engine profile JSON here")
 	calibIn := flag.String("calib", "", "load a saved calibration instead of probing")
@@ -64,7 +62,7 @@ func main() {
 		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *top))
 	}
 
-	if err := run(*n, *top, *stride, *reps, *targets,
+	if err := run(*n, *top, *stride, *reps,
 		*out, *calibIn, *calibOut, *chrome, *spans, *ledger); err != nil {
 		fmt.Fprintln(os.Stderr, "vaxprof:", err)
 		os.Exit(1)
@@ -99,7 +97,7 @@ func runDiff(oldPath, newPath string, top int) int {
 // run is the measurement path: calibrate (or load), run the composite
 // with the sampling profiler attached, print both engines' views, and
 // write whatever exports were requested.
-func run(n, top, stride, reps int, targets bool,
+func run(n, top, stride, reps int,
 	out, calibIn, calibOut, chrome, spansPath, ledgerPath string) error {
 
 	// Calibration: load a saved one (skips probing), or solve one from
@@ -129,12 +127,6 @@ func run(n, top, stride, reps int, targets bool,
 		if err := writeFile(calibOut, cal.WriteJSON); err != nil {
 			return err
 		}
-	}
-
-	if targets {
-		list := res.JITTargets(cal)
-		fmt.Print(prof.RenderTargets(list, top))
-		return writeExports(profiler, res, cal, wallNs, out, chrome, spansPath)
 	}
 
 	exact := res.Profile(cal)

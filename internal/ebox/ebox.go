@@ -15,7 +15,6 @@ import (
 	"vax780/internal/ibox"
 	"vax780/internal/mem"
 	"vax780/internal/ucode"
-	"vax780/internal/ufuse"
 	"vax780/internal/upc"
 	"vax780/internal/urom"
 	"vax780/internal/vax"
@@ -93,16 +92,6 @@ type EBOX struct {
 	// every stride-th cycle lands in a sampled histogram. Concrete type,
 	// same disabled cost as FR — one pointer test per cycle.
 	Samp *upc.Sampler
-
-	// Fuse, when non-nil, is the compiled superword table
-	// (internal/ufuse): straight-line runs ufuse.verify proves pure
-	// execute as one dispatch each. Fusion applies only to a bare
-	// machine: any per-cycle hook — a telemetry Probe, the flight
-	// recorder, the sampler, a fault plan (CheckFaults), a Monitor that
-	// is not the devirtualized histogram board, or a board that is not
-	// on its fast path — forces single-step interpretation (run checks
-	// once per flow entry).
-	Fuse *ufuse.Plan
 
 	// Now is the cycle counter (200 ns units).
 	Now uint64
@@ -233,57 +222,11 @@ func (e *EBOX) RunOverhead(entry uint16, ctx *InstrCtx) error {
 
 // run is the microsequencer main loop: execute from entry until an
 // end-of-instruction microinstruction completes.
-//
-// With a fusion plan attached and no per-cycle hook, a straight-line
-// run ufuse.verify proves pure executes as one superword: fusedReplay
-// applies its histogram increments and I-Fetch advances in bulk, the
-// cycle counter jumps by the run length, and the run's final word goes
-// through the ordinary sequencer — the deopt point for branches,
-// dispatches, loop back-edges, and I-stream redirects. When the
-// successor (a jump target or a uret return site) roots another
-// superword, the inner loop chains straight into it; the loop re-reads
-// fuse.Len at every landing, so wherever control lands — a head, or a
-// superword's interior — it runs a verified run from that address or
-// single-steps. Memory words, IB-stall waits, and loop-counter loads are
-// never inside a superword, so the data-dependent paths below are
-// reached exactly as the interpreter reaches them.
 func (e *EBOX) run(entry uint16) error {
 	e.upc = entry
-	fuse := e.Fuse
-	if fuse != nil && (e.upcMon == nil || !e.upcMon.Fast() || e.CheckFaults ||
-		e.Probe != nil || e.FR != nil || e.Samp != nil) {
-		// The one deopt rule: any per-cycle hook interprets. Without a
-		// hook nothing can start, stop or clear the board mid-flow, so
-		// the fast-path test holds for the whole run.
-		fuse = nil
-	}
 	for steps := 0; ; steps++ {
 		if steps > 1_000_000 {
 			return fmt.Errorf("microcode runaway at uPC %#o", e.upc)
-		}
-
-		if fuse != nil {
-			// Chained superword loop: each iteration executes one
-			// superword and sequences its final word; when the successor
-			// (a jump target or a uret return site) roots another
-			// superword, the chain continues without touching the
-			// outer-loop dispatch.
-			for n := fuse.Len(e.upc); n != 0; n = fuse.Len(e.upc) {
-				if steps++; steps > 1_000_000 {
-					return fmt.Errorf("microcode runaway at uPC %#o", e.upc)
-				}
-				e.fusedReplay(n)
-				e.upc += uint16(n - 1)
-				mi := e.ROM.Image.At(e.upc)
-				next, done, err := e.seq(mi)
-				if err != nil {
-					return err
-				}
-				if done {
-					return nil
-				}
-				e.upc = next
-			}
 		}
 
 		mi := e.ROM.Image.At(e.upc)
@@ -313,19 +256,6 @@ func (e *EBOX) run(entry uint16) error {
 		}
 		e.upc = next
 	}
-}
-
-// fusedReplay executes one superword: n consecutive un-stalled cycles
-// at e.upc, e.upc+1, …, with one normal-set histogram increment and one
-// free-port I-Fetch advance each — exactly what n calls of
-// tick(addr, false, false) perform on a hook-free machine, because
-// ufuse.verify proved every word of the run touches no memory, loop
-// counter, IB stall or (before the last word) IB function, and falls
-// through.
-func (e *EBOX) fusedReplay(n int) {
-	e.upcMon.TickRun(e.upc, n)
-	e.IB.TickRun(e.Now, n)
-	e.Now += uint64(n)
 }
 
 // loopCount resolves a loop-counter load against the instruction context.

@@ -22,9 +22,7 @@ type HotTarget struct {
 // per-reference path below it (TB probes, cache lookups, IB refills).
 var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "tick"},
-	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "fusedReplay"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "Tick"},
-	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "TickRun"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "tickSlow"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "accept"},
 	{PkgPath: "vax780/internal/mem", Recv: "Cache", Func: "Access"},
@@ -32,7 +30,6 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/mem", Recv: "System", Func: "Translate"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "Fast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
-	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickRun"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
 	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "Sample"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Telemetry", Func: "Cycle"},

@@ -159,42 +159,6 @@ func (ib *IBox) Tick(now uint64, portFree bool) {
 	ib.tickSlow(now)
 }
 
-// TickRun advances the I-Fetch stage n cycles at once — the EBOX's
-// superword path, bit-exact with calling Tick(now+i, true) for each i
-// in [0, n): fused microwords make no memory reference, so the cache
-// port is free on every one of those cycles. The skip-ahead form does
-// only the work that changes state: an in-flight refill is accepted at
-// its recorded arrival cycle, the next reference issues the cycle
-// after, and a full buffer or latched I-stream TB miss ends the walk
-// early (nothing can change until the EBOX consumes bytes or services
-// the miss, and neither happens inside a superword).
-func (ib *IBox) TickRun(now uint64, n int) {
-	end := now + uint64(n)
-	for now < end {
-		if ib.pending {
-			if ib.pendingArrive >= end {
-				return // arrives after the fused block
-			}
-			if ib.pendingArrive > now {
-				now = ib.pendingArrive // idle until the refill lands
-			}
-		} else if !ib.canIssue() {
-			return // stable for the rest of the block
-		}
-		ib.tickSlow(now)
-		now++
-	}
-}
-
-// canIssue reports whether an idle I-Fetch stage would do anything
-// with a free port this cycle: room in the buffer and no latched
-// I-stream TB miss. (Tick leaves the miss test to tickSlow to stay
-// inside the inlining budget; the bulk path hoists it so a latched
-// miss ends the cycle walk in O(1).)
-func (ib *IBox) canIssue() bool {
-	return ib.bufLen < Capacity && !ib.itbMiss
-}
-
 // tickSlow accepts an arrived refill or issues the next one; Tick has
 // already established the port is free and there is room. The pending
 // I-stream TB miss (rare: the EBOX services it within a bounded flow)

@@ -15,7 +15,6 @@ import (
 	"vax780/internal/ibox"
 	"vax780/internal/mem"
 	"vax780/internal/ucode"
-	"vax780/internal/ufuse"
 	"vax780/internal/upc"
 	"vax780/internal/urom"
 	"vax780/internal/vax"
@@ -103,15 +102,6 @@ type Config struct {
 	// instructions retired and cycles simulated, stored atomically once
 	// per trace item (never per cycle — the cycle loop stays clean).
 	Progress *ProgressCell
-
-	// Fusion, when non-nil, attaches the flow-fusion superword plan:
-	// the EBOX executes ulint-proven straight-line runs as single
-	// dispatches whenever every per-cycle hook is disabled. The plan is
-	// threaded through unconditionally — the EBOX itself interprets
-	// every microword while any telemetry probe, fault plan, flight
-	// recorder, or sampler is attached, so observability semantics are
-	// unchanged.
-	Fusion *ufuse.Plan
 }
 
 // ProgressCell is the machine's live-progress mailbox: written by the
@@ -217,7 +207,6 @@ func New(cfg Config, prog *workload.Program) *Machine {
 	}
 	m.E.FR = cfg.Flight
 	m.E.Samp = cfg.Sampler
-	m.E.Fuse = cfg.Fusion
 	m.progress = cfg.Progress
 	m.setProcess(1)
 	return m

@@ -4,8 +4,7 @@
 // classes — the same way the paper maps the 780's elapsed time onto its
 // microcode with the UPC histogram board. Where the board answers
 // "where do the *simulated* cycles go", this package answers "where
-// does the *simulator's own* time go", which is the data the
-// flow-fusion JIT needs to pick targets.
+// does the *simulator's own* time go".
 //
 // Two engines share one report format:
 //

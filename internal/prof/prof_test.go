@@ -229,29 +229,6 @@ func TestDiffProfiles(t *testing.T) {
 	}
 }
 
-func TestTargetsRankFusibleSegments(t *testing.T) {
-	rom, ix := testIndex(t)
-	h := synthHist(ix)
-	ts := Targets(rom, ix, h, Uniform(60))
-	if len(ts) == 0 {
-		t.Skip("synthetic histogram hit no fusible segments")
-	}
-	for i, tg := range ts {
-		if tg.Len < 2 {
-			t.Fatalf("target %d has %d words; fusible needs >= 2", i, tg.Len)
-		}
-		if tg.Fusibility <= 0 || tg.Fusibility >= 1 {
-			t.Fatalf("fusibility %v out of (0,1)", tg.Fusibility)
-		}
-		if i > 0 && ts[i].Score > ts[i-1].Score {
-			t.Fatal("targets not sorted by score")
-		}
-	}
-	if out := RenderTargets(ts, 5); !strings.Contains(out, "JIT targets") {
-		t.Fatalf("render: %s", out)
-	}
-}
-
 func TestSpansExport(t *testing.T) {
 	rom, ix := testIndex(t)
 	p := Sampled(rom, ix, synthHist(ix), 64, 5e8)

@@ -51,9 +51,9 @@ func layerOf(t *testing.T, tel *vax780.Telemetry) *telemetry.Telemetry {
 // reference encoder's bytes on a metadata-only tracer, on single runs
 // truncated by a small cap, filling a 50 000-event cap and uncapped,
 // and on the 10k-instruction composite. The root package's
-// TestParallelTelemetryBitExact and TestFusionTelemetryBitExact hold
-// the composite's trace byte-identical at -j 1/2/4 and under NoFusion,
-// so one composite configuration covers the others.
+// TestParallelTelemetryBitExact holds the composite's trace
+// byte-identical at -j 1/2/4, so one composite configuration covers
+// the others.
 func TestWriteTraceMatchesOracle(t *testing.T) {
 	t.Run("metadata-only", func(t *testing.T) {
 		telemetry.MatchOracle(t, tracedRun(t, 0, 100))

@@ -13,10 +13,10 @@ var indexCache sync.Map // *urom.ROM → *FlowIndex
 
 // IndexFor returns rom's flow index, building it at most once per
 // assembled image. The CFG walk and bounds passes behind NewFlowIndex
-// are the expensive part of the analyzer; the prof sampler, vaxlint,
-// and the fusion engine all classify against this shared cached
-// analysis instead of re-deriving it per run, and therefore cannot
-// disagree about where a flow or segment begins.
+// are the expensive part of the analyzer; the prof sampler and vaxlint
+// both classify against this shared cached analysis instead of
+// re-deriving it per run, and therefore cannot disagree about where a
+// flow begins.
 func IndexFor(rom *urom.ROM) *FlowIndex {
 	if v, ok := indexCache.Load(rom); ok {
 		return v.(*FlowIndex)

@@ -1,13 +1,12 @@
 package ulint
 
 // The shared flow-index cache: one analysis per assembled ROM image,
-// reused by the prof sampler, vaxlint, and the fusion seeder.
+// reused by the prof sampler and vaxlint.
 
 import (
 	"sync"
 	"testing"
 
-	"vax780/internal/ucode"
 	"vax780/internal/urom"
 )
 
@@ -40,50 +39,4 @@ func TestIndexForConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSchedulingWordsAreSingletons: the fusion-oriented segmentation
-// isolates every scheduling word (memory function, IB stall, loop
-// load) in its own single-word segment, so the fusible segments are
-// exactly the maximal pure straight-line runs.
-func TestSchedulingWordsAreSingletons(t *testing.T) {
-	rom := urom.Build()
-	for _, f := range NewFlowIndex(rom).Flows() {
-		for _, s := range f.Segments {
-			if s.Len == 1 {
-				continue
-			}
-			for w := s.Start; w < s.End(); w++ {
-				mi := rom.Image.At(w)
-				if mi.Mem != ucode.MemNone || mi.IBStall || mi.Loop != ucode.LoopNone {
-					t.Fatalf("flow %s: scheduling word %05o inside multi-word segment %05o+%d",
-						f.Name, w, s.Start, s.Len)
-				}
-			}
-		}
-	}
-}
-
-// TestFusibleInteriorsArePure: fusible segments never perform an IB
-// function before their final word — the superword executor applies no
-// IB side effects for interior words, so the analyzer must not prove
-// any.
-func TestFusibleInteriorsArePure(t *testing.T) {
-	rom := urom.Build()
-	for _, f := range NewFlowIndex(rom).Flows() {
-		for _, s := range f.Segments {
-			if !s.Fusible {
-				continue
-			}
-			for w := s.Start; w < s.End()-1; w++ {
-				mi := rom.Image.At(w)
-				if mi.Seq != ucode.SeqNext {
-					t.Fatalf("flow %s: fusible interior %05o sequences (%v)", f.Name, w, mi.Seq)
-				}
-				if mi.IB != ucode.IBNone {
-					t.Fatalf("flow %s: fusible interior %05o performs IB function %v", f.Name, w, mi.IB)
-				}
-			}
-		}
-	}
 }

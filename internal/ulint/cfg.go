@@ -76,9 +76,9 @@ func buildCFG(img *ucode.Image, roots Roots) *cfg {
 	// so its return edge fans out to every call site's continuation. The
 	// set is deduplicated through one map (shared sites stay O(1) to
 	// collect, never O(sites) per collector) and sorted by site address,
-	// so the URet fan-out — and everything derived from it, like the
-	// return-fusion edges — is deterministic regardless of where in the
-	// image the collecting words sit.
+	// so the URet fan-out — and everything derived from it — is
+	// deterministic regardless of where in the image the collecting
+	// words sit.
 	seen := make(map[uint16]bool)
 	for addr := 0; addr < n; addr++ {
 		mi := img.At(uint16(addr))

@@ -3,7 +3,6 @@ package ulint
 import (
 	"testing"
 
-	"vax780/internal/ucode"
 	"vax780/internal/urom"
 )
 
@@ -15,7 +14,7 @@ func TestFlowIndexShippedROM(t *testing.T) {
 		t.Fatal("shipped ROM produced no flows")
 	}
 
-	for fi, f := range flows {
+	for _, f := range flows {
 		if len(f.Words) == 0 {
 			t.Fatalf("flow %s has no words", f.Name)
 		}
@@ -27,39 +26,6 @@ func TestFlowIndexShippedROM(t *testing.T) {
 		} else if flows[owner].Entry > f.Entry {
 			t.Fatalf("flow %s: entry owned by later flow %s", f.Name, flows[owner].Name)
 		}
-		// Segments cover a subset of the flow's words, contiguously.
-		inFlow := make(map[uint16]bool, len(f.Words))
-		for _, w := range f.Words {
-			inFlow[w] = true
-		}
-		covered := 0
-		for _, s := range f.Segments {
-			if s.Len < 1 {
-				t.Fatalf("flow %s: empty segment at %05o", f.Name, s.Start)
-			}
-			for w := s.Start; w < s.End(); w++ {
-				if !inFlow[w] {
-					t.Fatalf("flow %s: segment word %05o outside the flow", f.Name, w)
-				}
-				covered++
-			}
-			if s.Fusible {
-				if s.Len < 2 {
-					t.Fatalf("flow %s: single-word segment %05o marked fusible", f.Name, s.Start)
-				}
-				for w := s.Start; w < s.End(); w++ {
-					mi := rom.Image.At(w)
-					if mi.Mem != ucode.MemNone || mi.IBStall || mi.Loop != ucode.LoopNone {
-						t.Fatalf("flow %s: fusible segment %05o contains scheduling word %05o",
-							f.Name, s.Start, w)
-					}
-				}
-			}
-		}
-		if covered != len(f.Words) {
-			t.Fatalf("flow %s: segments cover %d of %d words", f.Name, covered, len(f.Words))
-		}
-		_ = fi
 	}
 }
 
@@ -77,19 +43,6 @@ func TestFlowIndexBoundsAttached(t *testing.T) {
 	}
 }
 
-func TestFlowIndexHasFusibleSegments(t *testing.T) {
-	// The JIT targeting list depends on at least some of the shipped
-	// control store being provably fusible.
-	ix := NewFlowIndex(urom.Build())
-	total := 0
-	for _, f := range ix.Flows() {
-		total += f.FusibleWords()
-	}
-	if total == 0 {
-		t.Fatal("no fusible straight-line segments anywhere in the shipped ROM")
-	}
-}
-
 func TestFlowIndexDeterministic(t *testing.T) {
 	rom := urom.Build()
 	a, b := NewFlowIndex(rom), NewFlowIndex(rom)
@@ -99,7 +52,7 @@ func TestFlowIndexDeterministic(t *testing.T) {
 	}
 	for i := range fa {
 		if fa[i].Name != fb[i].Name || fa[i].Entry != fb[i].Entry ||
-			len(fa[i].Words) != len(fb[i].Words) || len(fa[i].Segments) != len(fb[i].Segments) {
+			len(fa[i].Words) != len(fb[i].Words) {
 			t.Fatalf("flow %d differs between identical builds", i)
 		}
 	}

@@ -4,23 +4,14 @@ import (
 	"testing"
 
 	"vax780/internal/ucode"
-	"vax780/internal/ufuse"
-	"vax780/internal/urom"
 )
 
 // FuzzCFGBuild drives the CFG builder and every graph pass over
 // mutated control stores: random rewrites of sequencer fields, targets,
-// IB functions, memory/loop fields, and dispatch roots. Two properties
-// must survive any mutation:
-//
-//  1. Analyze never panics — a corrupt image produces findings, not a
-//     crash (vaxlint runs on stores that are broken by definition);
-//  2. cross-checker agreement — every segment the analyzer still calls
-//     fusible must pass ufuse's independent word-by-word legality proof
-//     (Compile), and the compiled plan must pass Audit against the same
-//     set. The analyzer and the fusion engine prove fusibility from the
-//     same rules through different code; the fuzzer hunts for an input
-//     where they disagree.
+// IB functions, memory/loop fields, and dispatch roots. Neither Analyze
+// nor the flow walk behind the flow index may panic on any mutation: a
+// corrupt image produces findings, not a crash (vaxlint runs on stores
+// that are broken by definition).
 func FuzzCFGBuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -63,31 +54,13 @@ func FuzzCFGBuild(f *testing.F) {
 			}
 		}
 
-		// Property 1: no panic, whatever the mutations did.
+		// No panic, whatever the mutations did. The flow walk does not
+		// need the CFG, so it runs even on structurally broken stores.
 		rep := Analyze(img, roots)
 		_ = rep.Summary()
-
-		// Property 2: the analyzer's fusible segments must pass the
-		// fusion engine's independent proof. The flow walk does not need
-		// the CFG, so it runs even on structurally broken stores.
 		a := &analyzer{img: img, roots: roots}
-		var plain []ufuse.Segment
 		for _, entry := range a.flowEntries() {
-			for _, s := range segments(img, entry, a.flowWords(entry)) {
-				if s.Fusible {
-					plain = append(plain, ufuse.Segment{Start: s.Start, Len: s.Len})
-				}
-			}
-		}
-		if len(plain) == 0 {
-			return
-		}
-		plan, err := ufuse.Compile(&urom.ROM{Image: img}, plain)
-		if err != nil {
-			t.Fatalf("analyzer-fusible segment fails ufuse legality: %v", err)
-		}
-		if err := ufuse.Audit(plan, &urom.ROM{Image: img}, plain); err != nil {
-			t.Fatalf("compiled plan fails audit against its own segment set: %v", err)
+			_ = a.flowWords(entry)
 		}
 	})
 }

@@ -192,9 +192,8 @@ func TestGoldenCounterReloadInLoop(t *testing.T) {
 // TestGoldenUnattributedBucket: a reachable word outside every region is
 // invisible to the Table 8 decomposition — its cycles would be counted
 // by the monitor and dropped by the reduction. The second store splices
-// the regionless word into the interior of a straight-line run the
-// segmentation calls fusible; fusion adds no blind spot, because
-// attribution is proven per word whatever superword contains it.
+// the regionless word into the interior of a straight-line run:
+// attribution is proven per word, wherever in a run the word sits.
 func TestGoldenUnattributedBucket(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

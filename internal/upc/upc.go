@@ -130,27 +130,6 @@ func (m *Monitor) TickFast(addr uint16, stalled bool) {
 	m.counts[i]++
 }
 
-// TickRun records n consecutive count pulses at addr, addr+1, ...,
-// addr+n-1, all in the normal count set — the superword path's bulk
-// histogram application. The body is the same plain index loop the
-// vectorizable Histogram.Add uses (contiguous, no cross-iteration
-// dependence), and it is bit-exact with n individual TickFast calls:
-// fused words never stall (ulint proves they make no memory reference
-// and no IB wait, so every pulse lands in the normal set), and
-// saturation stays lazily reconciled exactly as TickFast leaves it.
-// Callers must check Fast() first, as with TickFast.
-func (m *Monitor) TickRun(addr uint16, n int) {
-	i := int(addr) & (Buckets - 1)
-	end := i + n
-	if end > Buckets {
-		end = Buckets // unreachable for a compiled plan: segments stay in-image
-	}
-	c := m.counts[i:end]
-	for k := range c {
-		c[k]++
-	}
-}
-
 // reconcile applies the deferred saturation semantics after a burst of
 // TickFast pulses: any counter past its architectural capacity is
 // clamped to capacity and the saturated flag latched. With a fault

@@ -159,7 +159,7 @@ func (p *Program) Bytes() int {
 // execution trace over it. Items are values; a generated trace carves
 // the instruction records they point to from chunked arenas, and a
 // replayed execution shares its original's record (see DESIGN.md
-// §15.4).
+// §15.1).
 type Trace struct {
 	Name    string
 	Program *Program

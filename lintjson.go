@@ -1,8 +1,8 @@
 package vax780
 
 // Machine-readable lint report: the full static proof state of the
-// shipped microprogram — findings, attribution coverage, the fusion
-// audit count — serialized deterministically so CI can archive it as
+// shipped microprogram — findings and attribution coverage —
+// serialized deterministically so CI can archive it as
 // an artifact and diff it against the committed golden
 // (vaxlint_golden.json). A diff means the shipped control store
 // or an analyzer pass changed what is proven; both deserve a reviewed
@@ -36,25 +36,21 @@ type LintJSONReport struct {
 	TickableBuckets   int `json:"tickable_buckets"`
 	AttributedBuckets int `json:"attributed_buckets"`
 
-	Superwords int `json:"superwords"`
-
 	Findings []LintJSONFinding `json:"findings"`
 }
 
 // lintJSONSchema versions the report shape; bump it when fields change
 // meaning so a stale golden fails loudly instead of diffing confusingly.
-const lintJSONSchema = 2
+const lintJSONSchema = 3
 
-// buildLintJSON assembles the report from an analyzer run and the
-// fusion audit's superword count.
-func buildLintJSON(rep *ulint.Report, superwords int) *LintJSONReport {
+// buildLintJSON assembles the report from an analyzer run.
+func buildLintJSON(rep *ulint.Report) *LintJSONReport {
 	out := &LintJSONReport{
 		Schema:            lintJSONSchema,
 		Words:             rep.Words,
 		Reachable:         rep.Reachable,
 		TickableBuckets:   rep.TickableBuckets,
 		AttributedBuckets: rep.AttributedBuckets,
-		Superwords:        superwords,
 		Findings:          []LintJSONFinding{}, // [] not null: stable goldens
 	}
 	for _, f := range rep.Findings {
@@ -70,15 +66,9 @@ func buildLintJSON(rep *ulint.Report, superwords int) *LintJSONReport {
 }
 
 // LintJSON renders the shipped microprogram's full proof report as
-// deterministic, newline-terminated, indented JSON. The fusion audit
-// runs as part of it; an audit failure is an error, not a report —
-// a report must only ever describe a provable store.
+// deterministic, newline-terminated, indented JSON.
 func LintJSON() ([]byte, error) {
-	superwords, err := FusionAudit()
-	if err != nil {
-		return nil, err
-	}
-	b, err := json.MarshalIndent(buildLintJSON(LintControlStore(), superwords), "", "  ")
+	b, err := json.MarshalIndent(buildLintJSON(LintControlStore()), "", "  ")
 	if err != nil {
 		return nil, err
 	}

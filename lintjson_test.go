@@ -9,8 +9,7 @@ import (
 // report and diffs it byte for byte against the committed golden. CI
 // archives the regenerated report as an artifact and gates on this
 // test: any change to what the analyzer proves about the shipped
-// control store — coverage counts, findings, the fusion audit count —
-// must arrive as a reviewed golden update.
+// control store — coverage counts and findings — must arrive as a reviewed golden update.
 //
 // To refresh after an intentional change:
 //

@@ -40,19 +40,15 @@ type Calibration = prof.Calibration
 // workload → flow) and the run/job traces share the obs span model.
 type Span = obs.Span
 
-// JITTarget is one fusible straight-line segment of the JIT targeting
-// list, ranked by host ns × fusibility.
-type JITTarget = prof.Target
-
 // ReadCalibration loads a calibration written by vaxprof -calib-out.
 func ReadCalibration(r io.Reader) (*Calibration, error) {
 	return prof.ReadCalibration(r)
 }
 
 // flowIndex returns the flow index of the shared control store — the
-// per-ROM cached analysis (ulint.IndexFor) the prof sampler, vaxlint,
-// and the fusion engine all classify against, so the three cannot
-// disagree about where a flow or segment begins.
+// per-ROM cached analysis (ulint.IndexFor) the prof sampler and
+// vaxlint both classify against, so the two cannot disagree about
+// where a flow begins.
 func flowIndex() *ulint.FlowIndex {
 	return ulint.IndexFor(machineROM())
 }
@@ -252,14 +248,6 @@ func profSummaryAttrs(p *prof.Profile) []slog.Attr {
 // calibration is a fixed input, so the profile is deterministic.
 func (r *Results) Profile(cal *Calibration) *Profile {
 	return prof.Exact(machineROM(), flowIndex(), r.hist, cal)
-}
-
-// JITTargets returns the ranked flow-fusion targeting list: every
-// fusible straight-line segment the control store proves safe to fuse
-// (ulint's segmentation), priced by the run's cycles in it and ranked
-// by host ns × fusibility (cycles × fusibility when cal is nil).
-func (r *Results) JITTargets(cal *Calibration) []JITTarget {
-	return prof.Targets(machineROM(), flowIndex(), r.hist, cal)
 }
 
 // ClassCycles sums the composite histogram per Table 8 cycle class —

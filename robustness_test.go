@@ -105,6 +105,51 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeFlightRecorder: the flight recorder is outside
+// the checkpoint fingerprint, so a run killed with the recorder forced
+// on resumes with it off, and the reverse. Both resumed composites
+// must be bit-identical to an uninterrupted run without the recorder.
+func TestCheckpointResumeFlightRecorder(t *testing.T) {
+	base := RunConfig{
+		Instructions: 4000,
+		Workloads:    []WorkloadID{TimesharingA, RTEScientific, RTECommercial},
+	}
+	uninterrupted, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name                string
+		killDepth, resDepth int
+	}{
+		{"recorded-then-bare", 64, 0},
+		{"bare-then-recorded", 0, 64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+			killed := base
+			killed.Checkpoint = ckpt
+			killed.FlightDepth = c.killDepth
+			killed.haltAfter = 1
+			if _, err := Run(killed); !errors.Is(err, errRunHalted) {
+				t.Fatalf("halted run: err = %v, want errRunHalted", err)
+			}
+			resumed := base
+			resumed.Checkpoint = ckpt
+			resumed.Resume = true
+			resumed.FlightDepth = c.resDepth
+			res, err := Run(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resumed != 1 {
+				t.Errorf("Resumed = %d, want 1", res.Resumed)
+			}
+			compareResults(t, res, uninterrupted)
+		})
+	}
+}
+
 // TestResumeWithoutCheckpointFile starts from scratch when the
 // checkpoint file does not exist.
 func TestResumeWithoutCheckpointFile(t *testing.T) {

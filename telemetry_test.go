@@ -65,24 +65,51 @@ func TestTelemetryIntervalInvariant(t *testing.T) {
 }
 
 // TestTelemetryAttachmentIsPassive verifies the paper's core discipline:
-// the attached monitor must not perturb the measurement. A run with the
-// full telemetry stack enabled produces bit-identical results.
+// the attached monitor must not perturb the measurement. Each hook —
+// the telemetry stack, a forced-on flight recorder, the sampling
+// profiler, the run ledger, and a fault plan whose every rate is zero —
+// is attached alone, and the run must be bit-identical to the bare run
+// at the same parallelism.
 func TestTelemetryAttachmentIsPassive(t *testing.T) {
-	cfg := RunConfig{Instructions: 1500, Workloads: []WorkloadID{TimesharingB}}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	hooks := []struct {
+		name   string
+		attach func(*RunConfig)
+	}{
+		{"telemetry", func(c *RunConfig) { c.Telemetry = NewTelemetry(1000, 100000) }},
+		{"flight", func(c *RunConfig) { c.FlightDepth = 64 }},
+		{"profiler", func(c *RunConfig) { c.Profiler = &Profiler{} }},
+		{"ledger", func(c *RunConfig) { c.Ledger = io.Discard }},
+		{"faults", func(c *RunConfig) { c.Faults = &FaultConfig{Seed: 12345} }},
 	}
-	cfg.Telemetry = NewTelemetry(1000, 100000)
-	instrumented, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *plain.Histogram() != *instrumented.Histogram() {
-		t.Error("telemetry perturbed the histogram")
-	}
-	if plain.CPI() != instrumented.CPI() {
-		t.Errorf("CPI changed: %g plain, %g instrumented", plain.CPI(), instrumented.CPI())
+	for _, workers := range []int{1, 2} {
+		cfg := RunConfig{
+			Instructions: 1500,
+			Workloads:    []WorkloadID{TimesharingB, RTEScientific},
+			Parallelism:  workers,
+		}
+		bare, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hooks {
+			t.Run(fmt.Sprintf("%s/j=%d", h.name, workers), func(t *testing.T) {
+				hcfg := cfg
+				h.attach(&hcfg)
+				hooked, err := Run(hcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hcfg.Faults != nil {
+					// A plan adds its injection summary; zero rates
+					// must report that nothing was injected.
+					if hooked.FaultInjections != "none" {
+						t.Errorf("zero-rate plan injected: %s", hooked.FaultInjections)
+					}
+					hooked.FaultInjections = bare.FaultInjections
+				}
+				compareResults(t, bare, hooked)
+			})
+		}
 	}
 }
 

@@ -5,11 +5,10 @@ package vax780
 // never write the traces they execute (one trace already drives any
 // number of concurrent machines under -j). Regenerating the identical
 // trace for every Run was therefore pure overhead, and profiling the
-// hot-loop benchmarks showed it dominating per-run host time once the
-// superword engine had cut the dispatch cost: the 10k-instruction
-// TIMESHARING-A trace costs several milliseconds of sampling,
-// encoding, and allocation (plus the GC pressure of its garbage) per
-// Run. Every run now resolves its traces through a process-wide cache
+// hot-loop benchmarks showed it dominating per-run host time: the
+// 10k-instruction TIMESHARING-A trace costs several milliseconds of
+// sampling, encoding, and allocation (plus the GC pressure of its
+// garbage) per Run. Every run now resolves its traces through a process-wide cache
 // of the sweep's proven design: same key, same immutability argument,
 // same concurrency story. The cache is bounded (small LRU) so
 // long-lived processes serving varied shapes — vaxd above all — hold a
@@ -23,8 +22,8 @@ import (
 
 // traceKey is the workload-shape identity of a generated trace:
 // everything generation depends on. Two runs (or sweep design points)
-// differing only in hardware parameters, fault plans, observers, or
-// fusion share one trace — exactly the paper's method of replaying one
+// differing only in hardware parameters, fault plans or observers
+// share one trace — exactly the paper's method of replaying one
 // measured address trace against many cache geometries (§5).
 type traceKey struct {
 	id      WorkloadID

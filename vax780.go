@@ -19,7 +19,6 @@ import (
 	"vax780/internal/runlog"
 	"vax780/internal/telemetry"
 	"vax780/internal/tracesim"
-	"vax780/internal/ufuse"
 	"vax780/internal/upc"
 	"vax780/internal/workload"
 )
@@ -216,14 +215,11 @@ type RunConfig struct {
 	// See Profiler for the span-tree and trace exports.
 	Profiler *Profiler
 
-	// NoFusion disables the flow-fusion superword engine, forcing
-	// single-step interpretation of every microword. Fusion is on by
-	// default and bit-exact with interpretation — ulint proves each
-	// fused run pure, and any per-cycle hook (telemetry, fault plan,
-	// flight recorder, profiler sampler) forces single-step on its own
-	// — so this escape hatch exists for A/B measurement and debugging. Like Parallelism, it is excluded from the
-	// checkpoint fingerprint: a fused run may resume an unfused one
-	// and vice versa, bit-identically.
+	// NoFusion once disabled the flow-fusion superword engine. The
+	// engine is gone and every run interprets each microword, so the
+	// field is kept only so that existing callers still compile.
+	//
+	// Deprecated: NoFusion has no effect.
 	NoFusion bool
 
 	// haltAfter is a test seam: when positive, the run stops with
@@ -249,10 +245,6 @@ type RunConfig struct {
 	// that completed before the cancel is already merged and (when a
 	// Checkpoint is configured) durably checkpointed.
 	ctx context.Context
-
-	// fusion is the resolved superword plan (set once by RunContext
-	// from NoFusion; nil single-steps everything).
-	fusion *ufuse.Plan
 }
 
 // errRunHalted reports a run stopped by the haltAfter test seam.
@@ -401,7 +393,7 @@ func (c *RunConfig) childPlan(i int) *faults.Plan {
 // cache otherwise. Traces are read-only once generated (machines
 // never write them), so one trace can drive any number of concurrent
 // machines — and repeated runs of the same workload shape (benchmark
-// iterations, vaxd jobs, fused-vs-interpreted A/B pairs) reuse one
+// iterations, vaxd jobs) reuse one
 // generated trace instead of re-deriving it per run.
 func (c *RunConfig) trace(id WorkloadID, p workload.Profile) (*workload.Trace, error) {
 	if c.traces != nil {
@@ -456,11 +448,6 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Results, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	plan, planErr := cfg.fusionPlan()
-	if planErr != nil {
-		return nil, planErr
-	}
-	cfg.fusion = plan
 	if cfg.Profiler != nil {
 		cfg.Profiler.begin(workloadsLabel(cfg.Workloads))
 	}
@@ -797,7 +784,6 @@ func runOne(tr *workload.Trace, cfg RunConfig, tel *telemetry.Telemetry,
 		Flight:        fr,
 		Sampler:       samp,
 		Progress:      cell,
-		Fusion:        cfg.fusion,
 	}
 	if tel != nil {
 		// Assign only a live layer: a nil *telemetry.Telemetry boxed in
