@@ -101,8 +101,11 @@ type EBOX struct {
 	SP               uint32
 	StackLo, StackHi uint32
 
-	// Strict enables decode verification against the trace record;
-	// mismatches indicate an encoder/generator inconsistency.
+	// Strict makes the IB byte decode the oracle of the trace record the
+	// EBOX dispatches from: every opcode, specifier (mode, index, byte
+	// length) and branch displacement is decoded from the IB and compared,
+	// and a disagreement is an ErrDecodeMismatch error. Off, the record
+	// alone drives dispatch and the cycles are the same.
 	Strict bool
 
 	// OverlapDecode models the improvement the paper names in §5: "saving
@@ -222,20 +225,33 @@ func (e *EBOX) RunOverhead(entry uint16, ctx *InstrCtx) error {
 
 // run is the microsequencer main loop: execute from entry until an
 // end-of-instruction microinstruction completes.
+//
+// The hook set is fixed for the whole flow, so it is tested once here:
+// with no hook but a healthy board (or no monitor at all) the plain
+// cycle of a word without a memory function is done inline — the
+// board's count pulse, the I-Fetch cycle with the cache port free, and
+// the clock. Words that only step or jump the micro-PC advance it here
+// too. Memory cycles, IB stalls, traps, decode dispatches and every
+// hooked run still go through tick and seq.
 func (e *EBOX) run(entry uint16) error {
+	mon := e.upcMon
+	plain := e.Probe == nil && e.FR == nil && e.Samp == nil &&
+		(mon != nil && mon.Fast() || mon == nil && e.Mon == nil)
+	words := e.ROM.Image.Insts
 	e.upc = entry
 	for steps := 0; ; steps++ {
 		if steps > 1_000_000 {
 			return fmt.Errorf("microcode runaway at uPC %#o", e.upc)
 		}
 
-		mi := e.ROM.Image.At(e.upc)
+		mi := &words[e.upc]
 
 		if mi.Loop != ucode.LoopNone {
 			e.loop = e.loopCount(mi.Loop, mi.N)
 		}
 
-		if mi.Mem != ucode.MemNone {
+		switch {
+		case mi.Mem != ucode.MemNone:
 			ok, err := e.doMem(mi, 0)
 			if err != nil {
 				return err
@@ -243,10 +259,26 @@ func (e *EBOX) run(entry uint16) error {
 			if !ok {
 				continue // microtrap serviced; retry this microinstruction
 			}
-		} else {
+		case plain:
+			if mon != nil {
+				mon.TickFast(e.upc, false)
+			}
+			e.IB.Tick(e.Now, true)
+			e.Now++
+		default:
 			e.tick(e.upc, false, false)
 		}
 
+		if mi.IB != ucode.IBRedirect {
+			switch mi.Seq {
+			case ucode.SeqNext:
+				e.upc++
+				continue
+			case ucode.SeqJump:
+				e.upc = mi.Target
+				continue
+			}
+		}
 		next, done, err := e.seq(mi)
 		if err != nil {
 			return err

@@ -1,11 +1,13 @@
 package ebox
 
 import (
+	"errors"
 	"testing"
 
 	"vax780/internal/ibox"
 	"vax780/internal/mem"
 	"vax780/internal/ucode"
+	"vax780/internal/upc"
 	"vax780/internal/urom"
 	"vax780/internal/vax"
 )
@@ -337,6 +339,52 @@ func TestStrictDecodeMismatchFails(t *testing.T) {
 	}
 }
 
+// TestStrictSpecifierMismatchFails: the EBOX dispatches from the record,
+// and Strict decodes the IB bytes as the oracle. A record whose
+// specifier or displacement the image does not hold is an
+// ErrDecodeMismatch under Strict; without Strict the record alone
+// drives the dispatch.
+func TestStrictSpecifierMismatchFails(t *testing.T) {
+	disp := vax.Specifier{Mode: vax.ModeByteDisp, Reg: 3, Disp: 4, Addr: 0x5004, Index: -1}
+	indexed, otherIndex := disp, disp
+	indexed.Index, otherIndex.Index = 5, 6
+	cases := []struct {
+		name          string
+		image, record *vax.Instr
+	}{
+		{"mode",
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{regSpec(1), regSpec(2)}},
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{
+				{Mode: vax.ModeRegDeferred, Reg: 1, Addr: 0x5000, Index: -1}, regSpec(2)}}},
+		{"index",
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{indexed, regSpec(2)}},
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{disp, regSpec(2)}}},
+		{"index register",
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{indexed, regSpec(2)}},
+			&vax.Instr{Op: vax.MOVL, Specs: []vax.Specifier{otherIndex, regSpec(2)}}},
+		{"branch displacement",
+			&vax.Instr{Op: vax.BRB, Taken: true, BranchDisp: 2, Target: 0x1004},
+			&vax.Instr{Op: vax.BRB, Taken: true, BranchDisp: 6, Target: 0x1004}},
+	}
+	for _, c := range cases {
+		for _, strict := range []bool{true, false} {
+			r := newRig()
+			r.e.Strict = strict
+			r.mem.InsertTB(0x5000)
+			r.load(c.image, 0x1000)
+			c.record.PC = 0x1000
+			r.ib.Redirect(0x1000)
+			err := r.e.RunInstr(&InstrCtx{In: c.record, DstSpec: -1, FieldSpec: -1, Target: c.record.Target})
+			if strict && !errors.Is(err, ErrDecodeMismatch) {
+				t.Errorf("%s: Strict run returned %v, want a decode mismatch", c.name, err)
+			}
+			if !strict && err != nil {
+				t.Errorf("%s: run without Strict: %v", c.name, err)
+			}
+		}
+	}
+}
+
 func TestStackWrapStaysInRegion(t *testing.T) {
 	r := newRig()
 	r.e.SP = r.e.StackLo + 4
@@ -394,5 +442,110 @@ func TestRunawayMicrocodeDetected(t *testing.T) {
 	err := e.RunOverhead(img.Addr("spin"), &InstrCtx{DstSpec: -1, FieldSpec: -1})
 	if err == nil {
 		t.Error("runaway microcode not detected")
+	}
+}
+
+// countingProbe counts the cycles a Probe observes.
+type countingProbe struct{ cycles uint64 }
+
+func (p *countingProbe) Cycle(uint64, uint16, bool)  { p.cycles++ }
+func (p *countingProbe) TBMiss(uint64, bool, uint32) {}
+
+// runHookSequence runs a short mixed sequence — register, memory, stack
+// loop with a TB-miss trap, untaken branch — on a rig whose monitor is
+// mon, after attach has set any other hooks, and returns its EBOX.
+func runHookSequence(t *testing.T, mon Monitor, attach func(*EBOX)) *EBOX {
+	t.Helper()
+	r := newRig()
+	e := New(r.rom, r.mem, r.ib, mon)
+	e.Strict, e.SP, e.StackLo, e.StackHi = true, r.e.SP, r.e.StackLo, r.e.StackHi
+	attach(e)
+	r.mem.InsertTB(0x5000)
+	ins := []*vax.Instr{
+		{Op: vax.NOP},
+		{Op: vax.MOVL, Specs: []vax.Specifier{regSpec(1), regSpec(2)}},
+		{Op: vax.ADDL2, Specs: []vax.Specifier{
+			{Mode: vax.ModeByteDisp, Reg: 3, Disp: 4, Addr: 0x5004, Index: -1},
+			regSpec(4)}},
+		{Op: vax.PUSHR, RegCount: 6, Specs: []vax.Specifier{
+			{Mode: vax.ModeLiteral, Disp: 0x3F, Index: -1}}},
+		{Op: vax.BEQL, BranchDisp: 2},
+		{Op: vax.MOVL, Specs: []vax.Specifier{regSpec(5), regSpec(6)}},
+	}
+	pc := uint32(0x1000)
+	for _, in := range ins {
+		r.load(in, pc)
+		pc += uint32(in.Size())
+	}
+	r.ib.Redirect(0x1000)
+	for _, in := range ins {
+		if err := e.RunInstr(&InstrCtx{In: in, DstSpec: -1, FieldSpec: -1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// TestInlineCycleMatchesTick: the sequencer loop does the plain cycle
+// inline only when no hook but a healthy board (or none) is attached.
+// On that path the same sequence must take the same cycles at the same
+// micro-PCs as through tick, and each attached hook must see every
+// cycle.
+func TestInlineCycleMatchesTick(t *testing.T) {
+	ref := newTestMonitor() // not the board: every cycle goes through tick
+	want := runHookSequence(t, ref, func(*EBOX) {}).Now
+	if ref.total != want {
+		t.Fatalf("reference monitor saw %d cycles, EBOX advanced %d", ref.total, want)
+	}
+	none := func(*EBOX) {}
+	fr := upc.NewFlightRecorder(16)
+	samp := upc.NewSampler(1)
+	probe := &countingProbe{}
+	cases := []struct {
+		name    string
+		attach  func(*EBOX)
+		stopped bool
+		seen    func() uint64 // cycles the attached hook observed
+	}{
+		{"board", none, false, nil},
+		{"stopped board", none, true, nil},
+		{"flight recorder", func(e *EBOX) { e.FR = fr }, false, fr.Recorded},
+		{"sampler", func(e *EBOX) { e.Samp = samp }, false, samp.Taken},
+		{"probe", func(e *EBOX) { e.Probe = probe }, false, func() uint64 { return probe.cycles }},
+	}
+	for _, c := range cases {
+		board := upc.New()
+		if !c.stopped {
+			board.Start()
+		}
+		if got := runHookSequence(t, board, c.attach).Now; got != want {
+			t.Errorf("%s: %d cycles, want %d", c.name, got, want)
+		}
+		if c.seen != nil && c.seen() != want {
+			t.Errorf("%s: hook saw %d cycles, want %d", c.name, c.seen(), want)
+		}
+		h := board.Snapshot()
+		if c.stopped {
+			if h.TotalCycles() != 0 {
+				t.Errorf("%s: counted %d cycles", c.name, h.TotalCycles())
+			}
+			continue
+		}
+		if h.TotalCycles() != want {
+			t.Errorf("%s: board counted %d cycles, want %d", c.name, h.TotalCycles(), want)
+		}
+		for addr, n := range ref.normal {
+			if got, _ := h.At(addr); got != n {
+				t.Errorf("%s: uPC %#o counted %d, want %d", c.name, addr, got, n)
+			}
+		}
+		for addr, n := range ref.stalled {
+			if _, got := h.At(addr); got != n {
+				t.Errorf("%s: stalled uPC %#o counted %d, want %d", c.name, addr, got, n)
+			}
+		}
+	}
+	if got := runHookSequence(t, nil, none).Now; got != want {
+		t.Errorf("no monitor: %d cycles, want %d", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package ebox
 
 import (
+	"errors"
 	"fmt"
 
 	"vax780/internal/faults"
@@ -119,18 +120,18 @@ func (e *EBOX) waitIB(stallLoc uint16, need int) error {
 }
 
 // dispatchInstr performs the IRD dispatch: consume the opcode byte and
-// choose the first specifier flow or the execute flow.
+// choose the first specifier flow or the execute flow. The opcode comes
+// from the trace record, which ReadTrace and the generator hold equal to
+// the code image; with Strict the IB byte is decoded and compared.
 func (e *EBOX) dispatchInstr() (uint16, error) {
 	if err := e.waitIB(e.ROM.IBStallInstr, 1); err != nil {
 		return 0, err
 	}
-	op, err := vax.DecodeOpcode(e.IB.Bytes())
-	if err != nil {
-		return 0, fmt.Errorf("opcode decode at VA %#x: %w", e.IB.BufVA(), err)
-	}
-	if e.Strict && op != e.ctx.In.Op {
-		return 0, fmt.Errorf("decode mismatch: IB has %s, trace has %s at PC %#x",
-			op, e.ctx.In.Op, e.ctx.In.PC)
+	op := e.ctx.In.Op
+	if e.Strict {
+		if err := e.checkOpcode(); err != nil {
+			return 0, err
+		}
 	}
 	if err := e.IB.Consume(1); err != nil {
 		return 0, e.machineCheck(faults.CodeIBOverrun, "ebox.dispatchInstr",
@@ -154,8 +155,13 @@ func (e *EBOX) dispatchNext() (uint16, error) {
 	return e.execEntry(e.ctx.In.Op)
 }
 
-// dispatchSpec decodes specifier number specIdx from the IB and returns
-// its flow entry.
+// dispatchSpec dispatches specifier number specIdx and returns its flow
+// entry. Mode, index and byte length come from the trace record; the
+// I-Decode stage waits at the position's stall location until the IB
+// holds all n bytes of the specifier, then consumes them. Decoding the
+// IB bytes one refill at a time would succeed at exactly the first cycle
+// the IB holds n bytes, so the stall and I-stream TB-miss cycles are the
+// same (DESIGN.md §16.3).
 func (e *EBOX) dispatchSpec() (uint16, error) {
 	in := e.ctx.In
 	info := in.Info()
@@ -163,34 +169,21 @@ func (e *EBOX) dispatchSpec() (uint16, error) {
 	if e.specIdx == 0 {
 		stallLoc = e.ROM.IBStallSpec1
 	}
-
-	var ds vax.DecodedSpec
-	for {
-		var err error
-		ds, err = vax.DecodeSpec(e.IB.Bytes(), info.Specs[e.specIdx].Type)
-		if err == nil {
-			break
-		}
-		if err != vax.ErrShort {
-			return 0, fmt.Errorf("specifier decode: %w", err)
-		}
-		if len(e.IB.Bytes()) >= ibox.Capacity {
-			return 0, fmt.Errorf("specifier larger than IB at PC %#x", in.PC)
-		}
-		if err := e.waitIB(stallLoc, len(e.IB.Bytes())+1); err != nil {
+	sp := &in.Specs[e.specIdx]
+	t := info.Specs[e.specIdx].Type
+	n := vax.SpecSize(sp, t)
+	if n > ibox.Capacity {
+		return 0, fmt.Errorf("specifier larger than IB at PC %#x", in.PC)
+	}
+	if err := e.waitIB(stallLoc, n); err != nil {
+		return 0, err
+	}
+	if e.Strict {
+		if err := e.checkSpec(sp, t, n); err != nil {
 			return 0, err
 		}
 	}
-
-	if e.Strict {
-		want := in.Specs[e.specIdx]
-		if ds.Mode != want.Mode || ds.Index != want.Index {
-			return 0, fmt.Errorf("specifier %d decode mismatch at PC %#x: decoded %v[idx %d], trace %v[idx %d]",
-				e.specIdx, in.PC, ds.Mode, ds.Index, want.Mode, want.Index)
-		}
-	}
-
-	if err := e.IB.Consume(ds.Len); err != nil {
+	if err := e.IB.Consume(n); err != nil {
 		return 0, e.machineCheck(faults.CodeIBOverrun, "ebox.dispatchSpec",
 			e.IB.BufVA(), err)
 	}
@@ -202,13 +195,47 @@ func (e *EBOX) dispatchSpec() (uint16, error) {
 	e.specIdx++
 
 	variant := urom.VariantFor(info.Specs[e.curSpec].Access)
-	if ds.Index >= 0 {
+	if sp.Indexed() {
 		// Indexed: one preamble cycle in this position's region, then the
 		// shared SPEC2-6 base flow (the paper's attribution artifact).
-		e.pendBase = e.ROM.SpecEntry[1][ds.Mode][variant]
+		e.pendBase = e.ROM.SpecEntry[1][sp.Mode][variant]
 		return e.ROM.IdxEntry[pos], nil
 	}
-	return e.ROM.SpecEntry[pos][ds.Mode][variant], nil
+	return e.ROM.SpecEntry[pos][sp.Mode][variant], nil
+}
+
+// ErrDecodeMismatch reports, under Strict, that the IB bytes decode to
+// something other than the trace record the EBOX dispatched from.
+var ErrDecodeMismatch = errors.New("decode mismatch")
+
+// checkOpcode is the Strict oracle for the IRD dispatch: the opcode byte
+// at the front of the IB must be the record's opcode.
+func (e *EBOX) checkOpcode() error {
+	in := e.ctx.In
+	op, err := vax.DecodeOpcode(e.IB.Bytes())
+	if err != nil || op != in.Op {
+		return fmt.Errorf("%w: IB has %s, trace has %s at PC %#x",
+			ErrDecodeMismatch, op, in.Op, in.PC)
+	}
+	return nil
+}
+
+// checkSpec is the Strict oracle for a specifier dispatch: the n bytes
+// at the front of the IB must decode, as data type t, to the record's
+// mode and index with exactly n bytes.
+func (e *EBOX) checkSpec(want *vax.Specifier, t vax.DataType, n int) error {
+	in := e.ctx.In
+	ds, err := vax.DecodeSpec(e.IB.Bytes()[:n], t)
+	if err != nil {
+		return fmt.Errorf("%w: specifier %d at PC %#x: %v",
+			ErrDecodeMismatch, e.specIdx, in.PC, err)
+	}
+	if ds.Mode != want.Mode || ds.Index != want.Index || ds.Len != n {
+		return fmt.Errorf("%w: specifier %d at PC %#x: decoded %v[idx %d] in %d bytes, trace %v[idx %d] in %d",
+			ErrDecodeMismatch, e.specIdx, in.PC, ds.Mode, ds.Index, ds.Len,
+			want.Mode, want.Index, n)
+	}
+	return nil
 }
 
 // execEntry selects the execute flow entry for op, applying the
@@ -255,8 +282,8 @@ func (e *EBOX) decodeBranch() (uint16, error) {
 			return 0, err
 		}
 		if d != e.ctx.In.BranchDisp {
-			return 0, fmt.Errorf("branch displacement mismatch at PC %#x: IB %d, trace %d",
-				e.ctx.In.PC, d, e.ctx.In.BranchDisp)
+			return 0, fmt.Errorf("%w: branch displacement at PC %#x: IB %d, trace %d",
+				ErrDecodeMismatch, e.ctx.In.PC, d, e.ctx.In.BranchDisp)
 		}
 	}
 	if err := e.IB.Consume(size); err != nil {

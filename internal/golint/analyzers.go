@@ -18,10 +18,14 @@ type HotTarget struct {
 	Func    string
 }
 
-// DefaultHotTargets is the repository's per-cycle path, and the
-// per-reference path below it (TB probes, cache lookups, IB refills).
+// DefaultHotTargets is the repository's per-cycle path (the sequencer
+// loop runs the plain cycle inline; tick serves the rest), the
+// per-specifier dispatch, and the per-reference path below them (TB
+// probes, cache lookups, IB refills).
 var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "tick"},
+	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "run"},
+	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "dispatchSpec"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "Tick"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "tickSlow"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "accept"},

@@ -8,9 +8,11 @@ import "fmt"
 // absolute mode.
 const pcReg = 15
 
-// specSize returns the encoded length in bytes of a runtime specifier of
-// data type t, including the index prefix byte when present.
-func specSize(s *Specifier, t DataType) int {
+// SpecSize returns the encoded length in bytes of a runtime specifier of
+// data type t, including the index prefix byte when present: exactly the
+// bytes Encode emits for it. Instr.Size and the EBOX's specifier dispatch
+// both measure specifiers with it.
+func SpecSize(s *Specifier, t DataType) int {
 	n := 0
 	if s.Indexed() {
 		n++ // index prefix byte
@@ -30,7 +32,7 @@ func specSize(s *Specifier, t DataType) int {
 	case ModeLongDisp, ModeLongDispDeferred:
 		n += 5
 	default:
-		panic(fmt.Sprintf("vax: specSize: bad mode %v", s.Mode))
+		panic(fmt.Sprintf("vax: SpecSize: bad mode %v", s.Mode))
 	}
 	return n
 }

@@ -350,7 +350,7 @@ func (in *Instr) Info() *OpInfo { return in.Op.Info() }
 func (in *Instr) Size() int {
 	n := 1 // opcode byte
 	for i := range in.Specs {
-		n += specSize(&in.Specs[i], in.specType(i))
+		n += SpecSize(&in.Specs[i], in.specType(i))
 	}
 	n += in.Info().BranchDispSize
 	return n

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -205,4 +206,78 @@ func TestEveryGeneratedInstructionValidates(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPredecodeMatchesIBDecode holds the trace record the EBOX dispatches
+// from to the code image the IB fetches: for every executed instruction
+// of the five composite traces and the custom profile, decoding the image
+// bytes at its PC gives the record's opcode, each specifier's mode, index
+// and vax.SpecSize, and its branch displacement.
+func TestPredecodeMatchesIBDecode(t *testing.T) {
+	for _, p := range append(AllProfiles(20_000), customProfile(20_000)) {
+		tr, err := Generate(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		var buf []byte
+		checked := 0
+		for i := range tr.Items {
+			it := &tr.Items[i]
+			if it.Kind != KindInstr {
+				continue
+			}
+			in := it.In
+			buf = buf[:0]
+			for va := in.PC; len(buf) < 64; va++ {
+				b, ok := tr.Program.Byte(va)
+				if !ok {
+					break
+				}
+				buf = append(buf, b)
+			}
+			if err := matchIBDecode(buf, in); err != nil {
+				t.Fatalf("%s item %d (%s at %#x): %v", p.Name, i, in.Op, in.PC, err)
+			}
+			checked++
+		}
+		if checked < 20_000 {
+			t.Errorf("%s: checked only %d instructions", p.Name, checked)
+		}
+	}
+}
+
+// matchIBDecode decodes buf the way the I-Decode stage does, one field at
+// a time, and compares each field with the record.
+func matchIBDecode(buf []byte, in *vax.Instr) error {
+	op, err := vax.DecodeOpcode(buf)
+	if err != nil {
+		return err
+	}
+	if op != in.Op {
+		return fmt.Errorf("image opcode %s", op)
+	}
+	info := op.Info()
+	n := 1
+	for j := range in.Specs {
+		sp, typ := &in.Specs[j], info.Specs[j].Type
+		ds, err := vax.DecodeSpec(buf[n:], typ)
+		if err != nil {
+			return fmt.Errorf("specifier %d: %v", j, err)
+		}
+		if size := vax.SpecSize(sp, typ); ds.Mode != sp.Mode || ds.Index != sp.Index || ds.Len != size {
+			return fmt.Errorf("specifier %d: image %v[idx %d] in %d bytes, record %v[idx %d] in %d",
+				j, ds.Mode, ds.Index, ds.Len, sp.Mode, sp.Index, size)
+		}
+		n += ds.Len
+	}
+	if size := info.BranchDispSize; size > 0 {
+		d, err := vax.DecodeBranchDisp(buf[n:], size)
+		if err != nil {
+			return fmt.Errorf("branch displacement: %v", err)
+		}
+		if d != in.BranchDisp {
+			return fmt.Errorf("image displacement %d, record %d", d, in.BranchDisp)
+		}
+	}
+	return nil
 }

@@ -58,6 +58,11 @@ func (p *Program) GobDecode(data []byte) error {
 		copy(used[:], v)
 		p.used[k] = used
 	}
+	for k := range p.pages {
+		if p.used[k] == nil {
+			return fmt.Errorf("workload: page %#x has no used map in trace file", k)
+		}
+	}
 	return nil
 }
 
@@ -107,9 +112,23 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if t.Program == nil {
 		return nil, fmt.Errorf("workload: trace file has no program image")
 	}
+	// The EBOX dispatches from the record, so the code image the IB
+	// fetches must hold each instruction's encoding at its PC.
+	var enc []byte
 	for i := range t.Items {
-		if err := t.Items[i].validate(); err != nil {
+		it := &t.Items[i]
+		if err := it.validate(); err != nil {
 			return nil, fmt.Errorf("workload: trace item %d: %w", i, err)
+		}
+		if it.Kind != KindInstr {
+			continue
+		}
+		enc = vax.Encode(enc[:0], it.In)
+		for j, want := range enc {
+			if got, ok := t.Program.Byte(it.In.PC + uint32(j)); !ok || got != want {
+				return nil, fmt.Errorf("workload: trace item %d: code image at PC %#x does not hold its %s encoding",
+					i, it.In.PC, it.In.Op)
+			}
 		}
 	}
 	return t, nil

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"testing"
+
+	"vax780/internal/vax"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -74,5 +76,24 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("garbage trace accepted")
+	}
+}
+
+// TestReadTraceRejectsPageWithoutUsedMap: ReadTrace reads the code image
+// byte by byte to check it against the records, so a file whose page has
+// no used map must be an error, not a nil dereference.
+func TestReadTraceRejectsPageWithoutUsedMap(t *testing.T) {
+	in := &vax.Instr{Op: vax.NOP, PC: 0x1000}
+	tr := &Trace{Program: NewProgram(), Items: []Item{{Kind: KindInstr, In: in}}}
+	if err := tr.Program.PutInstr(in); err != nil {
+		t.Fatal(err)
+	}
+	delete(tr.Program.used, in.PC/pageSize)
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTrace(&buf); err == nil {
+		t.Error("ReadTrace accepted a page without a used map")
 	}
 }

@@ -100,22 +100,25 @@ func NewProgram() *Program {
 // writes must agree byte-for-byte (loops legitimately revisit addresses);
 // a conflict reports a generator layout bug.
 func (p *Program) Put(va uint32, b []byte) error {
-	for i, by := range b {
-		a := va + uint32(i)
-		pg, off := a/pageSize, a%pageSize
-		page := p.pages[pg]
+	for len(b) > 0 {
+		pg, off := va/pageSize, va%pageSize
+		page, u := p.pages[pg], p.used[pg]
 		if page == nil {
-			page = new([pageSize]byte)
-			p.pages[pg] = page
-			p.used[pg] = new([pageSize]bool)
+			page, u = new([pageSize]byte), new([pageSize]bool)
+			p.pages[pg], p.used[pg] = page, u
 		}
-		u := p.used[pg]
-		if u[off] && page[off] != by {
-			return fmt.Errorf("workload: code conflict at VA %#x: %#02x vs %#02x",
-				a, page[off], by)
+		run := b[:min(len(b), int(pageSize-off))]
+		for i, by := range run {
+			o := off + uint32(i)
+			if u[o] && page[o] != by {
+				return fmt.Errorf("workload: code conflict at VA %#x: %#02x vs %#02x",
+					va+uint32(i), page[o], by)
+			}
+			page[o] = by
+			u[o] = true
 		}
-		page[off] = by
-		u[off] = true
+		va += uint32(len(run))
+		b = b[len(run):]
 	}
 	return nil
 }

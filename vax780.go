@@ -104,8 +104,12 @@ type RunConfig struct {
 	// sweeps this.
 	CtxSwitchHeadway int
 
-	// Strict verifies every IB decode against the trace (slower; on by
-	// default in tests, off by default here).
+	// Strict makes the IB byte decode the oracle of the trace record the
+	// EBOX dispatches from: each opcode, specifier (mode, index, length)
+	// and branch displacement is decoded from the IB and compared, and a
+	// disagreement fails the run. The cycles counted are the same either
+	// way; Strict only costs the decode (on in most tests, off here by
+	// default).
 	Strict bool
 
 	// Telemetry, when non-nil, attaches the live telemetry layer to the

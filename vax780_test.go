@@ -2,6 +2,7 @@ package vax780
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,6 +56,27 @@ func TestRunSingleWorkload(t *testing.T) {
 	}
 	if float < 3 {
 		t.Errorf("scientific workload FLOAT = %.1f%%, expected elevated", float)
+	}
+}
+
+// TestStrictMatchesRecordDispatch: the EBOX dispatches from the trace
+// record, and Strict only adds the IB decode as its oracle, so a Strict
+// composite must count exactly the cycles of a plain one.
+func TestStrictMatchesRecordDispatch(t *testing.T) {
+	plain, err := Run(RunConfig{Instructions: 50_000, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict, err := Run(RunConfig{Instructions: 50_000, Parallelism: 1, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *plain.Histogram() != *strict.Histogram() {
+		t.Error("Strict changed the composite histogram")
+	}
+	if !reflect.DeepEqual(plain.PerWorkload, strict.PerWorkload) {
+		t.Errorf("Strict changed the per-workload rows:\nplain  %+v\nstrict %+v",
+			plain.PerWorkload, strict.PerWorkload)
 	}
 }
 
