@@ -53,8 +53,9 @@ bench-parallel:
 	$(GO) test -run xxx -bench 'BenchmarkParallelRun|BenchmarkSimulatorThroughput' -benchtime 10x -count 3 .
 
 # The profiler-overhead gate; compare against the "host-time profiler"
-# entry of BENCH_history.json (the disabled sampler hook must stay
-# within 1% of the fault-era baseline).
+# entry of BENCH_history.json (a run without a profiler must stay within
+# 1% of the fault-era baseline; attached, the profiler prices each
+# workload's board histogram at its merge and adds nothing per cycle).
 bench-prof:
 	$(GO) test -run xxx -bench BenchmarkProf -benchtime 20x -count 3 .
 

@@ -52,15 +52,14 @@ type probeConfig struct {
 	cfg   vax780.RunConfig
 }
 
-// timedRun executes one run with a throwaway sampling profiler attached
-// and returns the results plus the profiler's summed workload-span
-// time. Timing through the profiler keeps every measurement in this
-// command — probe and profiled composite alike — on the same window
-// (workload execution including sampling overhead, excluding run setup
-// such as trace generation), which is what makes the exact engine's
-// total reconcile with the measured time.
-func timedRun(cfg vax780.RunConfig, stride int) (*vax780.Results, float64, error) {
-	p := &vax780.Profiler{SampleStride: stride}
+// timedRun executes one run with a throwaway profiler attached and
+// returns the results plus the profiler's summed workload-span time.
+// Timing through the profiler keeps every measurement in this command —
+// probe and profiled composite alike — on the same window (workload
+// execution, excluding run setup such as trace generation), which is
+// what makes the exact engine's total reconcile with the measured time.
+func timedRun(cfg vax780.RunConfig) (*vax780.Results, float64, error) {
+	p := &vax780.Profiler{}
 	cfg.Profiler = p
 	// Collect before the window opens: a GC epoch landing inside one
 	// arm's window and not another's is the dominant single-run noise.
@@ -123,7 +122,7 @@ type measurement struct {
 // set, is rewritten per repetition and ends up with the last
 // repetition's stream (identical across repetitions up to host
 // timestamps, the simulation being deterministic).
-func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath string) (*measurement, error) {
+func measure(n, reps, top int, preCal *vax780.Calibration, ledgerPath string) (*measurement, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -143,7 +142,7 @@ func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath st
 		Workloads:    []vax780.WorkloadID{vax780.TimesharingA},
 		Parallelism:  1,
 	}
-	if _, _, err := timedRun(warm, stride); err != nil {
+	if _, _, err := timedRun(warm); err != nil {
 		return nil, fmt.Errorf("warm-up run: %w", err)
 	}
 
@@ -161,7 +160,7 @@ func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath st
 	bestNs := 0.0
 	for rep := 0; rep < reps; rep++ {
 		for i := range plan {
-			res, ns, err := timedRun(plan[i].cfg, stride)
+			res, ns, err := timedRun(plan[i].cfg)
 			if err != nil {
 				return nil, fmt.Errorf("calibration probe %q: %w", plan[i].label, err)
 			}
@@ -179,7 +178,7 @@ func measure(n, reps, stride, top int, preCal *vax780.Calibration, ledgerPath st
 			}
 		}
 
-		p := &vax780.Profiler{SampleStride: stride, MaxFlows: top}
+		p := &vax780.Profiler{MaxFlows: top}
 		cfg := vax780.RunConfig{Instructions: n, Parallelism: 1, Profiler: p}
 		var led io.WriteCloser
 		if ledgerPath != "" {

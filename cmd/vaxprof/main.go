@@ -4,9 +4,9 @@
 // control-store flows of the simulated machine — the exact complement
 // of the UPC board, which reports where the *simulated* cycles go.
 //
-// Two engines back the report. The sampling engine rides inside the
-// run (RunConfig.Profiler): every stride-th cycle's micro-PC is
-// classified onto flows and the measured wall time distributed by
+// Two engines back the report. The board engine rides inside the run
+// (RunConfig.Profiler): each workload's board histogram is classified
+// onto flows as it merges and its measured wall time distributed by
 // share. The exact engine prices the run's bit-exact composite
 // histogram with a per-class calibration — the host ns/cycle of each
 // Table 8 cycle class, solved from interleaved per-workload timing
@@ -15,7 +15,7 @@
 //
 // Usage:
 //
-//	vaxprof [-n 50000] [-top 15] [-stride 64]      hot-flow tables, both engines
+//	vaxprof [-n 50000] [-top 15]                   hot-flow tables, both engines
 //	vaxprof -diff old.json new.json                compare two saved profiles
 //	vaxprof -o prof.json -calib-out cal.json       save the exact profile / calibration
 //	vaxprof -calib cal.json                        reuse a saved calibration (skip probing)
@@ -39,7 +39,6 @@ import (
 func main() {
 	n := flag.Int("n", 50_000, "instructions per workload")
 	top := flag.Int("top", 15, "flows to print")
-	stride := flag.Int("stride", 0, "sampling stride in cycles (0: default 64)")
 	reps := flag.Int("reps", 3, "interleaved timing repetitions per calibration probe")
 	diff := flag.Bool("diff", false, "diff two saved profiles (old.json new.json args) and exit")
 	out := flag.String("o", "", "write the exact-engine profile JSON here")
@@ -62,7 +61,7 @@ func main() {
 		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *top))
 	}
 
-	if err := run(*n, *top, *stride, *reps,
+	if err := run(*n, *top, *reps,
 		*out, *calibIn, *calibOut, *chrome, *spans, *ledger); err != nil {
 		fmt.Fprintln(os.Stderr, "vaxprof:", err)
 		os.Exit(1)
@@ -95,9 +94,9 @@ func runDiff(oldPath, newPath string, top int) int {
 }
 
 // run is the measurement path: calibrate (or load), run the composite
-// with the sampling profiler attached, print both engines' views, and
+// with the profiler attached, print both engines' views, and
 // write whatever exports were requested.
-func run(n, top, stride, reps int,
+func run(n, top, reps int,
 	out, calibIn, calibOut, chrome, spansPath, ledgerPath string) error {
 
 	// Calibration: load a saved one (skips probing), or solve one from
@@ -117,7 +116,7 @@ func run(n, top, stride, reps int,
 		fmt.Printf("calibration: %s (%d probes, host %s)\n\n", calibIn, c.Probes, c.Host)
 	}
 
-	m, err := measure(n, reps, stride, top, preCal, ledgerPath)
+	m, err := measure(n, reps, top, preCal, ledgerPath)
 	if err != nil {
 		return err
 	}
@@ -133,8 +132,8 @@ func run(n, top, stride, reps int,
 	exact.WallNs = wallNs
 	fmt.Print(exact.Table(top))
 	fmt.Println()
-	if sampled := profiler.Profile(); sampled != nil {
-		fmt.Print(sampled.Table(top))
+	if board := profiler.Profile(); board != nil {
+		fmt.Print(board.Table(top))
 	}
 	if exact.WallNs > 0 {
 		err := 100 * (exact.TotalNs - exact.WallNs) / exact.WallNs

@@ -113,7 +113,7 @@ func fetchProgress(client *http.Client, base string) (*vax780.Progress, error) {
 }
 
 // fetchProf GETs the latest host-time profile; any failure (no
-// profiler attached, no sample merged yet) comes back as an error and
+// profiler attached, no workload merged yet) comes back as an error and
 // the section is simply omitted.
 func fetchProf(client *http.Client, base string) (*vax780.Profile, error) {
 	resp, err := client.Get(strings.TrimRight(base, "/") + "/prof")
@@ -137,8 +137,8 @@ func renderProf(p *vax780.Profile, n int) string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "\n  hot flows (host time, %s engine, %d samples)\n",
-		p.Engine, p.Samples)
+	fmt.Fprintf(&b, "\n  hot flows (host time, %s engine, %d cycles)\n",
+		p.Engine, p.TotalCycles)
 	fmt.Fprintf(&b, "  %-24s %12s %7s %10s\n", "FLOW", "CYCLES", "SHARE", "HOST MS")
 	for _, f := range p.Flows {
 		if n--; n < 0 {

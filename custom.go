@@ -69,7 +69,7 @@ func RunCustom(cw CustomWorkload, instructions int) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	one, err := runOne(tr, cfg, nil, nil, nil, nil, nil)
+	one, err := runOne(tr, cfg, nil, nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}

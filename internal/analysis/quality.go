@@ -236,6 +236,23 @@ func (a *Analysis) crossCheckDropped() {
 // exclusions and confidence annotations.
 func (a *Analysis) Quality() *Quality { return a.quality }
 
+// Healthy returns the histogram as every table reads it: each excluded
+// count set is zero. A healthy histogram comes back as is, uncopied.
+func (a *Analysis) Healthy() *upc.Histogram {
+	if a.excl == nil {
+		return a.h
+	}
+	h := *a.h
+	for k := range a.excl {
+		if addr := k >> 1; k&1 != 0 {
+			h.Stalled[addr] = 0
+		} else {
+			h.Normal[addr] = 0
+		}
+	}
+	return &h
+}
+
 // at is the damage-aware bucket accessor every table uses: excluded
 // count sets read as zero, so saturated or corrupt counters never leak
 // into a reduced number. With no exclusions (the healthy fast path) it

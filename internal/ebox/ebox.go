@@ -5,11 +5,14 @@
 // UPC histogram hardware. The six cycle classes of Table 8 (compute,
 // read, read-stall, write, write-stall, IB-stall) are mutually exclusive
 // by construction: every cycle ticks exactly one (address, stall-set)
-// bucket.
+// bucket. The board (and the flight recorder's masked store) are the
+// only per-cycle consumers: every other observer is called at its own
+// event horizon (see Clock).
 package ebox
 
 import (
 	"fmt"
+	"math"
 
 	"vax780/internal/faults"
 	"vax780/internal/ibox"
@@ -26,15 +29,39 @@ type Monitor interface {
 }
 
 // Probe is the telemetry layer's cycle-resolution hook. Unlike Monitor
-// it carries the cycle number, so consumers can build timelines without
-// keeping their own clock. It is nil on an uninstrumented machine; the
-// fast path is a single nil check per cycle.
+// it is not called every cycle: the EBOX calls Cycle at the cycle its
+// Clock's horizon names, and Cycle returns the next one. Between the
+// two the EBOX runs the plain cycle inline, as if no probe were
+// attached. It is nil on an uninstrumented machine.
 type Probe interface {
-	// Cycle observes one 200 ns EBOX cycle — the same observation point
-	// as the UPC board's count pulse.
-	Cycle(now uint64, addr uint16, stalled bool)
+	// Cycle runs the observer work due at cycle now — the same
+	// observation point as the UPC board's count pulse, after the pulse
+	// — and returns the next cycle at which there is more
+	// (math.MaxUint64: none). It may also be called at a cycle with no
+	// work due.
+	Cycle(now uint64, addr uint16, stalled bool) (horizon uint64)
 	// TBMiss observes a D-stream translation-buffer microtrap.
 	TBMiss(now uint64, istream bool, va uint32)
+}
+
+// Clock is the EBOX's time as its observers read it. The counts are
+// pulled at the observers' own publish points (an instruction decode,
+// an interval roll, the end of a machine) instead of being pushed once
+// per cycle.
+type Clock struct {
+	// Now is the cycle counter (200 ns units).
+	Now uint64
+
+	// Stalls counts the read- and write-stalled cycles among them.
+	Stalls uint64
+
+	// Horizon is the first cycle at which the Probe has work: tick
+	// calls Probe.Cycle there and stores the horizon it returns. An
+	// observer may move it between calls — lower, so that a pending
+	// board command lands at the next cycle, or higher, once a tracer
+	// stops collecting. A new EBOX starts at 0, so the first cycle
+	// always asks the Probe.
+	Horizon uint64
 }
 
 // InstrCtx carries everything data-dependent about one instruction (or
@@ -85,16 +112,17 @@ type EBOX struct {
 
 	// FR, when non-nil, is the micro-PC flight recorder: a fixed ring of
 	// the last N cycles for post-mortems. Concrete type, so the per-cycle
-	// call devirtualizes; disabled cost is this one pointer test.
+	// call devirtualizes and runs on the inline path too; disabled cost
+	// is this one pointer test.
 	FR *upc.FlightRecorder
 
-	// Samp, when non-nil, is the host-time profiler's micro-PC sampler:
-	// every stride-th cycle lands in a sampled histogram. Concrete type,
-	// same disabled cost as FR — one pointer test per cycle.
-	Samp *upc.Sampler
+	// Clock holds Now, the stall count and the probe's horizon.
+	Clock
 
-	// Now is the cycle counter (200 ns units).
-	Now uint64
+	// inlineTo gates run's inline cycle: it runs while Now < inlineTo.
+	// It is the horizon on a healthy board (or with no monitor at all)
+	// and 0 otherwise; regate recomputes it.
+	inlineTo uint64
 
 	// SP is the current stack pointer; StackLo/StackHi bound the region
 	// so synthetic push/pop imbalance cannot walk off to infinity.
@@ -158,12 +186,12 @@ func New(rom *urom.ROM, m *mem.System, ib *ibox.IBox, mon Monitor) *EBOX {
 	return e
 }
 
-// tick advances one EBOX cycle: the monitor observes it, the I-Fetch
-// stage gets its cycle (issuing a refill only when the cache port is
-// free), and time moves. The monitor fast path (a healthy running
-// board) is fully inlined; a stopped board, an attached fault
-// injector, or a non-board Monitor implementation falls back to the
-// full-service call.
+// tick advances one EBOX cycle: the monitor observes it, the probe runs
+// whatever is due at this cycle, the I-Fetch stage gets its cycle
+// (issuing a refill only when the cache port is free), and time moves.
+// The monitor fast path (a healthy running board) is fully inlined; a
+// stopped board, an attached fault injector, or a non-board Monitor
+// implementation falls back to the full-service call.
 func (e *EBOX) tick(addr uint16, stalled, portBusy bool) {
 	if mon := e.upcMon; mon != nil {
 		if mon.Fast() {
@@ -174,17 +202,37 @@ func (e *EBOX) tick(addr uint16, stalled, portBusy bool) {
 	} else if e.Mon != nil {
 		e.Mon.Tick(addr, stalled)
 	}
-	if e.Probe != nil {
-		e.Probe.Cycle(e.Now, addr, stalled)
+	if stalled {
+		e.Stalls++
+	}
+	if e.Now >= e.Horizon {
+		e.observe(addr, stalled)
 	}
 	if e.FR != nil {
 		e.FR.Record(e.Now, addr, stalled)
 	}
-	if e.Samp != nil {
-		e.Samp.Sample(addr, stalled)
-	}
 	e.IB.Tick(e.Now, !portBusy)
 	e.Now++
+}
+
+// observe is the cold call at the horizon: the probe runs what is due
+// and names its next horizon (none without a probe), and the inline
+// gate is re-evaluated, since a board command may have stopped or
+// started the board.
+func (e *EBOX) observe(addr uint16, stalled bool) {
+	e.Horizon = math.MaxUint64
+	if e.Probe != nil {
+		e.Horizon = e.Probe.Cycle(e.Now, addr, stalled)
+	}
+	e.regate()
+}
+
+// regate recomputes the inline gate from the horizon and the board.
+func (e *EBOX) regate() {
+	e.inlineTo = 0
+	if mon := e.upcMon; mon != nil && mon.Fast() || mon == nil && e.Mon == nil {
+		e.inlineTo = e.Horizon
+	}
 }
 
 // RunInstr executes one traced instruction to completion.
@@ -226,17 +274,17 @@ func (e *EBOX) RunOverhead(entry uint16, ctx *InstrCtx) error {
 // run is the microsequencer main loop: execute from entry until an
 // end-of-instruction microinstruction completes.
 //
-// The hook set is fixed for the whole flow, so it is tested once here:
-// with no hook but a healthy board (or no monitor at all) the plain
-// cycle of a word without a memory function is done inline — the
-// board's count pulse, the I-Fetch cycle with the cache port free, and
-// the clock. Words that only step or jump the micro-PC advance it here
-// too. Memory cycles, IB stalls, traps, decode dispatches and every
-// hooked run still go through tick and seq.
+// Until the horizon, on a healthy board (or with no monitor at all), the
+// plain cycle of a word without a memory function is done inline: the
+// board's count pulse, the flight recorder's store, the I-Fetch cycle
+// with the cache port free, and the clock. Words that only step or jump
+// the micro-PC advance it here too. Memory cycles, IB stalls, traps,
+// decode dispatches and the cycle at the horizon go through tick and
+// seq. The gate is re-read at entry, since an observer may have moved
+// the horizon between flows.
 func (e *EBOX) run(entry uint16) error {
-	mon := e.upcMon
-	plain := e.Probe == nil && e.FR == nil && e.Samp == nil &&
-		(mon != nil && mon.Fast() || mon == nil && e.Mon == nil)
+	e.regate()
+	mon, fr := e.upcMon, e.FR
 	words := e.ROM.Image.Insts
 	e.upc = entry
 	for steps := 0; ; steps++ {
@@ -259,9 +307,12 @@ func (e *EBOX) run(entry uint16) error {
 			if !ok {
 				continue // microtrap serviced; retry this microinstruction
 			}
-		case plain:
+		case e.Now < e.inlineTo:
 			if mon != nil {
 				mon.TickFast(e.upc, false)
+			}
+			if fr != nil {
+				fr.Record(e.Now, e.upc, false)
 			}
 			e.IB.Tick(e.Now, true)
 			e.Now++

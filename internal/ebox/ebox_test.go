@@ -445,10 +445,21 @@ func TestRunawayMicrocodeDetected(t *testing.T) {
 	}
 }
 
-// countingProbe counts the cycles a Probe observes.
-type countingProbe struct{ cycles uint64 }
+// countingProbe counts the cycles a Probe observes. Its horizon is
+// every stride-th cycle (1: every cycle).
+type countingProbe struct {
+	stride uint64
+	cycles uint64
+	off    uint64 // calls at a cycle that was not due
+}
 
-func (p *countingProbe) Cycle(uint64, uint16, bool)  { p.cycles++ }
+func (p *countingProbe) Cycle(now uint64, _ uint16, _ bool) uint64 {
+	p.cycles++
+	if now%p.stride != 0 {
+		p.off++
+	}
+	return (now/p.stride + 1) * p.stride
+}
 func (p *countingProbe) TBMiss(uint64, bool, uint32) {}
 
 // runHookSequence runs a short mixed sequence — register, memory, stack
@@ -487,10 +498,10 @@ func runHookSequence(t *testing.T, mon Monitor, attach func(*EBOX)) *EBOX {
 }
 
 // TestInlineCycleMatchesTick: the sequencer loop does the plain cycle
-// inline only when no hook but a healthy board (or none) is attached.
-// On that path the same sequence must take the same cycles at the same
-// micro-PCs as through tick, and each attached hook must see every
-// cycle.
+// inline on a healthy board (or none) until the probe's horizon. On
+// that path the same sequence must take the same cycles at the same
+// micro-PCs as through tick; the flight recorder sees every cycle, and
+// a probe exactly the cycles its horizons name.
 func TestInlineCycleMatchesTick(t *testing.T) {
 	ref := newTestMonitor() // not the board: every cycle goes through tick
 	want := runHookSequence(t, ref, func(*EBOX) {}).Now
@@ -499,8 +510,8 @@ func TestInlineCycleMatchesTick(t *testing.T) {
 	}
 	none := func(*EBOX) {}
 	fr := upc.NewFlightRecorder(16)
-	samp := upc.NewSampler(1)
-	probe := &countingProbe{}
+	probe := &countingProbe{stride: 1}
+	sparse := &countingProbe{stride: 7}
 	cases := []struct {
 		name    string
 		attach  func(*EBOX)
@@ -510,8 +521,8 @@ func TestInlineCycleMatchesTick(t *testing.T) {
 		{"board", none, false, nil},
 		{"stopped board", none, true, nil},
 		{"flight recorder", func(e *EBOX) { e.FR = fr }, false, fr.Recorded},
-		{"sampler", func(e *EBOX) { e.Samp = samp }, false, samp.Taken},
 		{"probe", func(e *EBOX) { e.Probe = probe }, false, func() uint64 { return probe.cycles }},
+		{"sparse probe", func(e *EBOX) { e.Probe = sparse }, false, nil},
 	}
 	for _, c := range cases {
 		board := upc.New()
@@ -547,5 +558,11 @@ func TestInlineCycleMatchesTick(t *testing.T) {
 	}
 	if got := runHookSequence(t, nil, none).Now; got != want {
 		t.Errorf("no monitor: %d cycles, want %d", got, want)
+	}
+	if n := (want + sparse.stride - 1) / sparse.stride; sparse.cycles != n {
+		t.Errorf("sparse probe: called %d times, want %d", sparse.cycles, n)
+	}
+	if probe.off != 0 || sparse.off != 0 {
+		t.Errorf("probe called off its horizon: %d and %d times", probe.off, sparse.off)
 	}
 }

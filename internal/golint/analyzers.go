@@ -8,9 +8,10 @@ import (
 )
 
 // HotTarget names one function on the per-cycle hot path: the EBOX and
-// IBOX tick functions, the monitor's inlined count pulse, and the
-// telemetry hooks an observed run calls every cycle, which together run
-// once per simulated 200 ns cycle. Recv is the receiver
+// IBOX tick functions, the monitor's inlined count pulse, the flight
+// recorder's store, and the telemetry hooks a traced run calls every
+// cycle while its tracer collects, which together run once per
+// simulated 200 ns cycle. Recv is the receiver
 // type name ("" for plain functions).
 type HotTarget struct {
 	PkgPath string
@@ -19,12 +20,15 @@ type HotTarget struct {
 }
 
 // DefaultHotTargets is the repository's per-cycle path (the sequencer
-// loop runs the plain cycle inline; tick serves the rest), the
-// per-specifier dispatch, and the per-reference path below them (TB
-// probes, cache lookups, IB refills).
+// loop runs the plain cycle inline; tick serves the rest, and observe
+// the cycles at an observer's horizon, every cycle while a tracer
+// collects), the per-specifier dispatch, and the per-reference path
+// below them (TB probes, cache lookups, IB refills).
 var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "tick"},
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "run"},
+	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "observe"},
+	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "regate"},
 	{PkgPath: "vax780/internal/ebox", Recv: "EBOX", Func: "dispatchSpec"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "Tick"},
 	{PkgPath: "vax780/internal/ibox", Recv: "IBox", Func: "tickSlow"},
@@ -35,7 +39,6 @@ var DefaultHotTargets = []HotTarget{
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "Fast"},
 	{PkgPath: "vax780/internal/upc", Recv: "Monitor", Func: "TickFast"},
 	{PkgPath: "vax780/internal/upc", Recv: "FlightRecorder", Func: "Record"},
-	{PkgPath: "vax780/internal/upc", Recv: "Sampler", Func: "Sample"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Telemetry", Func: "Cycle"},
 	{PkgPath: "vax780/internal/telemetry", Recv: "Tracer", Func: "cycle"},
 }

@@ -30,9 +30,12 @@ type Telemetry interface {
 	ibox.Probe
 	mem.Probe
 
-	// Bind attaches this machine's monitor and hardware counters; the
-	// telemetry timeline continues across machines of a composite run.
-	Bind(mon *upc.Monitor, stats *mem.Stats)
+	// Attach binds this machine's monitor, hardware counters and EBOX
+	// clock; the telemetry timeline continues across machines of a
+	// composite run. The layer reads the clock at its publish points,
+	// and a machine's last cycles are read at the next Attach or at
+	// the end of the run.
+	Attach(mon *upc.Monitor, stats *mem.Stats, clk *ebox.Clock)
 	// Instr observes an instruction decode.
 	Instr(now uint64, pc uint32, op vax.Opcode)
 	// Interrupt observes an interrupt delivery.
@@ -94,13 +97,10 @@ type Config struct {
 	// EBOX (one pointer test per cycle when absent).
 	Flight *upc.FlightRecorder
 
-	// Sampler, when non-nil, attaches the host-time profiler's micro-PC
-	// sampler to the EBOX (same disabled cost as Flight).
-	Sampler *upc.Sampler
-
 	// Progress, when non-nil, receives this machine's live position:
-	// instructions retired and cycles simulated, stored atomically once
-	// per trace item (never per cycle — the cycle loop stays clean).
+	// instructions retired and cycles simulated, stored atomically
+	// every progressEvery trace items and when Run returns (never per
+	// cycle — the cycle loop stays clean).
 	Progress *ProgressCell
 }
 
@@ -191,7 +191,7 @@ func New(cfg Config, prog *workload.Program) *Machine {
 	m.E.OverlapDecode = cfg.OverlapDecode
 	if cfg.Telemetry != nil {
 		m.tel = cfg.Telemetry
-		cfg.Telemetry.Bind(cfg.Monitor, &m.Mem.Stats)
+		cfg.Telemetry.Attach(cfg.Monitor, &m.Mem.Stats, &m.E.Clock)
 		m.E.Probe = m.tel
 		m.IB.Probe = m.tel
 		m.Mem.SetProbe(m.tel)
@@ -206,7 +206,6 @@ func New(cfg Config, prog *workload.Program) *Machine {
 		m.E.CheckFaults = true
 	}
 	m.E.FR = cfg.Flight
-	m.E.Samp = cfg.Sampler
 	m.progress = cfg.Progress
 	m.setProcess(1)
 	return m
@@ -228,18 +227,26 @@ func (m *Machine) setProcess(asid uint32) {
 	m.E.SP, m.E.StackLo, m.E.StackHi = sp, lo, hi
 }
 
-// Run executes the whole stream.
+// progressEvery is how many trace items Run executes between two
+// publishes to the progress cell: each publish is two atomic stores,
+// and a reader samples the cell every few milliseconds.
+const progressEvery = 64
+
+// Run executes the whole stream, publishing its position to the
+// progress cell every progressEvery items and when it returns.
 func (m *Machine) Run(s workload.Stream) error {
-	for {
+	defer func() { m.progress.Set(m.Stats.Instrs, m.E.Now) }()
+	for n := 1; ; n++ {
 		it, ok := s.Next()
 		if !ok {
 			return nil
 		}
 		if err := m.Step(it); err != nil {
-			m.progress.Set(m.Stats.Instrs, m.E.Now)
 			return err
 		}
-		m.progress.Set(m.Stats.Instrs, m.E.Now)
+		if n%progressEvery == 0 {
+			m.progress.Set(m.Stats.Instrs, m.E.Now)
+		}
 	}
 }
 

@@ -16,11 +16,11 @@
 //     The result is deterministic: same histogram, same calibration,
 //     same profile, byte for byte.
 //
-//   - The sampling engine (Sampled) prices what a upc.Sampler observed
-//     live: every stride-th cycle's micro-PC, classified through the
-//     same flow index and BucketCell map, scaled to the measured wall
-//     time of the run. It costs one nil test per cycle when off and a
-//     countdown decrement when on.
+//   - The board engine (Board) prices one measured histogram — a
+//     workload's own board counts, exact across -j — by distributing
+//     the measured wall time of the run over flows by their share of
+//     cycles. It needs no calibration and adds nothing to the cycle
+//     loop: the board already counts every cycle.
 //
 // Both classify through ulint's flow index, so profiling and the
 // static analyzer cannot disagree about flow boundaries.
@@ -45,8 +45,7 @@ type FlowCost struct {
 	Name  string `json:"name"`
 	Entry uint16 `json:"entry"`
 
-	// Cycles attributed to the flow: exact bucket counts (exact engine)
-	// or samples × stride (sampling engine).
+	// Cycles attributed to the flow: its exact bucket counts.
 	Cycles uint64 `json:"cycles"`
 
 	// ClassCycles splits Cycles over the six Table 8 cycle classes.
@@ -57,13 +56,13 @@ type FlowCost struct {
 
 	// Ns estimates the host nanoseconds the flow cost: class cycles
 	// priced by the calibration (exact) or the flow's share of the
-	// measured wall time (sampling). Zero when neither was available.
+	// measured wall time (board). Zero when neither was available.
 	Ns float64 `json:"ns,omitempty"`
 }
 
 // Profile is the shared report format of both engines.
 type Profile struct {
-	// Engine is "exact" or "sampling".
+	// Engine is "exact" or "board".
 	Engine string `json:"engine"`
 
 	// TotalCycles counts every cycle the input histogram holds,
@@ -73,15 +72,10 @@ type Profile struct {
 	// Unattributed counts cycles on words no flow owns.
 	Unattributed uint64 `json:"unattributed,omitempty"`
 
-	// Stride and Samples describe the sampling engine's input (zero for
-	// the exact engine). TotalCycles is then Samples × Stride.
-	Stride  int    `json:"stride,omitempty"`
-	Samples uint64 `json:"samples,omitempty"`
-
 	// WallNs is the measured wall time of the profiled run, when the
 	// caller had one; TotalNs is the sum of attributed flow ns. For the
 	// exact engine the two reconciling is the calibration's validity
-	// check; for the sampling engine TotalNs is WallNs by construction.
+	// check; for the board engine TotalNs is WallNs by construction.
 	WallNs  float64 `json:"wall_ns,omitempty"`
 	TotalNs float64 `json:"total_ns,omitempty"`
 
@@ -126,11 +120,7 @@ func ReadProfile(r io.Reader) (*Profile, error) {
 // Table renders the top-n hot-flow table.
 func (p *Profile) Table(n int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "hot flows (%s engine", p.Engine)
-	if p.Engine == "sampling" {
-		fmt.Fprintf(&b, ", %d samples × stride %d", p.Samples, p.Stride)
-	}
-	b.WriteString(")\n")
+	fmt.Fprintf(&b, "hot flows (%s engine)\n", p.Engine)
 	fmt.Fprintf(&b, "%4s  %-22s %6s  %12s %7s  %12s\n",
 		"#", "flow", "entry", "cycles", "share", "est host ns")
 	for i, f := range p.Top(n) {
@@ -236,26 +226,16 @@ func Exact(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram, cal *Calibratio
 	return p
 }
 
-// Sampled runs the sampling engine over a sampler's snapshot: each
-// sample stands for stride cycles, and the measured wall time (when
-// wallNs > 0) is distributed over flows by their sampled share.
-func Sampled(rom *urom.ROM, ix *ulint.FlowIndex, snap *upc.Histogram, stride int, wallNs float64) *Profile {
-	if stride <= 0 {
-		stride = upc.DefaultSampleStride
-	}
-	p := attribute(rom, ix, snap)
-	p.Engine = "sampling"
-	p.Stride = stride
-	p.Samples = p.TotalCycles
-	p.TotalCycles *= uint64(stride)
-	p.Unattributed *= uint64(stride)
+// Board runs the board engine over one measured histogram: the flows
+// are attributed exactly as Exact attributes them, and the measured
+// wall time (when wallNs > 0) is distributed over the flows by their
+// share of cycles.
+func Board(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram, wallNs float64) *Profile {
+	p := attribute(rom, ix, h)
+	p.Engine = "board"
 	p.WallNs = wallNs
-	for i := range p.Flows {
-		p.Flows[i].Cycles *= uint64(stride)
-		for c := range p.Flows[i].ClassCycles {
-			p.Flows[i].ClassCycles[c] *= uint64(stride)
-		}
-		if wallNs > 0 {
+	if wallNs > 0 {
+		for i := range p.Flows {
 			p.Flows[i].Ns = p.Flows[i].Share * wallNs
 			p.TotalNs += p.Flows[i].Ns
 		}

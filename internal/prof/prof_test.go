@@ -90,21 +90,32 @@ func TestExactPricesWithCalibration(t *testing.T) {
 	}
 }
 
-func TestSampledScalesByStride(t *testing.T) {
+// TestBoardPricesWallByShare: the board engine attributes the same
+// exact cycles as the exact engine and hands each flow its share of
+// the measured wall time.
+func TestBoardPricesWallByShare(t *testing.T) {
 	rom, ix := testIndex(t)
-	h := synthHist(ix) // interpreted as sample counts
-	p := Sampled(rom, ix, h, 64, 1e9)
-	if p.Engine != "sampling" || p.Stride != 64 {
-		t.Fatalf("engine/stride = %q/%d", p.Engine, p.Stride)
+	h := synthHist(ix)
+	p := Board(rom, ix, h, 1e9)
+	if p.Engine != "board" {
+		t.Fatalf("engine = %q", p.Engine)
 	}
-	if p.Samples != h.TotalCycles() {
-		t.Fatalf("samples = %d, want %d", p.Samples, h.TotalCycles())
+	ex := Exact(rom, ix, h, nil)
+	if p.TotalCycles != ex.TotalCycles || len(p.Flows) != len(ex.Flows) {
+		t.Fatalf("board %d cycles in %d flows, exact %d in %d",
+			p.TotalCycles, len(p.Flows), ex.TotalCycles, len(ex.Flows))
 	}
-	if p.TotalCycles != p.Samples*64 {
-		t.Fatalf("total cycles %d != samples×stride %d", p.TotalCycles, p.Samples*64)
+	for i, f := range p.Flows {
+		if f.Name != ex.Flows[i].Name || f.Cycles != ex.Flows[i].Cycles {
+			t.Errorf("flow %d: board %s %d, exact %s %d", i, f.Name, f.Cycles,
+				ex.Flows[i].Name, ex.Flows[i].Cycles)
+		}
+		if math.Abs(f.Ns-f.Share*1e9) > 1e-6 {
+			t.Errorf("flow %s: %v ns for share %v", f.Name, f.Ns, f.Share)
+		}
 	}
 	if math.Abs(p.TotalNs-1e9) > 1e-3*1e9 {
-		t.Fatalf("sampled total ns %v should equal wall ns 1e9", p.TotalNs)
+		t.Fatalf("board total ns %v should equal wall ns 1e9", p.TotalNs)
 	}
 }
 
@@ -231,7 +242,7 @@ func TestDiffProfiles(t *testing.T) {
 
 func TestSpansExport(t *testing.T) {
 	rom, ix := testIndex(t)
-	p := Sampled(rom, ix, synthHist(ix), 64, 5e8)
+	p := Board(rom, ix, synthHist(ix), 5e8)
 	root := (&obs.Span{Kind: "run", Name: "composite"}).SetWall(0, 1e9)
 	ws := root.Child("workload", "TIMESHARING-A").SetWall(0, 5e8)
 	FlowSpans(ws, p, 4)

@@ -6,7 +6,7 @@ package prof
 // traces. Run and workload spans are measured (their wall placements
 // come from the host clock); flow spans are synthesized here by
 // partitioning a workload's measured duration proportionally to its
-// sampled flow shares — the profiler's statement of "of this
+// board flow shares — the profiler's statement of "of this
 // workload's 1.2 s, the string-move flow cost 300 ms".
 
 import "vax780/internal/obs"

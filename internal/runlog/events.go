@@ -118,18 +118,14 @@ func FaultEvent(workload string, attempts int, upc uint16, cycle uint64,
 }
 
 // ProfEvent records the host-time profiler's report: which engine
-// produced it, the sampling parameters (zero for the exact engine), the
-// cycles it attributed, and the hot-flow list. flows must be a
-// json-marshalable slice of flow rows carrying only deterministic data
-// (cycle counts and shares); host carries the wall-clock side (measured
-// ns) and is stripped by StripWallClock like run-done's host group.
-func ProfEvent(engine string, stride int, samples, cycles uint64,
-	flows any, host any) Event {
-
+// produced it, the cycles it attributed, and the hot-flow list. flows
+// must be a json-marshalable slice of flow rows carrying only
+// deterministic data (cycle counts and shares); host carries the
+// wall-clock side (measured ns) and is stripped by StripWallClock like
+// run-done's host group.
+func ProfEvent(engine string, cycles uint64, flows any, host any) Event {
 	attrs := []slog.Attr{
 		slog.String("engine", engine),
-		slog.Int("stride", stride),
-		slog.Uint64("samples", samples),
 		slog.Uint64("cycles", cycles),
 		slog.Any("flows", flows),
 	}

@@ -26,12 +26,12 @@ func sampleEvents() []Event {
 		WlDoneEvent("direct", 0, 1000, 10949, 10.9, 1, false),
 		CheckpointEvent("run.ckpt", 1),
 		FaultEvent("loop", 4, 0x31, 777, "ebox", "microcode-hang", false, flight),
-		ProfEvent("sampling", 64, 150, 9600,
+		ProfEvent("board", 9600,
 			[]map[string]any{{"name": "IRD", "cycles": 4000, "share": 0.41}},
 			map[string]any{"wall_ns": 1.5e6}),
 		RunDoneEvent(2, 2000, 21900, 10.95, 1, 1, "total=3",
 			[]slog.Attr{slog.Float64("COMPUTE", 3.5)},
-			[]slog.Attr{slog.String("engine", "sampling"), slog.Uint64("samples", 150),
+			[]slog.Attr{slog.String("engine", "board"), slog.Uint64("cycles", 9600),
 				slog.String("top_flow", "IRD")},
 			HostStats{ElapsedSeconds: 0.5}),
 		SweepStartEvent(3),

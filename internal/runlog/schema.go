@@ -60,7 +60,7 @@ func Schema() map[string]EventSchema {
 				"cause", "transient", "flight"},
 		},
 		EvProf: {
-			Required: []string{"engine", "stride", "samples", "cycles", "flows"},
+			Required: []string{"engine", "cycles", "flows"},
 			Optional: []string{"host"},
 		},
 		EvRunDone: {

@@ -60,9 +60,12 @@ func (r *Recorder) rebind(mon *upc.Monitor, stats *mem.Stats, abs uint64) {
 	r.nextAt = abs + r.period
 }
 
-// cycle is the per-cycle hook: roll an interval when the period elapses.
-func (r *Recorder) cycle(t *Telemetry, abs uint64) {
+// cycle rolls an interval when the period elapses with machine cycle
+// now (absolute cycle abs). The counts are published as of the end of
+// that cycle first, as at every roll.
+func (r *Recorder) cycle(t *Telemetry, now, abs uint64) {
 	if abs+1 >= r.nextAt {
+		t.publishCounts(now + 1)
 		r.roll(t, abs+1)
 		r.nextAt += r.period
 	}
@@ -81,7 +84,6 @@ func (r *Recorder) roll(t *Telemetry, end uint64) {
 	if r.mon == nil || end <= r.start {
 		return
 	}
-	t.publishCounts()
 	var delta *upc.Histogram
 	watched := t.watched.Load()
 	if watched {

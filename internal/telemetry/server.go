@@ -71,11 +71,11 @@ func (t *Telemetry) counterMap() map[string]any {
 //	/board/read?hot=N   read the N hottest buckets
 //	/events             server-sent event stream of interval snapshots
 //	/progress           fleet progress JSON (per-workload completion)
-//	/prof               latest host-time profile (sampling engine) JSON
+//	/prof               latest host-time profile (board engine) JSON
 //
 // Board commands are applied by the simulation goroutine at its next
-// cycle, mirroring how Unibus register writes reached the real board
-// asynchronously to the measured system.
+// instruction decode, mirroring how Unibus register writes reached the
+// real board asynchronously to the measured system.
 func (t *Telemetry) Handler() http.Handler {
 	liveTel.Store(t)
 	t.watched.Store(true)

@@ -23,8 +23,10 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
+	"vax780/internal/ebox"
 	"vax780/internal/mem"
 	"vax780/internal/runlog"
 	"vax780/internal/upc"
@@ -49,11 +51,12 @@ type Options struct {
 }
 
 // Counters are the live atomic event counters. They are safe to read
-// from any goroutine while a run executes. Cycles, StallCycles and
-// IBRefills are counted in plain fields on the simulation goroutine and
-// published here at each instruction decode (and at every interval
-// roll, Bind, Finish and Absorb), so a live reader lags the machine by
-// at most one instruction; the other counters move per event.
+// from any goroutine while a run executes. Cycles and StallCycles are
+// read off the bound machine's EBOX clock, and IBRefills is counted in
+// a plain field on the simulation goroutine; all three are published
+// here at each instruction decode (and at every interval roll, Attach,
+// Finish and Absorb), so a live reader lags the machine by at most one
+// instruction. The other counters move per event.
 type Counters struct {
 	Cycles      atomic.Uint64 // every EBOX cycle
 	StallCycles atomic.Uint64 // read- and write-stalled cycles
@@ -78,7 +81,7 @@ func (c *Counters) CPI() float64 {
 }
 
 // Pending board-command bits (the Unibus CSR writes of the HTTP monitor,
-// applied by the simulation goroutine at the next cycle).
+// applied by the simulation goroutine at the next decode cycle).
 const (
 	cmdStart = 1 << iota
 	cmdStop
@@ -107,14 +110,17 @@ type Telemetry struct {
 	offset uint64
 	maxAbs uint64 // one past the last observed absolute cycle
 
-	// mon/stats are the currently bound machine's monitor and hardware
-	// counters (simulation goroutine only).
+	// mon/stats/clk are the currently bound machine's monitor, hardware
+	// counters and EBOX clock (simulation goroutine only; clk is nil
+	// when nothing drives the counters, see Bind).
 	mon   *upc.Monitor
 	stats *mem.Stats
+	clk   *ebox.Clock
 
-	// Cycle, stall and IB-refill counts not yet published into C
+	// pubNow and pubStalls are the bound clock's counts already
+	// published into C, and refills the IB refills not yet published
 	// (simulation goroutine only; see publishCounts).
-	cycles, stalls, refills uint64
+	pubNow, pubStalls, refills uint64
 
 	cmd    atomic.Uint32                 // pending board commands
 	status atomic.Uint32                 // published CSR status bits
@@ -136,6 +142,11 @@ type Telemetry struct {
 	profFn atomic.Pointer[profFunc]
 
 	finished bool
+
+	// The pad keeps these per-decode fields off the cache line of the
+	// next sink, as Tracer's does: NewChildren allocates a run's
+	// children together, and they run at once on different cores.
+	_ [64]byte
 }
 
 // boardSnapshot is an immutable published readout of the board.
@@ -162,12 +173,13 @@ func New(opts Options) *Telemetry {
 // ROM returns the microprogram bound at construction (may be nil).
 func (t *Telemetry) ROM() *urom.ROM { return t.rom }
 
-// Bind attaches the next machine's UPC monitor and hardware counters.
-// A composite run calls Bind once per workload machine; the telemetry
-// timeline continues across binds. Any partial recorder interval of the
-// previous machine is closed first.
-func (t *Telemetry) Bind(mon *upc.Monitor, stats *mem.Stats) {
-	t.publishCounts()
+// Attach binds the next machine: its UPC monitor, hardware counters
+// and EBOX clock. A composite run attaches once per workload machine;
+// the telemetry timeline continues across machines. The previous
+// machine's last counts are published and any partial recorder
+// interval of it is closed first.
+func (t *Telemetry) Attach(mon *upc.Monitor, stats *mem.Stats, clk *ebox.Clock) {
+	t.sync()
 	if t.rec != nil {
 		t.rec.flush(t, t.maxAbs)
 		t.rec.rebind(mon, stats, t.maxAbs)
@@ -175,16 +187,29 @@ func (t *Telemetry) Bind(mon *upc.Monitor, stats *mem.Stats) {
 	t.offset = t.maxAbs
 	t.mon = mon
 	t.stats = stats
+	t.clk = clk
+	t.pubNow, t.pubStalls = 0, 0
+	if clk != nil {
+		t.pubNow, t.pubStalls = clk.Now, clk.Stalls
+		clk.Horizon = t.horizon(clk.Now)
+	}
 	t.publishStatus()
 }
+
+// Bind attaches a monitor and hardware counters with no EBOX clock, for
+// a caller that drives Cycle by hand: board commands and interval rolls
+// run at each Cycle, and only a roll advances the cycle count. A
+// machine attaches with its clock.
+func (t *Telemetry) Bind(mon *upc.Monitor, stats *mem.Stats) { t.Attach(mon, stats, nil) }
 
 // Phase marks a named phase boundary (one per workload experiment) on
 // the trace timeline. Any trace slices left open by the previous
 // machine are closed first: a workload boundary ends its flows, it
 // does not let them span into an unrelated experiment — and closing
-// them here (rather than at Bind) makes the sequential event stream
+// them here (rather than at Attach) makes the sequential event stream
 // identical to a parallel run's per-workload streams spliced in order.
 func (t *Telemetry) Phase(name string) {
+	t.sync()
 	if t.tr != nil {
 		t.tr.finish(t.maxAbs)
 		t.tr.phase(t.maxAbs, name)
@@ -227,7 +252,7 @@ func (t *Telemetry) NewChildren(n int) []*Telemetry {
 // The child must not be observing concurrently during the call.
 func (t *Telemetry) Absorb(c *Telemetry) {
 	c.Finish()
-	t.publishCounts()
+	t.sync()
 	shift := t.maxAbs
 	t.C.Cycles.Add(c.C.Cycles.Load())
 	t.C.StallCycles.Add(c.C.StallCycles.Load())
@@ -250,6 +275,7 @@ func (t *Telemetry) Absorb(c *Telemetry) {
 	t.offset = t.maxAbs
 	t.mon = c.mon
 	t.stats = c.stats
+	t.clk = nil
 	t.finished = false
 	if t.watched.Load() {
 		t.publish(t.maxAbs)
@@ -263,7 +289,7 @@ func (t *Telemetry) Absorb(c *Telemetry) {
 // harmless. After Finish the recorded series and trace are complete up
 // to the last observed cycle.
 func (t *Telemetry) Finish() {
-	t.publishCounts()
+	t.sync()
 	if t.finished {
 		return
 	}
@@ -279,39 +305,73 @@ func (t *Telemetry) Finish() {
 
 // --- probe methods (simulation goroutine, hot path) ---
 
-// Cycle observes one EBOX cycle: the same observation point as the UPC
-// board's count pulse. Implements the ebox Probe. It counts in plain
-// fields and makes no atomic write: the command poll is its one
-// atomic access, a load.
-func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) {
+// Cycle runs the observer work due at cycle now — the same observation
+// point as the UPC board's count pulse — and returns the next cycle at
+// which there is more. Implements the ebox Probe: the EBOX calls it
+// only at that horizon, so a run takes the inline cycle between
+// interval rolls, and takes every cycle only while the tracer
+// collects. A call at a cycle with no work due is harmless. It makes
+// no atomic write: the command poll is its one atomic access, a load.
+func (t *Telemetry) Cycle(now uint64, addr uint16, stalled bool) uint64 {
 	abs := now + t.offset
-	t.maxAbs = abs + 1
-	t.finished = false
-	t.cycles++
-	if stalled {
-		t.stalls++
-	}
 	if cmd := t.cmd.Load(); cmd != 0 {
 		t.applyCmd(cmd, abs)
 	}
 	if t.rec != nil {
-		t.rec.cycle(t, abs)
+		t.rec.cycle(t, now, abs)
 	}
 	if t.tr != nil && !t.tr.truncated {
 		t.tr.cycle(abs, addr, stalled)
 	}
+	return t.horizon(now + 1)
 }
 
-// publishCounts adds the cycle, stall and IB-refill counts gathered
-// since the last publish to the live counters.
-func (t *Telemetry) publishCounts() {
-	if t.cycles != 0 {
-		t.C.Cycles.Add(t.cycles)
-		t.cycles = 0
+// horizon is the first machine cycle from cycle from on at which Cycle
+// has work: every cycle while the tracer collects, else the cycle whose
+// end closes the current recorder interval, else none. A pending board
+// command needs no horizon of its own: Instr moves the clock's horizon
+// to the decode cycle.
+func (t *Telemetry) horizon(from uint64) uint64 {
+	switch {
+	case t.tr != nil && !t.tr.truncated:
+		return from
+	case t.rec != nil:
+		return t.rec.nextAt - 1 - t.offset
 	}
-	if t.stalls != 0 {
-		t.C.StallCycles.Add(t.stalls)
-		t.stalls = 0
+	return math.MaxUint64
+}
+
+// untrace lifts the bound clock's horizon once the tracer has stopped
+// collecting outside Cycle (at a decode, a TB miss or a system event),
+// so that Cycle gets no further call for it.
+func (t *Telemetry) untrace() {
+	if t.tr.truncated && t.clk != nil {
+		t.clk.Horizon = t.horizon(t.clk.Now)
+	}
+}
+
+// sync publishes the bound clock's counts as of its current cycle.
+func (t *Telemetry) sync() {
+	if t.clk != nil {
+		t.publishCounts(t.clk.Now)
+	} else {
+		t.publishCounts(t.pubNow)
+	}
+}
+
+// publishCounts adds the cycles, stalls and IB refills gathered since
+// the last publish to the live counters, with now cycles elapsed on
+// the bound machine, and advances the timeline's end to match.
+func (t *Telemetry) publishCounts(now uint64) {
+	if now != t.pubNow {
+		t.C.Cycles.Add(now - t.pubNow)
+		t.pubNow = now
+		t.maxAbs = now + t.offset
+		t.finished = false
+	}
+	if t.clk != nil && t.clk.Stalls != t.pubStalls {
+		t.C.StallCycles.Add(t.clk.Stalls - t.pubStalls)
+		t.pubStalls = t.clk.Stalls
 	}
 	if t.refills != 0 {
 		t.C.IBRefills.Add(t.refills)
@@ -329,6 +389,7 @@ func (t *Telemetry) TBMiss(now uint64, istream bool, va uint32) {
 	}
 	if t.tr != nil && !t.tr.truncated {
 		t.tr.tbMiss(now+t.offset, istream, va)
+		t.untrace()
 	}
 }
 
@@ -347,12 +408,18 @@ func (t *Telemetry) Refill(now uint64, va uint32, latency int, miss bool) {
 }
 
 // Instr observes an instruction decode (machine-level event) and
-// publishes the per-cycle counts gathered since the previous decode.
+// publishes the counts gathered since the previous decode. A pending
+// board command moves the horizon to this decode's first cycle, where
+// Cycle applies it after that cycle's count pulse.
 func (t *Telemetry) Instr(now uint64, pc uint32, op vax.Opcode) {
-	t.publishCounts()
+	t.publishCounts(now)
 	t.C.Instrs.Add(1)
 	if t.tr != nil && !t.tr.truncated {
 		t.tr.instr(now+t.offset, pc, op)
+		t.untrace()
+	}
+	if t.clk != nil && t.cmd.Load() != 0 {
+		t.clk.Horizon = now
 	}
 }
 
@@ -361,6 +428,7 @@ func (t *Telemetry) Interrupt(now uint64, handler uint32) {
 	t.C.Interrupts.Add(1)
 	if t.tr != nil {
 		t.tr.interrupt(now+t.offset, handler)
+		t.untrace()
 	}
 }
 
@@ -369,12 +437,14 @@ func (t *Telemetry) CtxSwitch(now uint64, from, to uint32) {
 	t.C.CtxSwitches.Add(1)
 	if t.tr != nil {
 		t.tr.ctxSwitch(now+t.offset, from, to)
+		t.untrace()
 	}
 }
 
 // --- board control (HTTP side writes command bits; the simulation
-// goroutine applies them at the next cycle, exactly as Unibus register
-// writes took effect asynchronously to the measured system) ---
+// goroutine applies them at the next decode cycle, or at the next Cycle
+// if that comes first, as Unibus register writes took effect
+// asynchronously to the measured system) ---
 
 // Command requests a board action: "start", "stop", or "clear".
 func (t *Telemetry) Command(name string) error {
@@ -470,18 +540,23 @@ func (t *Telemetry) Tracer() *Tracer { return t.tr }
 // which package emits which event, and what each feeds.
 func DescribeProbes() string {
 	return `telemetry probe points (all zero-allocation, nil-checked when detached):
-  ebox.tick          -> Cycle(now, uPC, stalled)   every 200 ns EBOX cycle (the UPC tap; plain counts)
+  ebox.tick          -> Cycle(now, uPC, stalled)   at the EBOX clock's horizon only: every
+                                                   cycle while the tracer collects, else the
+                                                   cycle that closes a recorder interval
+  ebox.Clock         <- Now, Stalls                read at each publish point (no call per cycle)
   ebox.doMem         -> TBMiss(now, d-stream, va)  TB-miss microtrap entry
   ibox.Tick          -> TBMiss(now, i-stream, va)  I-stream miss flag raised
   ibox.Tick          -> Refill(now, va, latency)   IB refill reference issued
   mem.DRead/PTERead  -> CacheMiss(now, d, pa)      D-stream cache read miss
   mem.IRead          -> CacheMiss(now, i, pa)      I-stream cache read miss
-  machine.runInstr   -> Instr(now, pc, opcode)     instruction decode event
+  machine.runInstr   -> Instr(now, pc, opcode)     instruction decode event (publishes the
+                                                   counts; a pending board command lands
+                                                   at this decode's first cycle)
   machine.deliverInterrupt -> Interrupt(now, pc)   interrupt delivery
   machine LDPCTX     -> CtxSwitch(now, from, to)   context switch
 consumers:
-  Counters           live atomics: /metrics, expvar (cycle, stall and refill
-                     counts published at each decode)
+  Counters           live atomics: /metrics, expvar (cycle and stall counts from
+                     the EBOX clock, refill counts, published at each decode)
   Recorder           per-N-cycle UPC+mem snapshots -> interval CPI series (CSV/JSON)
   Tracer             Chrome trace_event JSON (chrome://tracing, Perfetto)
   board registers    /board/{start,stop,clear,read,csr} (Unibus CSR mirror)`

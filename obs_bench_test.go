@@ -2,7 +2,7 @@ package vax780
 
 // Trace-recorder overhead benchmarks. RunConfig.Trace rides the same
 // nil-checked hook pattern as the telemetry probes, fault injectors,
-// and profiler sampler, and its spans are emitted only at run and
+// and profiler, and its spans are emitted only at run and
 // workload boundaries — so a run with no recorder attached must cost
 // within 1% of the baseline, and CI gates BenchmarkObs/off A/B across
 // base and head with vaxbench -compare (the "trace recorder" entry of

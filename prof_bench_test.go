@@ -1,13 +1,13 @@
 package vax780
 
-// Profiler-overhead benchmarks. The sampler rides the same nil-checked
-// hook pattern as the telemetry probes and fault injectors, so a run
-// with no profiler attached must cost within 1% of the fault-era
+// Profiler-overhead benchmarks. The profiler prices each workload's
+// board histogram at its merge and adds nothing to the cycle loop, so
+// a run with no profiler attached must cost within 1% of the fault-era
 // baseline (BenchmarkFaults/off) — CI gates that A/B across base and
 // head with vaxbench -compare, and the "host-time profiler" entry of
-// BENCH_history.json records the adjudication. The other variants price the attached sampler at the
-// default stride and the exact engine's attribution walk over a
-// composite histogram.
+// BENCH_history.json records the adjudication. The other variants
+// price the attached board engine and the exact engine's attribution
+// walk over a composite histogram.
 
 import (
 	"testing"
@@ -54,13 +54,15 @@ func benchProfRun(b *testing.B, attach bool) {
 
 func BenchmarkProf(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
-		// No profiler: the disabled path the <1% gate prices — the
-		// EBOX hook is one nil pointer check per cycle.
+		// No profiler: the disabled path the <1% gate prices — one
+		// nil pointer check per workload merge.
 		benchProfRun(b, false)
 	})
 	b.Run("sampling", func(b *testing.B) {
-		// Sampler attached at the default stride (64): a counter
-		// decrement per cycle, a micro-PC store every 64th.
+		// The board engine attached (the name predates it and is kept
+		// for the bench ledger): each workload's board histogram is
+		// classified onto flows and priced by wall-time share at its
+		// merge; the cycle loop is the bare run's.
 		benchProfRun(b, true)
 	})
 	b.Run("exact", func(b *testing.B) {
@@ -84,16 +86,16 @@ func BenchmarkProf(b *testing.B) {
 
 // TestProfilerSamplingOverheadInterleaved is the in-process A/B: pairs
 // of runs, profiler detached then attached, interleaved so host drift
-// hits both arms alike. The attached sampler at the default stride
-// must stay within 25% of the detached run in at least one of three
-// measurement sessions — a loose in-process bound (CI's cross-revision
-// vaxbench -compare gate is the precise one); what this test pins down
-// is that attaching the sampler cannot be catastrophically slow. Each
-// arm reduces to its minimum (the low-noise estimator for a
-// deterministic computation) and a session under the bound ends the
-// test: on a noisy shared host single runs spread ±40% and any single
-// session can come in high, but only a genuinely slow sampler stays
-// over the bound across every pair of all three sessions.
+// hits both arms alike. The attached profiler must stay within 25% of
+// the detached run in at least one of three measurement sessions — a
+// loose in-process bound (CI's cross-revision vaxbench -compare gate is
+// the precise one); what this test pins down is that attaching the
+// profiler cannot be catastrophically slow. Each arm reduces to its
+// minimum (the low-noise estimator for a deterministic computation)
+// and a session under the bound ends the test: on a noisy shared host
+// single runs spread ±40% and any single session can come in high, but
+// only a genuinely slow profiler stays over the bound across every
+// pair of all three sessions.
 func TestProfilerSamplingOverheadInterleaved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -127,7 +129,7 @@ func TestProfilerSamplingOverheadInterleaved(t *testing.T) {
 		}
 		offMin, onMin := minNs(off), minNs(on)
 		overhead := 100 * (onMin - offMin) / offMin
-		t.Logf("sampling overhead session %d: off %.2f ms, on %.2f ms (%+.1f%%, min of %d pairs)",
+		t.Logf("profiler overhead session %d: off %.2f ms, on %.2f ms (%+.1f%%, min of %d pairs)",
 			s+1, offMin/1e6, onMin/1e6, overhead, pairs)
 		if overhead <= 25 {
 			return
@@ -136,6 +138,6 @@ func TestProfilerSamplingOverheadInterleaved(t *testing.T) {
 			best = overhead
 		}
 	}
-	t.Errorf("attached sampler overhead %.1f%% exceeds the 25%% in-process bound in all %d sessions",
+	t.Errorf("attached profiler overhead %.1f%% exceeds the 25%% in-process bound in all %d sessions",
 		best, sessions)
 }

@@ -5,10 +5,11 @@ package vax780
 // nanoseconds onto the micro-architectural structure it simulates —
 // control-store flows, straight-line segments, Table 8 cycle classes —
 // exactly the way the paper's board attributes the 780's elapsed time
-// onto its microcode. The in-run engine samples (every stride-th cycle's
-// micro-PC, one nil test per cycle when detached); the exact engine
-// prices the run's bit-exact composite histogram after the fact through
-// Results.Profile. Both report the same Profile format.
+// onto its microcode. The in-run engine prices each workload's own
+// board histogram by its share of measured wall time as the workload
+// merges, adding nothing to the cycle loop; the exact engine prices the
+// run's bit-exact composite histogram with a calibration after the fact
+// through Results.Profile. Both report the same Profile format.
 
 import (
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vax780/internal/analysis"
 	"vax780/internal/obs"
 	"vax780/internal/prof"
 	"vax780/internal/runlog"
@@ -46,33 +48,31 @@ func ReadCalibration(r io.Reader) (*Calibration, error) {
 }
 
 // flowIndex returns the flow index of the shared control store — the
-// per-ROM cached analysis (ulint.IndexFor) the prof sampler and
-// vaxlint both classify against, so the two cannot disagree about
-// where a flow begins.
+// per-ROM cached analysis (ulint.IndexFor) the profiler and vaxlint
+// both classify against, so the two cannot disagree about where a flow
+// begins.
 func flowIndex() *ulint.FlowIndex {
 	return ulint.IndexFor(machineROM())
 }
 
-// Profiler attaches the sampling host-time profiler to a run (set
-// RunConfig.Profiler). While the run executes, each workload machine
-// carries a micro-PC sampler; at every workload merge the profiler
-// folds the samples in (in workload order, so the sampled histogram is
-// bit-exact across Parallelism) and publishes a cumulative Profile for
-// the telemetry /prof endpoint and vaxtop. After Run returns, Profile
-// holds the whole run and SpanTree the measured wall-time hierarchy.
+// Profiler attaches the host-time profiler to a run (set
+// RunConfig.Profiler). The board already counts every cycle of every
+// workload, so the profiler adds nothing to the cycle loop: at every
+// workload merge it folds that workload's board histogram in (in
+// workload order, so the aggregate is bit-exact across Parallelism),
+// prices it by the workload's measured wall time, and publishes a
+// cumulative Profile for the telemetry /prof endpoint and vaxtop. A
+// damaged board's excluded buckets (see Results.Quality) are left out.
+// After Run returns, Profile holds the whole run and SpanTree the
+// measured wall-time hierarchy.
 //
 // A Profiler instance serves one Run at a time; Run resets it on entry,
 // so reusing one across sequential runs is fine, sharing one across
 // concurrent runs is not.
 type Profiler struct {
-	// SampleStride is the sampling period in cycles (default
-	// upc.DefaultSampleStride = 64; the enabled overhead shrinks with
-	// larger strides).
-	SampleStride int
-
 	// Calibration, when non-nil, is recorded on the profile so consumers
-	// can price sampled cycles; the sampling engine itself distributes
-	// measured wall time by share and does not need one.
+	// can price its cycles; the board engine itself distributes measured
+	// wall time by share and does not need one.
 	Calibration *Calibration
 
 	// MaxFlows bounds the hot-flow lists in the ledger event and the
@@ -85,22 +85,13 @@ type Profiler struct {
 	// obs.WriteRows.
 	Trace io.Writer
 
-	mu      sync.Mutex
-	clock   *runlog.Clock
-	agg     upc.Histogram // summed sampled counts, merged in workload order
-	samples uint64
-	wallNs  float64   // summed measured workload durations
-	run     *obs.Span // the run span, workloads added in merge order
-	root    *obs.Span // run, published by finishRun
-	latest  atomic.Pointer[prof.Profile]
-}
-
-// stride resolves the sampling period.
-func (p *Profiler) stride() int {
-	if p.SampleStride > 0 {
-		return p.SampleStride
-	}
-	return upc.DefaultSampleStride
+	mu     sync.Mutex
+	clock  *runlog.Clock
+	agg    upc.Histogram // summed board counts, merged in workload order
+	wallNs float64       // summed measured workload durations
+	run    *obs.Span     // the run span, workloads added in merge order
+	root   *obs.Span     // run, published by finishRun
+	latest atomic.Pointer[prof.Profile]
 }
 
 // maxFlows resolves the hot-flow list bound.
@@ -117,16 +108,10 @@ func (p *Profiler) begin(label string) {
 	defer p.mu.Unlock()
 	p.clock = runlog.NewClock()
 	p.agg = upc.Histogram{}
-	p.samples = 0
 	p.wallNs = 0
 	p.run = &obs.Span{Kind: "run", Name: label}
 	p.root = nil
 	p.latest.Store(nil)
-}
-
-// newSampler builds one workload machine's sampler.
-func (p *Profiler) newSampler() *upc.Sampler {
-	return upc.NewSampler(p.stride())
 }
 
 // nowNs reads the profiler's wall clock (0 on a nil profiler, so the
@@ -139,34 +124,32 @@ func (p *Profiler) nowNs() float64 {
 }
 
 // noteWorkload folds one completed workload into the profile: its
-// sampled histogram (deterministic — the sample set is a pure function
-// of the cycle stream and the stride), its measured duration, and its
-// span with synthesized flow children. Called by the merge, in workload
-// order, which is what keeps the aggregate bit-exact across -j.
-func (p *Profiler) noteWorkload(name string, samp *upc.Sampler, startNs, endNs float64) {
-	if p == nil || samp == nil {
+// board histogram (deterministic, and exact), its measured duration,
+// and its span with synthesized flow children. Called by the merge, in
+// workload order, which is what keeps the aggregate bit-exact across
+// -j.
+func (p *Profiler) noteWorkload(name string, hist *upc.Histogram, startNs, endNs float64) {
+	if p == nil {
 		return
 	}
-	snap := samp.Snapshot()
+	h := analysis.New(machineROM(), hist).Healthy()
 	dur := endNs - startNs
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.agg.Add(snap)
-	p.samples += samp.Taken()
+	p.agg.Add(h)
 	p.wallNs += dur
 
 	ws := p.run.Child("workload", name).SetWall(startNs, dur)
-	wp := prof.Sampled(machineROM(), flowIndex(), snap, p.stride(), dur)
-	prof.FlowSpans(ws, wp, p.maxFlows())
+	prof.FlowSpans(ws, prof.Board(machineROM(), flowIndex(), h, dur), p.maxFlows())
 
-	p.latest.Store(prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs))
+	p.latest.Store(prof.Board(machineROM(), flowIndex(), &p.agg, p.wallNs))
 }
 
 // finishRun closes the run: builds the final profile, publishes the
 // span tree, and writes the Trace export when configured.
 func (p *Profiler) finishRun() (*prof.Profile, error) {
 	p.mu.Lock()
-	final := prof.Sampled(machineROM(), flowIndex(), &p.agg, p.stride(), p.wallNs)
+	final := prof.Board(machineROM(), flowIndex(), &p.agg, p.wallNs)
 	p.latest.Store(final)
 	root := p.run.SetWall(0, p.clock.Ns())
 	p.root = root
@@ -231,8 +214,6 @@ func profRows(p *prof.Profile, n int) []profFlowRow {
 func profSummaryAttrs(p *prof.Profile) []slog.Attr {
 	attrs := []slog.Attr{
 		slog.String("engine", p.Engine),
-		slog.Int("stride", p.Stride),
-		slog.Uint64("samples", p.Samples),
 		slog.Uint64("cycles", p.TotalCycles),
 	}
 	if len(p.Flows) > 0 {

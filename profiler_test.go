@@ -1,9 +1,9 @@
 package vax780
 
-// Tests of the host-time profiler: the sampled attribution is
-// bit-exact across Parallelism (cycle-driven sampling, workload-order
-// merge), the exact engine's attribution is byte-identical seq↔par,
-// the two engines agree on the hot flows, the /prof endpoint serves
+// Tests of the host-time profiler: the board attribution is bit-exact
+// across Parallelism (exact board counts, workload-order merge), the
+// exact engine's attribution is byte-identical seq↔par, the two
+// engines agree on the hot flows, the /prof endpoint serves
 // the live profile, the span exports carry the run→workload→flow
 // hierarchy, and FlightDepth validation rejects non-power-of-two
 // rings up front.
@@ -43,23 +43,23 @@ func profiledRun(t *testing.T, cfg RunConfig, parallelism int) (*Profiler, *Resu
 	return p, res, stripped
 }
 
-// sampledFingerprint reduces a sampling profile to its deterministic
-// core: everything except the wall-clock-derived ns fields.
-func sampledFingerprint(p *Profile) string {
+// boardFingerprint reduces a board profile to its deterministic core:
+// everything except the wall-clock-derived ns fields.
+func boardFingerprint(p *Profile) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "engine=%s stride=%d samples=%d cycles=%d unattr=%d\n",
-		p.Engine, p.Stride, p.Samples, p.TotalCycles, p.Unattributed)
+	fmt.Fprintf(&b, "engine=%s cycles=%d unattr=%d\n",
+		p.Engine, p.TotalCycles, p.Unattributed)
 	for _, f := range p.Flows {
 		fmt.Fprintf(&b, "%s %05o %d %.9f %v\n", f.Name, f.Entry, f.Cycles, f.Share, f.ClassCycles)
 	}
 	return b.String()
 }
 
-// TestProfilerParallelBitExact: the sampled profile — flows, cycles,
+// TestProfilerParallelBitExact: the board profile — flows, cycles,
 // shares, class vectors — and the stripped ledger (including the prof
-// event) are identical at Parallelism 1 and 4. The sampler triggers on
-// cycle count, not on time, and snapshots merge in workload order, so
-// parallel scheduling cannot move a single sample.
+// event) are identical at Parallelism 1 and 4. Each workload's board
+// counts are exact and merge in workload order, so parallel scheduling
+// cannot move a single count.
 func TestProfilerParallelBitExact(t *testing.T) {
 	cfg := RunConfig{
 		Instructions: 1500,
@@ -72,8 +72,8 @@ func TestProfilerParallelBitExact(t *testing.T) {
 	if sprof == nil || pprof == nil {
 		t.Fatal("profiler published no profile")
 	}
-	if sf, pf := sampledFingerprint(sprof), sampledFingerprint(pprof); sf != pf {
-		t.Errorf("sampled profiles differ across parallelism:\nseq:\n%s\npar:\n%s", sf, pf)
+	if sf, pf := boardFingerprint(sprof), boardFingerprint(pprof); sf != pf {
+		t.Errorf("board profiles differ across parallelism:\nseq:\n%s\npar:\n%s", sf, pf)
 	}
 	if !bytes.Equal(sled, pled) {
 		t.Error("stripped profiled ledgers differ across parallelism")
@@ -99,8 +99,8 @@ func TestProfilerParallelBitExact(t *testing.T) {
 }
 
 // TestExactSampledTopFlowsAgree: the two engines rank the same five
-// flows hottest. Sampling is deterministic (stride-driven), so this is
-// a fixed property of the workload, not a statistical one.
+// flows hottest, and the in-run profile's cycles are the board's exact
+// counts.
 func TestExactSampledTopFlowsAgree(t *testing.T) {
 	p := &Profiler{}
 	res, err := Run(RunConfig{
@@ -112,9 +112,9 @@ func TestExactSampledTopFlowsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := res.Profile(nil)
-	sampled := p.Profile()
-	if sampled == nil {
-		t.Fatal("no sampled profile")
+	board := p.Profile()
+	if board == nil {
+		t.Fatal("no in-run profile")
 	}
 	names := func(pr *Profile) map[string]bool {
 		m := map[string]bool{}
@@ -123,26 +123,25 @@ func TestExactSampledTopFlowsAgree(t *testing.T) {
 		}
 		return m
 	}
-	en, sn := names(exact), names(sampled)
-	if len(en) != 5 || len(sn) != 5 {
-		t.Fatalf("top-5 sizes: exact %d, sampled %d", len(en), len(sn))
+	en, bn := names(exact), names(board)
+	if len(en) != 5 || len(bn) != 5 {
+		t.Fatalf("top-5 sizes: exact %d, in-run %d", len(en), len(bn))
 	}
 	for n := range en {
-		if !sn[n] {
-			t.Errorf("exact top-5 flow %q missing from sampled top-5 %v", n, sn)
+		if !bn[n] {
+			t.Errorf("exact top-5 flow %q missing from in-run top-5 %v", n, bn)
 		}
 	}
 
-	// The sampled cycle estimate of the hottest flow is within 10% of
-	// the exact count (stride 64 over ~10^5 cycles).
-	eTop, sTop := exact.Top(1)[0], sampled.Top(1)[0]
+	// The in-run profile prices the board's own counts, so the hottest
+	// flow's cycles are the exact count.
+	eTop, sTop := exact.Top(1)[0], board.Top(1)[0]
 	if eTop.Name != sTop.Name {
-		t.Fatalf("hottest flow: exact %q, sampled %q", eTop.Name, sTop.Name)
+		t.Fatalf("hottest flow: exact %q, in-run %q", eTop.Name, sTop.Name)
 	}
-	ratio := float64(sTop.Cycles) / float64(eTop.Cycles)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("hottest flow %q: sampled %d vs exact %d cycles (ratio %.3f)",
-			eTop.Name, sTop.Cycles, eTop.Cycles, ratio)
+	if sTop.Cycles != eTop.Cycles || board.TotalCycles != exact.TotalCycles {
+		t.Errorf("hottest flow %q: in-run %d of %d cycles, exact %d of %d",
+			eTop.Name, sTop.Cycles, board.TotalCycles, eTop.Cycles, exact.TotalCycles)
 	}
 }
 
@@ -184,7 +183,7 @@ func TestProfEndpointServesProfile(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
 		t.Fatal(err)
 	}
-	if served.Engine != "sampling" || len(served.Flows) == 0 {
+	if served.Engine != "board" || len(served.Flows) == 0 {
 		t.Fatalf("served profile: engine %q, %d flows", served.Engine, len(served.Flows))
 	}
 }

@@ -182,21 +182,14 @@ func runWorkload(env wlEnv, tr *workload.Trace, cfg RunConfig) (*oneRun, int, er
 	if env.slot != nil {
 		cell = &machine.ProgressCell{}
 	}
-	var samp *upc.Sampler
-	if cfg.Profiler != nil {
-		samp = cfg.Profiler.newSampler()
-	}
-
 	retries := 0
 	for attempt := 1; ; attempt++ {
-		fr.Reset()   // each attempt gets a clean ring
-		samp.Reset() // and clean samples: a retried attempt never mixes in
+		fr.Reset() // each attempt gets a clean ring
 		startNs := cfg.Profiler.nowNs()
 		env.slot.begin(env.id.String(), uint64(cfg.Instructions), cell)
-		one, err := runOne(tr, cfg, env.tel, env.plan, fr, cell, samp)
+		one, err := runOne(tr, cfg, env.tel, env.plan, fr, cell)
 		env.slot.end()
 		if err == nil {
-			one.samp = samp
 			one.profStart = startNs
 			one.profEnd = cfg.Profiler.nowNs()
 			if env.plan != nil {

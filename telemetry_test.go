@@ -66,8 +66,8 @@ func TestTelemetryIntervalInvariant(t *testing.T) {
 
 // TestTelemetryAttachmentIsPassive verifies the paper's core discipline:
 // the attached monitor must not perturb the measurement. Each hook —
-// the telemetry stack, a forced-on flight recorder, the sampling
-// profiler, the run ledger, and a fault plan whose every rate is zero —
+// the telemetry stack, a forced-on flight recorder, the profiler, the
+// run ledger, and a fault plan whose every rate is zero —
 // is attached alone, and the run must be bit-identical to the bare run
 // at the same parallelism.
 func TestTelemetryAttachmentIsPassive(t *testing.T) {

@@ -210,13 +210,14 @@ type RunConfig struct {
 	// plumbing (internal/obs) and unusable outside the repository.
 	Trace *obs.Recorder
 
-	// Profiler, when non-nil, attaches the sampling host-time profiler:
-	// every stride-th cycle's micro-PC is sampled (one nil test per
-	// cycle when detached), classified onto control-store flows, and
-	// published as a cumulative Profile — on the telemetry /prof
-	// endpoint while the run executes, in the ledger's prof event and
-	// run-done summary, and via Profiler.Profile after Run returns.
-	// See Profiler for the span-tree and trace exports.
+	// Profiler, when non-nil, attaches the host-time profiler: each
+	// workload's board histogram is classified onto control-store flows
+	// as it merges, its measured wall time is distributed by flow share,
+	// and the result is published as a cumulative Profile — on the
+	// telemetry /prof endpoint while the run executes, in the ledger's
+	// prof event and run-done summary, and via Profiler.Profile after
+	// Run returns. It adds nothing to the cycle loop. See Profiler for
+	// the span-tree and trace exports.
 	Profiler *Profiler
 
 	// NoFusion once disabled the flow-fusion superword engine. The
@@ -627,7 +628,7 @@ func wrapWorkloadErr(err error) error {
 // workload order.
 func (s *runState) merge(id WorkloadID, one *oneRun, retries int, plan *faults.Plan) error {
 	s.composite.Add(one.hist)
-	s.cfg.Profiler.noteWorkload(id.String(), one.samp, one.profStart, one.profEnd)
+	s.cfg.Profiler.noteWorkload(id.String(), one.hist, one.profStart, one.profEnd)
 	s.hw.Mem.Add(&one.machine.Mem.Stats)
 	s.hw.IBConsumed += one.machine.IB.Consumed
 	s.res.Retries += retries
@@ -713,7 +714,7 @@ func (s *runState) finish() (*Results, error) {
 			return nil, err
 		}
 		if s.led != nil {
-			s.led.Emit(runlog.ProfEvent(p.Engine, p.Stride, p.Samples, p.TotalCycles,
+			s.led.Emit(runlog.ProfEvent(p.Engine, p.TotalCycles,
 				profRows(p, s.cfg.Profiler.maxFlows()),
 				map[string]any{"wall_ns": p.WallNs}))
 		}
@@ -746,12 +747,16 @@ type oneRun struct {
 	hist      *upc.Histogram
 	saturated bool
 
-	// Profiling sidecar (nil/zero without a Profiler): the workload's
-	// micro-PC sampler and its measured start/end on the profiler clock.
-	samp      *upc.Sampler
+	// Profiling sidecar (zero without a Profiler): the workload's
+	// measured start/end on the profiler clock.
 	profStart float64
 	profEnd   float64
 }
+
+// wrapProbe is a test seam: when non-nil, it adapts a run's telemetry
+// sink for each workload machine (the horizon's oracle tests attach a
+// per-cycle reference through it).
+var wrapProbe func(*telemetry.Telemetry) machine.Telemetry
 
 // monPool recycles histogram monitors between workload machines: the
 // monitor's count array is by far the largest allocation of a run, and
@@ -764,8 +769,7 @@ var monPool = sync.Pool{New: func() any { return upc.New() }}
 // boundary: any panic that escapes the simulation surfaces as a
 // *faults.MachineCheck, never as a process crash.
 func runOne(tr *workload.Trace, cfg RunConfig, tel *telemetry.Telemetry,
-	plan *faults.Plan, fr *upc.FlightRecorder, cell *machine.ProgressCell,
-	samp *upc.Sampler) (one *oneRun, err error) {
+	plan *faults.Plan, fr *upc.FlightRecorder, cell *machine.ProgressCell) (one *oneRun, err error) {
 
 	var mon *upc.Monitor
 	if tel == nil {
@@ -786,13 +790,15 @@ func runOne(tr *workload.Trace, cfg RunConfig, tel *telemetry.Telemetry,
 		Strict:        cfg.Strict,
 		OverlapDecode: cfg.OverlapDecode,
 		Flight:        fr,
-		Sampler:       samp,
 		Progress:      cell,
 	}
 	if tel != nil {
 		// Assign only a live layer: a nil *telemetry.Telemetry boxed in
 		// the interface would defeat the machine's nil check.
 		mc.Telemetry = tel
+		if wrapProbe != nil {
+			mc.Telemetry = wrapProbe(tel)
+		}
 	}
 	if plan != nil {
 		// Same care: never box a nil *faults.Plan.
