@@ -509,3 +509,149 @@ func TestAssembleJob(t *testing.T) {
 		t.Fatalf("cached job span: attrs %v, %d children", cr.AttrMap(), len(cr.Children()))
 	}
 }
+
+// TestSpanStreamOutcomes is the accept/reject table of span-stream
+// validation and parsing: blank, whitespace-only and CRLF rows and an
+// unterminated tail are skipped; a second root is rejected by both.
+func TestSpanStreamOutcomes(t *testing.T) {
+	rec, _ := sampleTree()
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.String()
+	rows := strings.SplitAfter(valid, "\n")
+	root := rows[0]
+	var other map[string]any
+	if err := json.Unmarshal([]byte(root), &other); err != nil {
+		t.Fatal(err)
+	}
+	other["path"] = "other"
+	other["id"] = PathID("k-0123", "other")
+	second, _ := json.Marshal(other)
+	cases := []struct {
+		name, stream string
+		validate     string // ValidateSpans' error; "" accepts
+		parse        string // ParseRows' error; "" accepts
+	}{
+		{"export", valid, "", ""},
+		{"torn tail", valid + root[:30], "", ""},
+		{"complete row unterminated", valid + strings.TrimSuffix(root, "\n"), "", ""},
+		{"blank rows", "\n" + strings.Join(rows, "\n"), "", ""},
+		{"whitespace-only rows", " \t\n" + strings.Join(rows, "  \n"), "", ""},
+		{"crlf", strings.ReplaceAll(valid, "\n", "\r\n"), "", ""},
+		{"empty", "", "empty trace", "obs: empty trace"},
+		{"blank only", "\n \n\t\n", "empty trace", "obs: empty trace"},
+		{"only torn", root[:30], "empty trace", "obs: empty trace"},
+		{"second root", valid + string(second) + "\n", "row 10: second root (no parent)",
+			"obs: row 10: second root"},
+		{"not json", valid + "nope\n",
+			"row 10: not a JSON object: invalid character 'o' in literal null (expecting 'u')",
+			"obs: row 10: invalid character 'o' in literal null (expecting 'u')"},
+	}
+	for _, tc := range cases {
+		errText := func(err error) string {
+			if err == nil {
+				return ""
+			}
+			return err.Error()
+		}
+		if got := errText(ValidateSpans([]byte(tc.stream))); got != tc.validate {
+			t.Errorf("%s: ValidateSpans = %q, want %q", tc.name, got, tc.validate)
+		}
+		_, _, err := ParseRows([]byte(tc.stream))
+		if got := errText(err); got != tc.parse {
+			t.Errorf("%s: ParseRows = %q, want %q", tc.name, got, tc.parse)
+		}
+	}
+}
+
+// TestWritePrometheusGolden pins vaxd's /metrics bytes: counter
+// families with escaped labels, histograms with their +Inf bucket,
+// and gauges, whose values print in %g form.
+func TestWritePrometheusGolden(t *testing.T) {
+	m := NewMetrics()
+	m.Count(Rec{Msg: runlog.EvJobQueued, Tenant: "alice"})
+	m.Count(Rec{Msg: runlog.EvJobQueued, Tenant: "a\"b\\c\nd"})
+	m.Count(Rec{Msg: runlog.EvJobQueued, Tenant: "alice"})
+	m.Count(Rec{Msg: runlog.EvJobDone, State: "done", Cached: true})
+	m.Count(Rec{Msg: runlog.EvDrain})
+	m.Observe("vaxd_request_duration_seconds", "alice", 0.002)
+	m.Observe("vaxd_request_duration_seconds", "alice", 120)
+	m.Observe("vaxd_job_duration_seconds", `x"y`, 3)
+	m.Gauge("vaxd_queue_depth", "jobs waiting", func() float64 { return 3 })
+	m.Gauge("vaxd_big", "a large gauge", func() float64 { return 1e6 })
+	m.Gauge("vaxd_ratio", "a fraction", func() float64 { return 0.125 })
+	var buf bytes.Buffer
+	if err := m.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP vaxd_cache_hits_total submissions answered from the content-addressed store
+# TYPE vaxd_cache_hits_total counter
+vaxd_cache_hits_total 1
+# HELP vaxd_drains_total graceful drains (admission stopped, in-flight jobs requeued)
+# TYPE vaxd_drains_total counter
+vaxd_drains_total 1
+# HELP vaxd_jobs_done_total jobs reaching a terminal or requeue state, by state
+# TYPE vaxd_jobs_done_total counter
+vaxd_jobs_done_total{state="done"} 1
+# HELP vaxd_jobs_submitted_total jobs admitted to the queue or served from cache, by tenant
+# TYPE vaxd_jobs_submitted_total counter
+vaxd_jobs_submitted_total{tenant="a\"b\\c\nd"} 1
+vaxd_jobs_submitted_total{tenant="alice"} 2
+# HELP vaxd_job_duration_seconds job execution time, queue exit to terminal state
+# TYPE vaxd_job_duration_seconds histogram
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="0.001"} 0
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="0.005"} 0
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="0.025"} 0
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="0.1"} 0
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="0.5"} 0
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="2.5"} 0
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="10"} 1
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="60"} 1
+vaxd_job_duration_seconds_bucket{tenant="x\"y",le="+Inf"} 1
+vaxd_job_duration_seconds_sum{tenant="x\"y"} 3
+vaxd_job_duration_seconds_count{tenant="x\"y"} 1
+# HELP vaxd_request_duration_seconds settled POST /jobs request latency
+# TYPE vaxd_request_duration_seconds histogram
+vaxd_request_duration_seconds_bucket{tenant="alice",le="0.001"} 0
+vaxd_request_duration_seconds_bucket{tenant="alice",le="0.005"} 1
+vaxd_request_duration_seconds_bucket{tenant="alice",le="0.025"} 1
+vaxd_request_duration_seconds_bucket{tenant="alice",le="0.1"} 1
+vaxd_request_duration_seconds_bucket{tenant="alice",le="0.5"} 1
+vaxd_request_duration_seconds_bucket{tenant="alice",le="2.5"} 1
+vaxd_request_duration_seconds_bucket{tenant="alice",le="10"} 1
+vaxd_request_duration_seconds_bucket{tenant="alice",le="60"} 1
+vaxd_request_duration_seconds_bucket{tenant="alice",le="+Inf"} 2
+vaxd_request_duration_seconds_sum{tenant="alice"} 120.002
+vaxd_request_duration_seconds_count{tenant="alice"} 2
+# HELP vaxd_big a large gauge
+# TYPE vaxd_big gauge
+vaxd_big 1e+06
+# HELP vaxd_queue_depth jobs waiting
+# TYPE vaxd_queue_depth gauge
+vaxd_queue_depth 3
+# HELP vaxd_ratio a fraction
+# TYPE vaxd_ratio gauge
+vaxd_ratio 0.125
+`
+	if got := buf.String(); got != want {
+		t.Errorf("WritePrometheus body:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRecomposeSkipsBlankAndTorn: the journal replay behind Recompose
+// counts every complete record, whatever its line ending, and nothing
+// from blank lines or an unterminated tail.
+func TestRecomposeSkipsBlankAndTorn(t *testing.T) {
+	journal := "\n" + `{"msg":"job-queued","tenant":"a"}` + "\r\n \t\n" +
+		`  {"msg":"drain"}` + "\n" + `{"msg":"drain"}`
+	got, err := Recompose(strings.NewReader(journal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{`vaxd_jobs_submitted_total{tenant="a"}`: 1, "vaxd_drains_total": 1}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Recompose = %v, want %v", got, want)
+	}
+}
