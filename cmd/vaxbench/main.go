@@ -82,7 +82,7 @@ type Entry struct {
 	GOARCH       string            `json:"goarch"`
 	Method       string            `json:"method,omitempty"`
 	Adjudication string            `json:"adjudication,omitempty"`
-	Results      map[string]Result `json:"results"`
+	Results      map[string]Result `json:"results,omitempty"`
 	Baseline     map[string]Result `json:"baseline,omitempty"`
 }
 

@@ -3,6 +3,9 @@ package main
 import (
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -87,5 +90,40 @@ func TestMedianEvenCount(t *testing.T) {
 	}
 	if got := median(nil); got != 0 {
 		t.Errorf("median(nil) = %v, want 0", got)
+	}
+}
+
+// TestHistoryRoundTrip: loading the committed BENCH_history.json and
+// saving it again keeps every entry's keys and values, so appending an
+// entry never rewrites the entries already recorded.
+func TestHistoryRoundTrip(t *testing.T) {
+	const committed = "../../BENCH_history.json"
+	h, err := loadHistory(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := filepath.Join(t.TempDir(), "history.json")
+	if err := saveHistory(saved, h); err != nil {
+		t.Fatal(err)
+	}
+	entries := func(path string) []map[string]any {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ Entries []map[string]any }
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Entries
+	}
+	want, got := entries(committed), entries(saved)
+	if len(got) != len(want) {
+		t.Fatalf("round trip kept %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("entry %d (%v) changed:\n got %v\nwant %v", i, want[i]["label"], got[i], want[i])
+		}
 	}
 }

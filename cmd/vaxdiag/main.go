@@ -22,6 +22,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 	"strings"
 
 	"vax780"
+	"vax780/internal/runlog"
 )
 
 func main() {
@@ -117,9 +119,14 @@ func printLedger(path, evFilter string) error {
 		}
 	}
 
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+	// Validation parsed a non-blank tail as the final record.
+	records, tail := runlog.Records(data)
+	if len(bytes.TrimSpace(tail)) > 0 {
+		records = append(records, tail)
+	}
+	for _, line := range records {
 		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
 		}
 		ev, _ := rec["msg"].(string)

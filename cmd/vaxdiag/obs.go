@@ -35,24 +35,20 @@ func runObs(data, metricsURL string) error {
 	if err != nil {
 		return err
 	}
-	if i := bytes.LastIndexByte(raw, '\n'); i < 0 {
-		if len(raw) > 0 {
-			fmt.Printf("journal: single torn record (%d bytes), no complete events\n", len(raw))
-		}
-		raw = nil
-	} else {
-		if i+1 < len(raw) {
-			fmt.Printf("journal: torn tail (%d bytes) ignored; next vaxd start repairs it\n", len(raw)-i-1)
-		}
-		raw = raw[:i+1]
+	records, tail := runlog.Records(raw)
+	switch {
+	case len(tail) == len(raw) && len(raw) > 0:
+		fmt.Printf("journal: single torn record (%d bytes), no complete events\n", len(raw))
+	case len(tail) > 0:
+		fmt.Printf("journal: torn tail (%d bytes) ignored; next vaxd start repairs it\n", len(tail))
 	}
-	records := bytes.Count(raw, []byte{'\n'})
-	if records > 0 {
+	raw = raw[:len(raw)-len(tail)]
+	if len(records) > 0 {
 		if err := runlog.Validate(bytes.NewReader(raw)); err != nil {
 			return fmt.Errorf("journal schema: %w", err)
 		}
 	}
-	fmt.Printf("journal: %d records, schema valid\n", records)
+	fmt.Printf("journal: %d records, schema valid\n", len(records))
 
 	counts, err := obs.Recompose(bytes.NewReader(raw))
 	if err != nil {

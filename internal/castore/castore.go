@@ -27,7 +27,6 @@
 package castore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -36,6 +35,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"vax780/internal/runlog"
 )
 
 // ErrNoBundle reports a key with no committed bundle.
@@ -375,18 +376,15 @@ func (s *Store) RepairJournal() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("castore: reading journal: %w", err)
 	}
-	if len(data) == 0 || data[len(data)-1] == '\n' {
+	_, tail := runlog.Records(data)
+	if len(tail) == 0 {
 		return 0, nil
-	}
-	keep := 0
-	if nl := bytes.LastIndexByte(data, '\n'); nl >= 0 {
-		keep = nl + 1
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("castore: repairing journal: %w", err)
 	}
-	if err := f.Truncate(int64(keep)); err != nil {
+	if err := f.Truncate(int64(len(data) - len(tail))); err != nil {
 		f.Close()
 		return 0, fmt.Errorf("castore: repairing journal: %w", err)
 	}
@@ -401,31 +399,18 @@ func (s *Store) RepairJournal() (int, error) {
 	return 1, nil
 }
 
-// ReplayJournal calls fn for every complete record in the journal, in
-// append order. A truncated final line (torn write at crash) is
-// silently dropped: the journal is recovery input, and a record that
-// never fully landed describes an action that may not have happened.
+// ReplayJournal calls fn for every complete record in the journal
+// (runlog.Records: newline-terminated, non-blank), in append order. A
+// truncated final line (torn write at crash) is silently dropped: the
+// journal is recovery input, and a record that never fully landed
+// describes an action that may not have happened.
 func (s *Store) ReplayJournal(fn func(line []byte) error) error {
 	data, err := os.ReadFile(filepath.Join(s.root, "journal.jsonl"))
 	if err != nil {
 		return fmt.Errorf("castore: reading journal: %w", err)
 	}
-	for len(data) > 0 {
-		nl := -1
-		for i, b := range data {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			return nil // torn final record: ignore
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(line) == 0 {
-			continue
-		}
+	records, _ := runlog.Records(data)
+	for _, line := range records {
 		if err := fn(line); err != nil {
 			return err
 		}

@@ -49,7 +49,8 @@ func AssembleJob(journal io.Reader, jobID string, bundleTrace []byte) (string, *
 	}
 	var evs []journalEv
 	var times []time.Time
-	for _, line := range completeLines(data) {
+	records, _ := runlog.Records(data)
+	for _, line := range records {
 		rec, ok := parseJournalEv(line)
 		if !ok || rec.ID != jobID {
 			continue

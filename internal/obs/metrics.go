@@ -102,11 +102,16 @@ func NewMetrics() *Metrics {
 // otherwise — the same form the Prometheus text rendering uses, so
 // live counters and recomposed counters compare directly.
 func counterKey(name, label string) string {
-	def, ok := counterDefs()[name]
-	if !ok || def.Label == "" {
+	return seriesKey(name, counterDefs()[name].Label, label)
+}
+
+// seriesKey renders one series of a family whose label key is key (""
+// for unlabeled).
+func seriesKey(name, key, value string) string {
+	if key == "" {
 		return name
 	}
-	return name + "{" + def.Label + "=\"" + escapeLabel(label) + "\"}"
+	return name + "{" + key + "=\"" + escapeLabel(value) + "\"}"
 }
 
 func escapeLabel(v string) string {
@@ -138,10 +143,7 @@ func (m *Metrics) Observe(name, label string, seconds float64) {
 	if !ok {
 		return
 	}
-	key := name
-	if def.Label != "" {
-		key = name + "{" + def.Label + "=\"" + escapeLabel(label) + "\"}"
-	}
+	key := seriesKey(name, def.Label, label)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h := m.hists[key]
@@ -198,71 +200,72 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	m.mu.Unlock()
 
 	defs := counterDefs()
-	var families []string
-	for name := range defs {
-		families = append(families, name)
-	}
-	sort.Strings(families)
-	for _, name := range families {
-		series := seriesFor(counters, name)
+	for _, name := range sortedNames(defs) {
+		series := seriesOf(counters, name)
 		if len(series) == 0 {
 			continue
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, defs[name].Help, name)
-		for _, key := range series {
-			fmt.Fprintf(w, "%s %g\n", key, counters[key])
+		values := make([]float64, len(series))
+		for i, key := range series {
+			values[i] = counters[key]
 		}
+		WriteMetric(w, name, "counter", defs[name].Help, series, values)
 	}
 
 	hdefs := histDefs()
-	families = families[:0]
-	for name := range hdefs {
-		families = append(families, name)
-	}
-	sort.Strings(families)
-	for _, name := range families {
-		series := seriesForHist(hists, name)
-		if len(series) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, hdefs[name].Help, name)
-		for _, key := range series {
+	for _, name := range sortedNames(hdefs) {
+		var series []string
+		var values []float64
+		for _, key := range seriesOf(hists, name) {
 			h := hists[key]
 			var cum uint64
 			for i, ub := range durationBuckets {
 				cum += h.buckets[i]
-				fmt.Fprintf(w, "%s %g\n", bucketSeries(key, fmt.Sprintf("%g", ub)), float64(cum))
+				series = append(series, bucketSeries(key, fmt.Sprintf("%g", ub)))
+				values = append(values, float64(cum))
 			}
-			cum += h.inf
-			fmt.Fprintf(w, "%s %g\n", bucketSeries(key, "+Inf"), float64(cum))
-			fmt.Fprintf(w, "%s %g\n", suffixSeries(key, "_sum"), h.sum)
-			fmt.Fprintf(w, "%s %g\n", suffixSeries(key, "_count"), float64(h.count))
+			series = append(series, bucketSeries(key, "+Inf"),
+				suffixSeries(key, "_sum"), suffixSeries(key, "_count"))
+			values = append(values, float64(cum+h.inf), h.sum, float64(h.count))
+		}
+		if len(series) > 0 {
+			WriteMetric(w, name, "histogram", hdefs[name].Help, series, values)
 		}
 	}
 
 	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
 	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n",
-			g.name, g.help, g.name, g.name, g.fn())
+		WriteMetric(w, g.name, "gauge", g.help, []string{g.name}, []float64{g.fn()})
 	}
 	return nil
 }
 
-// seriesFor returns the sorted series keys of one counter family.
-func seriesFor(counters map[string]float64, family string) []string {
-	var out []string
-	for k := range counters {
-		if k == family || strings.HasPrefix(k, family+"{") {
-			out = append(out, k)
-		}
+// WriteMetric writes one metric family in the Prometheus text format:
+// its # HELP and # TYPE header, then one `series value` line per
+// series, series[i] carrying values[i]. Every /metrics body in the
+// repository is written through it. Values print with %v: an integer
+// counter reads 1000000, a float 1e+06 (%g).
+func WriteMetric[V uint64 | float64](w io.Writer, name, typ, help string, series []string, values []V) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	for i, s := range series {
+		fmt.Fprintf(w, "%s %v\n", s, values[i])
 	}
-	sort.Strings(out)
-	return out
 }
 
-func seriesForHist(hists map[string]*histogram, family string) []string {
+// sortedNames returns a family table's names in sorted order.
+func sortedNames(defs map[string]counterDef) []string {
+	names := make([]string, 0, len(defs))
+	for name := range defs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// seriesOf returns the sorted series keys of one family.
+func seriesOf[V any](m map[string]V, family string) []string {
 	var out []string
-	for k := range hists {
+	for k := range m {
 		if k == family || strings.HasPrefix(k, family+"{") {
 			out = append(out, k)
 		}

@@ -1,28 +1,24 @@
 package obs
 
 // The golden span schema: for every span kind, the exact attribute
-// keys a trace row may carry — the span-side twin of runlog.Schema.
-// ValidateSpans additionally proves the structural contract the
-// /trace endpoint promises: one trace ID, one root, every parent
-// emitted before its children (so the export is a single connected
-// tree in depth-first order), and every ID recomputable from the
-// trace and path alone.
+// keys a trace row may carry, held by the same runlog.CheckAttrs as
+// the ledger's runlog.Schema. ValidateSpans additionally proves the
+// structural contract the /trace endpoint promises: one trace ID, one
+// root, every parent emitted before its children (so the export is a
+// single connected tree in depth-first order), and every ID
+// recomputable from the trace and path alone.
 
 import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"vax780/internal/runlog"
 )
 
-// KindSchema lists a span kind's required and optional attribute keys.
-type KindSchema struct {
-	Required []string
-	Optional []string
-}
-
 // SpanSchema returns the golden span schema, keyed by span kind.
-func SpanSchema() map[string]KindSchema {
-	return map[string]KindSchema{
+func SpanSchema() map[string]runlog.EventSchema {
+	return map[string]runlog.EventSchema{
 		// Service spans, assembled from the vaxd journal.
 		"job": {
 			Required: []string{"id", "key", "tenant", "state"},
@@ -77,9 +73,9 @@ func ValidateSpans(data []byte) error {
 	schema := SpanSchema()
 	seen := make(map[string]bool)
 	var trace string
-	n := 0
-	for _, line := range completeLines(data) {
-		n++
+	records, _ := runlog.Records(data)
+	for i, line := range records {
+		n := i + 1
 		var raw map[string]any
 		if err := json.Unmarshal(line, &raw); err != nil {
 			return fmt.Errorf("row %d: not a JSON object: %w", n, err)
@@ -125,28 +121,11 @@ func ValidateSpans(data []byte) error {
 		if !ok {
 			return fmt.Errorf("row %d: unknown span kind %q", n, row.Kind)
 		}
-		allowed := make(map[string]bool, len(ks.Required)+len(ks.Optional))
-		for _, k := range ks.Required {
-			allowed[k] = true
-			if _, ok := row.Attrs[k]; !ok {
-				return fmt.Errorf("row %d: %s span missing required attribute %q", n, row.Kind, k)
-			}
-		}
-		for _, k := range ks.Optional {
-			allowed[k] = true
-		}
-		extra = extra[:0]
-		for k := range row.Attrs {
-			if !allowed[k] {
-				extra = append(extra, k)
-			}
-		}
-		if len(extra) > 0 {
-			sort.Strings(extra)
-			return fmt.Errorf("row %d: %s span attributes outside schema: %v", n, row.Kind, extra)
+		if err := runlog.CheckAttrs(ks, row.Attrs); err != nil {
+			return fmt.Errorf("row %d: %s span %w", n, row.Kind, err)
 		}
 	}
-	if n == 0 {
+	if len(records) == 0 {
 		return fmt.Errorf("empty trace")
 	}
 	return nil

@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -249,9 +248,9 @@ func WriteRows(w io.Writer, trace string, root *Span) error {
 // the same property ValidateSpans enforces.
 func ParseRows(data []byte) (trace string, root *Span, err error) {
 	byID := make(map[string]*Span)
-	n := 0
-	for _, line := range completeLines(data) {
-		n++
+	records, _ := runlog.Records(data)
+	for i, line := range records {
+		n := i + 1
 		var row Row
 		if err := json.Unmarshal(line, &row); err != nil {
 			return "", nil, fmt.Errorf("obs: row %d: %w", n, err)
@@ -295,22 +294,4 @@ func StripWall(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
 	return out, nil
-}
-
-// completeLines splits data into newline-terminated records, dropping
-// blanks and an unterminated tail — the same torn-tail tolerance the
-// castore journal replay has.
-func completeLines(data []byte) [][]byte {
-	var lines [][]byte
-	for {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			return lines
-		}
-		line := bytes.TrimSpace(data[:nl])
-		data = data[nl+1:]
-		if len(line) > 0 {
-			lines = append(lines, line)
-		}
-	}
 }

@@ -80,7 +80,8 @@ func Recompose(r io.Reader) (map[string]float64, error) {
 		return nil, fmt.Errorf("obs: reading journal: %w", err)
 	}
 	counts := make(map[string]float64)
-	for _, line := range completeLines(data) {
+	records, _ := runlog.Records(data)
+	for _, line := range records {
 		if rec, ok := ParseRec(line); ok {
 			countRec(rec, func(name, label string) {
 				counts[counterKey(name, label)]++

@@ -3,20 +3,22 @@ package runlog
 // The ledger's golden schema: for every event type, the exact attribute
 // keys a JSONL record may carry. TestLedgerSchema pins this against the
 // constructors; Validate is reused by vaxdiag -ledger -check and CI so
-// a drifting format fails loudly everywhere at once.
+// a drifting format fails loudly everywhere at once. The span schema
+// (obs.SpanSchema) uses the same EventSchema and CheckAttrs, and every
+// JSONL reader in the repository splits its records with Records.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
-// EventSchema lists an event type's required and optional attribute
-// keys (beyond the standard slog time/level/msg envelope and the
-// ledger's seq counter).
+// EventSchema lists a record kind's required and optional attribute
+// keys: a ledger event type's (beyond the standard slog time/level/msg
+// envelope and the ledger's seq counter), or a span kind's.
 type EventSchema struct {
 	Required []string
 	Optional []string
@@ -109,6 +111,29 @@ func Schema() map[string]EventSchema {
 	}
 }
 
+// CheckAttrs checks one record's attribute keys against its schema:
+// every required key present, none outside Required and Optional. The
+// ledger passes a record's top-level keys minus the envelope, a span
+// row its attrs object.
+func CheckAttrs[V any](es EventSchema, attrs map[string]V) error {
+	for _, k := range es.Required {
+		if _, ok := attrs[k]; !ok {
+			return fmt.Errorf("missing required attribute %q", k)
+		}
+	}
+	var extra []string
+	for k := range attrs {
+		if !slices.Contains(es.Required, k) && !slices.Contains(es.Optional, k) {
+			extra = append(extra, k)
+		}
+	}
+	if len(extra) > 0 {
+		sort.Strings(extra)
+		return fmt.Errorf("attributes outside schema: %v", extra)
+	}
+	return nil
+}
+
 // ValidateLine checks one JSONL record against the golden schema:
 // envelope present, known event type, all required attributes present,
 // no attributes outside the schema.
@@ -127,53 +152,68 @@ func ValidateLine(line []byte) error {
 	if !ok {
 		return fmt.Errorf("unknown event type %q", typ)
 	}
-	allowed := make(map[string]bool, len(stdKeys)+len(es.Required)+len(es.Optional))
 	for _, k := range stdKeys {
-		allowed[k] = true
+		delete(rec, k)
 	}
-	for _, k := range es.Required {
-		allowed[k] = true
-		if _, ok := rec[k]; !ok {
-			return fmt.Errorf("%s: missing required attribute %q", typ, k)
-		}
-	}
-	for _, k := range es.Optional {
-		allowed[k] = true
-	}
-	var extra []string
-	for k := range rec {
-		if !allowed[k] {
-			extra = append(extra, k)
-		}
-	}
-	if len(extra) > 0 {
-		sort.Strings(extra)
-		return fmt.Errorf("%s: attributes outside schema: %v", typ, extra)
+	if err := CheckAttrs(es, rec); err != nil {
+		return fmt.Errorf("%s: %w", typ, err)
 	}
 	return nil
 }
 
-// Validate checks a whole JSONL stream, returning the first offending
-// line number (1-based) in the error.
-func Validate(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	n := 0
-	for sc.Scan() {
-		n++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
+// Records splits JSONL data into its complete records and its
+// unterminated tail. A record is a newline-terminated line holding a
+// non-space byte, returned as written minus its newline; blank lines
+// are skipped. The tail is everything after the last newline (all of
+// data when there is none): each caller decides whether it is a torn
+// write to ignore or a final record to parse.
+func Records(data []byte) (records [][]byte, tail []byte) {
+	for {
+		nl := bytes.IndexByte(data, '\n')
+		if nl < 0 {
+			return records, data
 		}
-		if err := ValidateLine(line); err != nil {
-			return fmt.Errorf("line %d: %w", n, err)
+		if line := data[:nl]; len(bytes.TrimSpace(line)) > 0 {
+			records = append(records, line)
 		}
+		data = data[nl+1:]
 	}
-	if err := sc.Err(); err != nil {
+}
+
+// ledgerRecords is Records for a whole ledger: a non-blank tail is its
+// final record, so a truncated ledger fails to parse rather than
+// silently losing its last event.
+func ledgerRecords(data []byte) [][]byte {
+	records, tail := Records(data)
+	if len(bytes.TrimSpace(tail)) > 0 {
+		records = append(records, tail)
+	}
+	return records
+}
+
+// lineOf returns the 1-based line of data on which rec begins; rec is
+// one of ledgerRecords(data), so it shares data's backing array and
+// its offset is the difference of their capacities.
+func lineOf(data, rec []byte) int {
+	return bytes.Count(data[:cap(data)-cap(rec)], []byte{'\n'}) + 1
+}
+
+// Validate checks a whole JSONL stream, returning the first offending
+// line number (1-based) in the error. A ledger without records, blank
+// lines only included, is rejected as empty.
+func Validate(r io.Reader) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return fmt.Errorf("reading ledger: %w", err)
 	}
-	if n == 0 {
+	records := ledgerRecords(data)
+	if len(records) == 0 {
 		return fmt.Errorf("empty ledger")
+	}
+	for _, line := range records {
+		if err := ValidateLine(line); err != nil {
+			return fmt.Errorf("line %d: %w", lineOf(data, line), err)
+		}
 	}
 	return nil
 }
@@ -196,14 +236,10 @@ func StripWallClock(data []byte) ([]byte, error) {
 // never silently shortened. Errors name the 1-based input line.
 func Canonicalize(data []byte, drop ...string) ([]byte, error) {
 	var out bytes.Buffer
-	for i, line := range bytes.Split(data, []byte{'\n'}) {
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
+	for _, line := range ledgerRecords(data) {
 		var rec map[string]any
 		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
+			return nil, fmt.Errorf("line %d: %w", lineOf(data, line), err)
 		}
 		for _, k := range drop {
 			delete(rec, k)
@@ -211,7 +247,7 @@ func Canonicalize(data []byte, drop ...string) ([]byte, error) {
 		// encoding/json sorts map keys, giving the canonical order.
 		enc, err := json.Marshal(rec)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", i+1, err)
+			return nil, fmt.Errorf("line %d: %w", lineOf(data, line), err)
 		}
 		out.Write(enc)
 		out.WriteByte('\n')

@@ -144,20 +144,17 @@ func (t *Telemetry) serveProgress(w http.ResponseWriter, r *http.Request) {
 func (t *Telemetry) writeHostMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("vax780_host_heap_alloc_bytes", "live heap bytes of the simulator process", float64(ms.HeapAlloc))
-	gauge("vax780_host_sys_bytes", "total memory obtained from the OS", float64(ms.Sys))
-	gauge("vax780_host_gc_total", "completed GC cycles", float64(ms.NumGC))
-	gauge("vax780_host_gc_pause_total_ns", "cumulative GC stop-the-world pause", float64(ms.PauseTotalNs))
-	gauge("vax780_host_goroutines", "live goroutines", float64(runtime.NumGoroutine()))
+	writeGauge(w, "vax780_host_heap_alloc_bytes", "live heap bytes of the simulator process", float64(ms.HeapAlloc))
+	writeGauge(w, "vax780_host_sys_bytes", "total memory obtained from the OS", float64(ms.Sys))
+	writeGauge(w, "vax780_host_gc_total", "completed GC cycles", float64(ms.NumGC))
+	writeGauge(w, "vax780_host_gc_pause_total_ns", "cumulative GC stop-the-world pause", float64(ms.PauseTotalNs))
+	writeGauge(w, "vax780_host_goroutines", "live goroutines", float64(runtime.NumGoroutine()))
 	if s, ok := t.latestProgress(); ok {
-		gauge("vax780_host_ns_per_sim_cycle", "host wall nanoseconds per simulated 200ns cycle", s.NsPerSimCycle)
-		gauge("vax780_progress_instr_per_s", "fleet instruction throughput", s.InstrRate)
-		gauge("vax780_progress_eta_s", "estimated seconds to run completion", s.ETASeconds)
+		writeGauge(w, "vax780_host_ns_per_sim_cycle", "host wall nanoseconds per simulated 200ns cycle", s.NsPerSimCycle)
+		writeGauge(w, "vax780_progress_instr_per_s", "fleet instruction throughput", s.InstrRate)
+		writeGauge(w, "vax780_progress_eta_s", "estimated seconds to run completion", s.ETASeconds)
 	}
 	if bus := t.evBus.Load(); bus != nil {
-		gauge("vax780_event_subscribers", "live /events subscribers", float64(bus.Subscribers()))
+		writeGauge(w, "vax780_event_subscribers", "live /events subscribers", float64(bus.Subscribers()))
 	}
 }

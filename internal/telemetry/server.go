@@ -9,12 +9,14 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
 	"strconv"
 	"sync/atomic"
 
+	"vax780/internal/obs"
 	"vax780/internal/upc"
 )
 
@@ -40,22 +42,45 @@ var publishExpvar = func() func() {
 	}
 }()
 
-// counterMap snapshots the live counters into an ordered-key map.
+// monitorCounters is the one table of the monitor's live counters:
+// /metrics writes them as counter families in this order (a labelled
+// family's series in consecutive rows) and expvar's counter map
+// publishes each row under its key.
+var monitorCounters = []struct {
+	family, labels, help, key string
+	counter                   func(*Counters) *atomic.Uint64
+}{
+	{"vax780_cycles_total", "", "simulated 200ns EBOX cycles", "cycles",
+		func(c *Counters) *atomic.Uint64 { return &c.Cycles }},
+	{"vax780_stall_cycles_total", "", "read- and write-stalled cycles", "stall_cycles",
+		func(c *Counters) *atomic.Uint64 { return &c.StallCycles }},
+	{"vax780_instructions_total", "", "decoded VAX instructions", "instructions",
+		func(c *Counters) *atomic.Uint64 { return &c.Instrs }},
+	{"vax780_cache_miss_total", `{stream="d"}`, "cache read misses by stream", "cache_miss_d",
+		func(c *Counters) *atomic.Uint64 { return &c.CacheMissD }},
+	{"vax780_cache_miss_total", `{stream="i"}`, "cache read misses by stream", "cache_miss_i",
+		func(c *Counters) *atomic.Uint64 { return &c.CacheMissI }},
+	{"vax780_tb_miss_total", `{stream="d"}`, "translation-buffer misses by stream", "tb_miss_d",
+		func(c *Counters) *atomic.Uint64 { return &c.TBMissD }},
+	{"vax780_tb_miss_total", `{stream="i"}`, "translation-buffer misses by stream", "tb_miss_i",
+		func(c *Counters) *atomic.Uint64 { return &c.TBMissI }},
+	{"vax780_ib_refills_total", "", "IB refill references", "ib_refills",
+		func(c *Counters) *atomic.Uint64 { return &c.IBRefills }},
+	{"vax780_interrupts_total", "", "interrupt deliveries", "interrupts",
+		func(c *Counters) *atomic.Uint64 { return &c.Interrupts }},
+	{"vax780_context_switches_total", "", "context switches", "context_switches",
+		func(c *Counters) *atomic.Uint64 { return &c.CtxSwitches }},
+	{"vax780_intervals_total", "", "recorder intervals rolled", "intervals",
+		func(c *Counters) *atomic.Uint64 { return &c.Intervals }},
+}
+
+// counterMap snapshots the live counters and the CPI for expvar.
 func (t *Telemetry) counterMap() map[string]any {
-	return map[string]any{
-		"cycles":           t.C.Cycles.Load(),
-		"stall_cycles":     t.C.StallCycles.Load(),
-		"instructions":     t.C.Instrs.Load(),
-		"cpi":              t.C.CPI(),
-		"cache_miss_d":     t.C.CacheMissD.Load(),
-		"cache_miss_i":     t.C.CacheMissI.Load(),
-		"tb_miss_d":        t.C.TBMissD.Load(),
-		"tb_miss_i":        t.C.TBMissI.Load(),
-		"ib_refills":       t.C.IBRefills.Load(),
-		"interrupts":       t.C.Interrupts.Load(),
-		"context_switches": t.C.CtxSwitches.Load(),
-		"intervals":        t.C.Intervals.Load(),
+	m := map[string]any{"cpi": t.C.CPI()}
+	for _, c := range monitorCounters {
+		m[c.key] = c.counter(&t.C).Load()
 	}
+	return m
 }
 
 // Handler returns the monitor's HTTP handler:
@@ -69,7 +94,7 @@ func (t *Telemetry) counterMap() map[string]any {
 //	/board/csr          board status (running, saturated, snapshot cycle)
 //	/board/read?addr=N  read one bucket from the latest published snapshot
 //	/board/read?hot=N   read the N hottest buckets
-//	/events             server-sent event stream of interval snapshots
+//	/events             server-sent event stream of the run ledger's bus
 //	/progress           fleet progress JSON (per-workload completion)
 //	/prof               latest host-time profile (board engine) JSON
 //
@@ -111,30 +136,18 @@ func (t *Telemetry) Handler() http.Handler {
 // serveMetrics writes the Prometheus text exposition format.
 func (t *Telemetry) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	for i := 0; i < len(monitorCounters); {
+		family := monitorCounters[i]
+		var series []string
+		var values []uint64
+		for ; i < len(monitorCounters) && monitorCounters[i].family == family.family; i++ {
+			c := monitorCounters[i]
+			series = append(series, c.family+c.labels)
+			values = append(values, c.counter(&t.C).Load())
+		}
+		obs.WriteMetric(w, family.family, "counter", family.help, series, values)
 	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	counter("vax780_cycles_total", "simulated 200ns EBOX cycles", t.C.Cycles.Load())
-	counter("vax780_stall_cycles_total", "read- and write-stalled cycles", t.C.StallCycles.Load())
-	counter("vax780_instructions_total", "decoded VAX instructions", t.C.Instrs.Load())
-	fmt.Fprintf(w, "# HELP vax780_cache_miss_total cache read misses by stream\n"+
-		"# TYPE vax780_cache_miss_total counter\n"+
-		"vax780_cache_miss_total{stream=\"d\"} %d\n"+
-		"vax780_cache_miss_total{stream=\"i\"} %d\n",
-		t.C.CacheMissD.Load(), t.C.CacheMissI.Load())
-	fmt.Fprintf(w, "# HELP vax780_tb_miss_total translation-buffer misses by stream\n"+
-		"# TYPE vax780_tb_miss_total counter\n"+
-		"vax780_tb_miss_total{stream=\"d\"} %d\n"+
-		"vax780_tb_miss_total{stream=\"i\"} %d\n",
-		t.C.TBMissD.Load(), t.C.TBMissI.Load())
-	counter("vax780_ib_refills_total", "IB refill references", t.C.IBRefills.Load())
-	counter("vax780_interrupts_total", "interrupt deliveries", t.C.Interrupts.Load())
-	counter("vax780_context_switches_total", "context switches", t.C.CtxSwitches.Load())
-	counter("vax780_intervals_total", "recorder intervals rolled", t.C.Intervals.Load())
-	gauge("vax780_cpi", "cycles per instruction so far", t.C.CPI())
+	writeGauge(w, "vax780_cpi", "cycles per instruction so far", t.C.CPI())
 	status := t.Status()
 	running, saturated := 0.0, 0.0
 	if status&StatusRunning != 0 {
@@ -143,9 +156,14 @@ func (t *Telemetry) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if status&StatusSaturated != 0 {
 		saturated = 1
 	}
-	gauge("vax780_board_running", "UPC board collecting (CSR run bit)", running)
-	gauge("vax780_board_saturated", "a board counter saturated (CSR sat bit)", saturated)
+	writeGauge(w, "vax780_board_running", "UPC board collecting (CSR run bit)", running)
+	writeGauge(w, "vax780_board_saturated", "a board counter saturated (CSR sat bit)", saturated)
 	t.writeHostMetrics(w)
+}
+
+// writeGauge writes a single-sample gauge family.
+func writeGauge(w io.Writer, name, help string, v float64) {
+	obs.WriteMetric(w, name, "gauge", help, []string{name}, []float64{v})
 }
 
 // serveCSR reports the board status the way a CSR read would.

@@ -112,7 +112,7 @@ type Telemetry struct {
 
 	// mon/stats/clk are the currently bound machine's monitor, hardware
 	// counters and EBOX clock (simulation goroutine only; clk is nil
-	// when nothing drives the counters, see Bind).
+	// for a caller that drives Cycle by hand, see Attach).
 	mon   *upc.Monitor
 	stats *mem.Stats
 	clk   *ebox.Clock
@@ -195,12 +195,6 @@ func (t *Telemetry) Attach(mon *upc.Monitor, stats *mem.Stats, clk *ebox.Clock) 
 	}
 	t.publishStatus()
 }
-
-// Bind attaches a monitor and hardware counters with no EBOX clock, for
-// a caller that drives Cycle by hand: board commands and interval rolls
-// run at each Cycle, and only a roll advances the cycle count. A
-// machine attaches with its clock.
-func (t *Telemetry) Bind(mon *upc.Monitor, stats *mem.Stats) { t.Attach(mon, stats, nil) }
 
 // Phase marks a named phase boundary (one per workload experiment) on
 // the trace timeline. Any trace slices left open by the previous

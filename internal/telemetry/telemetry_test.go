@@ -297,7 +297,7 @@ func TestBoardCommands(t *testing.T) {
 	mon := upc.New()
 	mon.Start()
 	var st mem.Stats
-	tel.Bind(mon, &st)
+	tel.Attach(mon, &st, nil)
 
 	// A pending stop is applied at the next simulated cycle, not
 	// immediately — the Unibus write semantics.

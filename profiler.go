@@ -70,11 +70,6 @@ func flowIndex() *ulint.FlowIndex {
 // so reusing one across sequential runs is fine, sharing one across
 // concurrent runs is not.
 type Profiler struct {
-	// Calibration, when non-nil, is recorded on the profile so consumers
-	// can price its cycles; the board engine itself distributes measured
-	// wall time by share and does not need one.
-	Calibration *Calibration
-
 	// MaxFlows bounds the hot-flow lists in the ledger event and the
 	// span tree (default 10; the full flow set is always in Profile).
 	MaxFlows int
