@@ -4,21 +4,16 @@
 // control-store flows of the simulated machine — the exact complement
 // of the UPC board, which reports where the *simulated* cycles go.
 //
-// Two engines back the report. The board engine rides inside the run
+// The board engine backs the report. It rides inside the run
 // (RunConfig.Profiler): each workload's board histogram is classified
-// onto flows as it merges and its measured wall time distributed by
-// share. The exact engine prices the run's bit-exact composite
-// histogram with a per-class calibration — the host ns/cycle of each
-// Table 8 cycle class, solved from interleaved per-workload timing
-// probes (each workload weights compute, memory, and stalls
-// differently, so the five runs give five independent equations).
+// onto flows as it merges, and its measured wall time is spread over
+// those flows by their share of cycles.
 //
 // Usage:
 //
-//	vaxprof [-n 50000] [-top 15]                   hot-flow tables, both engines
+//	vaxprof [-n 50000] [-top 15]                   hot-flow table
+//	vaxprof -o prof.json                           also save the profile
 //	vaxprof -diff old.json new.json                compare two saved profiles
-//	vaxprof -o prof.json -calib-out cal.json       save the exact profile / calibration
-//	vaxprof -calib cal.json                        reuse a saved calibration (skip probing)
 //	vaxprof -chrome trace.json -spans spans.jsonl  span-tree exports (sweep→run→workload→flow; obs rows)
 //	vaxprof -ledger run.jsonl                      also write the run ledger JSONL
 //
@@ -30,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"vax780"
 	"vax780/internal/obs"
@@ -39,11 +35,8 @@ import (
 func main() {
 	n := flag.Int("n", 50_000, "instructions per workload")
 	top := flag.Int("top", 15, "flows to print")
-	reps := flag.Int("reps", 3, "interleaved timing repetitions per calibration probe")
 	diff := flag.Bool("diff", false, "diff two saved profiles (old.json new.json args) and exit")
-	out := flag.String("o", "", "write the exact-engine profile JSON here")
-	calibIn := flag.String("calib", "", "load a saved calibration instead of probing")
-	calibOut := flag.String("calib-out", "", "write the solved calibration JSON here")
+	out := flag.String("o", "", "write the profile JSON here")
 	chrome := flag.String("chrome", "", "write the span tree as Chrome trace-event JSON here")
 	spans := flag.String("spans", "", "write the span tree as JSONL rows here")
 	ledger := flag.String("ledger", "", "write the run ledger JSONL here")
@@ -61,8 +54,7 @@ func main() {
 		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *top))
 	}
 
-	if err := run(*n, *top, *reps,
-		*out, *calibIn, *calibOut, *chrome, *spans, *ledger); err != nil {
+	if err := run(*n, *top, *out, *chrome, *spans, *ledger); err != nil {
 		fmt.Fprintln(os.Stderr, "vaxprof:", err)
 		os.Exit(1)
 	}
@@ -93,64 +85,52 @@ func runDiff(oldPath, newPath string, top int) int {
 	return 0
 }
 
-// run is the measurement path: calibrate (or load), run the composite
-// with the profiler attached, print both engines' views, and
+// run is the measurement path: one discarded warm-up run, then the
+// composite with the profiler attached; print its hot-flow table and
 // write whatever exports were requested.
-func run(n, top, reps int,
-	out, calibIn, calibOut, chrome, spansPath, ledgerPath string) error {
-
-	// Calibration: load a saved one (skips probing), or solve one from
-	// the interleaved measurement session.
-	var preCal *vax780.Calibration
-	if calibIn != "" {
-		f, err := os.Open(calibIn)
-		if err != nil {
-			return err
-		}
-		c, err := prof.ReadCalibration(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		preCal = c
-		fmt.Printf("calibration: %s (%d probes, host %s)\n\n", calibIn, c.Probes, c.Host)
+func run(n, top int, out, chrome, spansPath, ledgerPath string) error {
+	// The first simulation in a process pays allocator growth and cold
+	// caches that no later run sees; keep it out of the measured run.
+	warm := vax780.RunConfig{
+		Instructions: n,
+		Workloads:    []vax780.WorkloadID{vax780.TimesharingA},
+		Parallelism:  1,
+	}
+	if _, err := vax780.Run(warm); err != nil {
+		return fmt.Errorf("warm-up run: %w", err)
 	}
 
-	m, err := measure(n, reps, top, preCal, ledgerPath)
+	profiler := &vax780.Profiler{MaxFlows: top}
+	cfg := vax780.RunConfig{Instructions: n, Parallelism: 1, Profiler: profiler}
+	var led *os.File
+	if ledgerPath != "" {
+		f, err := os.Create(ledgerPath)
+		if err != nil {
+			return err
+		}
+		led = f
+		cfg.Ledger = f
+	}
+	// Collect before the measured window opens, so no earlier garbage
+	// is charged to its flows.
+	runtime.GC()
+	_, err := vax780.Run(cfg)
+	if led != nil {
+		if cerr := led.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		return err
 	}
-	cal, profiler, res, wallNs := m.cal, m.profiler, m.res, m.wallNs
-
-	if calibOut != "" {
-		if err := writeFile(calibOut, cal.WriteJSON); err != nil {
-			return err
-		}
-	}
-
-	exact := res.Profile(cal)
-	exact.WallNs = wallNs
-	fmt.Print(exact.Table(top))
-	fmt.Println()
-	if board := profiler.Profile(); board != nil {
-		fmt.Print(board.Table(top))
-	}
-	if exact.WallNs > 0 {
-		err := 100 * (exact.TotalNs - exact.WallNs) / exact.WallNs
-		fmt.Printf("\nreconciliation: exact total %.3f ms vs measured %.3f ms (%+.1f%%)\n",
-			exact.TotalNs/1e6, exact.WallNs/1e6, err)
-	}
-	return writeExports(profiler, res, cal, wallNs, out, chrome, spansPath)
+	fmt.Print(profiler.Profile().Table(top))
+	return writeExports(profiler, out, chrome, spansPath)
 }
 
 // writeExports emits the requested files after a measurement run.
-func writeExports(profiler *vax780.Profiler, res *vax780.Results,
-	cal *vax780.Calibration, wallNs float64, out, chrome, spansPath string) error {
-
+func writeExports(profiler *vax780.Profiler, out, chrome, spansPath string) error {
 	if out != "" {
-		exact := res.Profile(cal)
-		exact.WallNs = wallNs
-		if err := writeFile(out, exact.WriteJSON); err != nil {
+		if err := writeFile(out, profiler.Profile().WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -188,9 +168,7 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // sweepSpan grafts the measured run's span tree under a sweep-level
-// root, completing the sweep → run → workload → flow hierarchy (the
-// calibration probes were the sweep's other runs; only the profiled
-// composite carries measured spans).
+// root, completing the sweep → run → workload → flow hierarchy.
 func sweepSpan(profiler *vax780.Profiler) *vax780.Span {
 	runSpan := profiler.SpanTree()
 	root := (&vax780.Span{Kind: "sweep", Name: "vaxprof"}).SetWall(runSpan.StartNs, runSpan.DurNs)

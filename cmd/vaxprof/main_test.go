@@ -11,6 +11,7 @@ import (
 
 	"vax780"
 	"vax780/internal/obs"
+	"vax780/internal/prof"
 )
 
 // TestMain runs the command itself when VAXPROF_RUN_MAIN is set, so a
@@ -49,19 +50,72 @@ func TestBadCountsRejected(t *testing.T) {
 	}
 }
 
+// vaxprof re-executes the test binary as the command with args and
+// returns its exit status (-1 when it could not be run).
+func vaxprof(t *testing.T, args ...string) int {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "VAXPROF_RUN_MAIN=1")
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &exit):
+		return exit.ExitCode()
+	}
+	t.Fatalf("vaxprof %v: %v", args, err)
+	return -1
+}
+
+// TestSavedProfileIsBoard: -o saves the board engine's profile of the
+// measured composite — priced by its wall time, with every cycle either
+// in a flow or unattributed — and -diff reads it back. The calibration
+// flags are gone, so -calib is a usage error.
+func TestSavedProfileIsBoard(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "profile.json")
+	if code := vaxprof(t, "-n", "1500", "-top", "3", "-o", out); code != 0 {
+		t.Fatalf("vaxprof -o: exit %d", code)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := prof.ReadProfile(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Engine != "board" || p.WallNs <= 0 {
+		t.Fatalf("saved profile: engine %q, wall %v ns; want board with a measured wall", p.Engine, p.WallNs)
+	}
+	var cycles uint64
+	for _, fc := range p.Flows {
+		cycles += fc.Cycles
+	}
+	if cycles+p.Unattributed != p.TotalCycles {
+		t.Fatalf("flows %d + unattributed %d != total %d", cycles, p.Unattributed, p.TotalCycles)
+	}
+	if code := vaxprof(t, "-diff", out, out); code != 0 {
+		t.Fatalf("vaxprof -diff of a profile against itself: exit %d", code)
+	}
+	if code := vaxprof(t, "-calib", "x"); code != 2 {
+		t.Fatalf("vaxprof -calib x: exit %d, want 2", code)
+	}
+}
+
 // TestWriteExports: a profiled run's exports are obs span rows that
 // parse back as sweep → run → workload → flow, and valid Chrome JSON.
 func TestWriteExports(t *testing.T) {
 	p := &vax780.Profiler{}
 	ids := []vax780.WorkloadID{vax780.TimesharingA, vax780.RTEEducational}
-	res, err := vax780.Run(vax780.RunConfig{Instructions: 1500, Workloads: ids, Profiler: p})
-	if err != nil {
+	if _, err := vax780.Run(vax780.RunConfig{Instructions: 1500, Workloads: ids, Profiler: p}); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "trace.json")
 	spans := filepath.Join(dir, "spans.jsonl")
-	if err := writeExports(p, res, nil, 0, "", chrome, spans); err != nil {
+	if err := writeExports(p, "", chrome, spans); err != nil {
 		t.Fatal(err)
 	}
 

@@ -426,17 +426,17 @@ func Markdown(res *vax780.Results, tel *vax780.Telemetry, perExperiment int) str
 // bit-exact composite histogram); host ns/cycle pricing depends on the
 // machine the document was generated on, so it stays in vaxprof.
 func writeHotFlowSection(w func(string, ...interface{}), res *vax780.Results) {
-	p := res.Profile(nil)
+	p := res.Profile()
 	if p == nil || len(p.Flows) == 0 {
 		return
 	}
 	w("## Hot control-store flows — where the composite's cycles go")
 	w("")
-	w("The flow-level reduction of the composite histogram (exact")
-	w("profiler engine, unpriced): each microflow's share of all")
-	w("simulated cycles, with its split over the Table 8 cycle classes.")
-	w("Price these flows in host ns/cycle — and get the JIT targeting")
-	w("list ranked by host cost × fusibility — with `go run ./cmd/vaxprof`.")
+	w("The flow-level reduction of the composite histogram (the profiler's")
+	w("exact attribution, unpriced): each microflow's share of all simulated")
+	w("cycles, with its split over the Table 8 cycle classes.")
+	w("Price these flows in host time with `go run ./cmd/vaxprof`, which")
+	w("gives each flow its share of the measured wall time.")
 	w("")
 	w("| # | Flow | Entry | Cycles | Share | Compute | Read | RStall | Write | WStall | IBStall |")
 	w("|---|---|---|---|---|---|---|---|---|---|---|")

@@ -263,7 +263,6 @@ var DeterminismExemptions = map[string]bool{
 	"vax780/internal/runlog": true,
 	"vax780/cmd/vaxtop":      true,
 	"vax780/cmd/vaxbench":    true,
-	"vax780/cmd/vaxprof":     true,
 
 	// The vaxd service layer: admission token buckets refill on wall
 	// time and job deadlines are wall deadlines. Both sit strictly

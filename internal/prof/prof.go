@@ -6,21 +6,13 @@
 // "where do the *simulated* cycles go", this package answers "where
 // does the *simulator's own* time go".
 //
-// Two engines share one report format:
-//
-//   - The exact engine (Exact) prices every histogram bucket: a
-//     calibration assigns each Table 8 cycle class a host cost in
-//     ns/cycle (solved from interleaved A/B timings of runs with
-//     different class mixes, see Solve), and the run's composite bucket
-//     histogram — which is bit-exact across -j — multiplies through it.
-//     The result is deterministic: same histogram, same calibration,
-//     same profile, byte for byte.
-//
-//   - The board engine (Board) prices one measured histogram — a
-//     workload's own board counts, exact across -j — by distributing
-//     the measured wall time of the run over flows by their share of
-//     cycles. It needs no calibration and adds nothing to the cycle
-//     loop: the board already counts every cycle.
+// One engine prices host time: the board engine (Board) takes one
+// measured histogram — a workload's own board counts, exact across -j —
+// and spreads the measured wall time of the run over flows by their
+// share of cycles. It adds nothing to the cycle loop: the board already
+// counts every cycle. Exact is the same attribution unpriced (cycles,
+// shares, Table 8 class splits) for a histogram with no wall time of
+// its own, such as a run's composite.
 //
 // Both classify through ulint's flow index, so profiling and the
 // static analyzer cannot disagree about flow boundaries.
@@ -54,13 +46,12 @@ type FlowCost struct {
 	// Share is Cycles over the profile's total (including unattributed).
 	Share float64 `json:"share"`
 
-	// Ns estimates the host nanoseconds the flow cost: class cycles
-	// priced by the calibration (exact) or the flow's share of the
-	// measured wall time (board). Zero when neither was available.
+	// Ns estimates the host nanoseconds the flow cost: its share of the
+	// measured wall time (board engine). Zero when unpriced.
 	Ns float64 `json:"ns,omitempty"`
 }
 
-// Profile is the shared report format of both engines.
+// Profile is the report format of Board and Exact.
 type Profile struct {
 	// Engine is "exact" or "board".
 	Engine string `json:"engine"`
@@ -73,9 +64,8 @@ type Profile struct {
 	Unattributed uint64 `json:"unattributed,omitempty"`
 
 	// WallNs is the measured wall time of the profiled run, when the
-	// caller had one; TotalNs is the sum of attributed flow ns. For the
-	// exact engine the two reconciling is the calibration's validity
-	// check; for the board engine TotalNs is WallNs by construction.
+	// caller had one; TotalNs is the sum of attributed flow ns, which
+	// the board engine makes WallNs by construction.
 	WallNs  float64 `json:"wall_ns,omitempty"`
 	TotalNs float64 `json:"total_ns,omitempty"`
 
@@ -146,8 +136,8 @@ func (p *Profile) Table(n int) string {
 	return b.String()
 }
 
-// attribute is the shared classification walk of both engines: price
-// every bucket of h, assign it to its owning flow and Table 8 class.
+// attribute is the classification walk Board and Exact share: assign
+// every bucket of h to its owning flow and Table 8 class.
 // Flows come out hottest first.
 func attribute(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram) *Profile {
 	flows := ix.Flows()
@@ -204,25 +194,13 @@ func attribute(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram) *Profile {
 	return p
 }
 
-// Exact runs the exact engine: attribute the run's bucket histogram to
-// flows and price it with the calibration (nil: cycles and shares only).
-// The input histogram is bit-exact across -j, the flow index and the
-// calibration are fixed inputs, so the profile is deterministic.
-func Exact(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram, cal *Calibration) *Profile {
+// Exact attributes a histogram to flows without pricing it: cycles,
+// shares and class splits only. The input histogram is bit-exact across
+// -j and the flow index is a fixed input, so the profile is
+// deterministic.
+func Exact(rom *urom.ROM, ix *ulint.FlowIndex, h *upc.Histogram) *Profile {
 	p := attribute(rom, ix, h)
 	p.Engine = "exact"
-	if cal != nil {
-		for i := range p.Flows {
-			p.Flows[i].Ns = cal.Price(p.Flows[i].ClassCycles)
-			p.TotalNs += p.Flows[i].Ns
-		}
-		// Unattributed cycles are priced at the calibration's average
-		// rate so the total covers the whole run.
-		if p.Unattributed > 0 && p.TotalCycles > p.Unattributed {
-			attributed := p.TotalCycles - p.Unattributed
-			p.TotalNs += float64(p.Unattributed) * p.TotalNs / float64(attributed)
-		}
-	}
 	return p
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"vax780/internal/analysis"
 	"vax780/internal/obs"
-	"vax780/internal/paper"
 	"vax780/internal/ulint"
 	"vax780/internal/upc"
 	"vax780/internal/urom"
@@ -46,7 +45,7 @@ func synthHist(ix *ulint.FlowIndex) *upc.Histogram {
 func TestExactAttributesAllCycles(t *testing.T) {
 	rom, ix := testIndex(t)
 	h := synthHist(ix)
-	p := Exact(rom, ix, h, nil)
+	p := Exact(rom, ix, h)
 	if p.Engine != "exact" {
 		t.Fatalf("engine = %q", p.Engine)
 	}
@@ -77,19 +76,6 @@ func TestExactAttributesAllCycles(t *testing.T) {
 	}
 }
 
-func TestExactPricesWithCalibration(t *testing.T) {
-	rom, ix := testIndex(t)
-	h := synthHist(ix)
-	cal := Uniform(60)
-	p := Exact(rom, ix, h, cal)
-	want := float64(60) * float64(p.TotalCycles)
-	// Every class priced equally: total ns = cycles × 60, modulo
-	// unattributable buckets (none on a clean store with this input).
-	if math.Abs(p.TotalNs-want)/want > 0.01 {
-		t.Fatalf("uniform pricing: got %v ns, want ~%v", p.TotalNs, want)
-	}
-}
-
 // TestBoardPricesWallByShare: the board engine attributes the same
 // exact cycles as the exact engine and hands each flow its share of
 // the measured wall time.
@@ -100,7 +86,7 @@ func TestBoardPricesWallByShare(t *testing.T) {
 	if p.Engine != "board" {
 		t.Fatalf("engine = %q", p.Engine)
 	}
-	ex := Exact(rom, ix, h, nil)
+	ex := Exact(rom, ix, h)
 	if p.TotalCycles != ex.TotalCycles || len(p.Flows) != len(ex.Flows) {
 		t.Fatalf("board %d cycles in %d flows, exact %d in %d",
 			p.TotalCycles, len(p.Flows), ex.TotalCycles, len(ex.Flows))
@@ -119,77 +105,9 @@ func TestBoardPricesWallByShare(t *testing.T) {
 	}
 }
 
-func TestSolveRecoversKnownCosts(t *testing.T) {
-	// Synthesize probes from a known cost vector with distinct class
-	// mixes; Solve must recover it closely.
-	truth := [paper.NumT8Cols]float64{50, 80, 30, 90, 35, 20}
-	mixes := [][paper.NumT8Cols]uint64{
-		{900_000, 50_000, 30_000, 20_000, 10_000, 100_000},
-		{500_000, 200_000, 150_000, 60_000, 40_000, 50_000},
-		{700_000, 20_000, 10_000, 150_000, 120_000, 30_000},
-		{300_000, 100_000, 300_000, 30_000, 20_000, 250_000},
-		{850_000, 60_000, 20_000, 25_000, 15_000, 200_000},
-		{400_000, 300_000, 100_000, 100_000, 90_000, 10_000},
-		{600_000, 80_000, 250_000, 40_000, 180_000, 60_000},
-	}
-	var probes []Probe
-	for _, m := range mixes {
-		var wall float64
-		for c, n := range m {
-			wall += float64(n) * truth[c]
-		}
-		probes = append(probes, Probe{ClassCycles: m, WallNs: wall})
-	}
-	cal, err := Solve(probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range truth {
-		if rel := math.Abs(cal.NsPerClass[c]-truth[c]) / truth[c]; rel > 0.05 {
-			t.Fatalf("class %d: solved %v, truth %v (rel err %.3f)",
-				c, cal.NsPerClass[c], truth[c], rel)
-		}
-	}
-	// Pricing a fresh mix with the solved calibration reconstructs its
-	// wall time.
-	test := [paper.NumT8Cols]uint64{640_000, 90_000, 70_000, 45_000, 30_000, 120_000}
-	var wall float64
-	for c, n := range test {
-		wall += float64(n) * truth[c]
-	}
-	if got := cal.Price(test); math.Abs(got-wall)/wall > 0.02 {
-		t.Fatalf("priced %v, want %v", got, wall)
-	}
-}
-
-func TestSolveDegenerateFallsBackToUniform(t *testing.T) {
-	// One probe cannot separate six classes: the ridge pull must keep
-	// the solution near the uniform rate rather than exploding.
-	probe := Probe{
-		ClassCycles: [paper.NumT8Cols]uint64{500_000, 100_000, 100_000, 100_000, 100_000, 100_000},
-		WallNs:      60e6,
-	}
-	cal, err := Solve([]Probe{probe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := 60e6 / 1_000_000.0
-	for c, ns := range cal.NsPerClass {
-		if ns < 0 || ns > 4*u {
-			t.Fatalf("class %d cost %v wild against uniform %v", c, ns, u)
-		}
-	}
-}
-
-func TestSolveRejectsEmpty(t *testing.T) {
-	if _, err := Solve(nil); err == nil {
-		t.Fatal("empty probe set must error")
-	}
-}
-
 func TestProfileJSONRoundTrip(t *testing.T) {
 	rom, ix := testIndex(t)
-	p := Exact(rom, ix, synthHist(ix), Uniform(55))
+	p := Board(rom, ix, synthHist(ix), 5e8)
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -205,7 +123,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 
 func TestTableRenders(t *testing.T) {
 	rom, ix := testIndex(t)
-	p := Exact(rom, ix, synthHist(ix), Uniform(55))
+	p := Board(rom, ix, synthHist(ix), 5e8)
 	tbl := p.Table(5)
 	if !strings.Contains(tbl, "hot flows") || !strings.Contains(tbl, p.Flows[0].Name) {
 		t.Fatalf("table missing content:\n%s", tbl)
@@ -215,7 +133,7 @@ func TestTableRenders(t *testing.T) {
 func TestDiffProfiles(t *testing.T) {
 	rom, ix := testIndex(t)
 	h1 := synthHist(ix)
-	p1 := Exact(rom, ix, h1, nil)
+	p1 := Exact(rom, ix, h1)
 	// Double the hottest flow's counts in the second profile.
 	h2 := synthHist(ix)
 	hot := p1.Flows[0]
@@ -229,7 +147,7 @@ func TestDiffProfiles(t *testing.T) {
 			h2.Stalled[w] *= 2
 		}
 	}
-	p2 := Exact(rom, ix, h2, nil)
+	p2 := Exact(rom, ix, h2)
 	deltas := DiffProfiles(p1, p2)
 	if len(deltas) == 0 || deltas[0].Name != hot.Name || deltas[0].ShareDelta <= 0 {
 		t.Fatalf("hottest mover should be %s gaining share; got %+v", hot.Name, deltas[0])
@@ -280,21 +198,5 @@ func TestSpansExport(t *testing.T) {
 	}
 	if got, want := bytes.Count(rows.Bytes(), []byte("\n")), 2+len(ws.Children()); got != want {
 		t.Fatalf("%d span rows, want %d", got, want)
-	}
-}
-
-func TestClassTotalsMatchesProfile(t *testing.T) {
-	rom, ix := testIndex(t)
-	h := synthHist(ix)
-	totals := ClassTotals(rom, h)
-	p := Exact(rom, ix, h, nil)
-	var fromFlows [paper.NumT8Cols]uint64
-	for _, f := range p.Flows {
-		for c, n := range f.ClassCycles {
-			fromFlows[c] += n
-		}
-	}
-	if totals != fromFlows {
-		t.Fatalf("class totals %v != per-flow sums %v", totals, fromFlows)
 	}
 }

@@ -77,7 +77,7 @@ func BenchmarkProf(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if p := res.Profile(nil); len(p.Flows) == 0 {
+			if p := res.Profile(); len(p.Flows) == 0 {
 				b.Fatal("empty profile")
 			}
 		}

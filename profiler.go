@@ -3,13 +3,12 @@ package vax780
 // The public face of the host-time profiler (internal/prof): attach a
 // Profiler to RunConfig and the run attributes its own wall-clock
 // nanoseconds onto the micro-architectural structure it simulates —
-// control-store flows, straight-line segments, Table 8 cycle classes —
-// exactly the way the paper's board attributes the 780's elapsed time
-// onto its microcode. The in-run engine prices each workload's own
-// board histogram by its share of measured wall time as the workload
-// merges, adding nothing to the cycle loop; the exact engine prices the
-// run's bit-exact composite histogram with a calibration after the fact
-// through Results.Profile. Both report the same Profile format.
+// control-store flows and Table 8 cycle classes — exactly the way the
+// paper's board attributes the 780's elapsed time onto its microcode.
+// The one pricing engine prices each workload's own board histogram by
+// its share of measured wall time as the workload merges, adding
+// nothing to the cycle loop. Results.Profile gives the same attribution
+// of the run's bit-exact composite histogram, unpriced.
 
 import (
 	"fmt"
@@ -33,19 +32,9 @@ type Profile = prof.Profile
 // FlowCost is one flow's row of a Profile.
 type FlowCost = prof.FlowCost
 
-// Calibration prices simulated cycles in host ns per Table 8 class;
-// solve one with vaxprof or prof.Solve, or load one with
-// ReadCalibration.
-type Calibration = prof.Calibration
-
 // Span is one node of a span tree: the profiler's wall-time tree (run →
 // workload → flow) and the run/job traces share the obs span model.
 type Span = obs.Span
-
-// ReadCalibration loads a calibration written by vaxprof -calib-out.
-func ReadCalibration(r io.Reader) (*Calibration, error) {
-	return prof.ReadCalibration(r)
-}
 
 // flowIndex returns the flow index of the shared control store — the
 // per-ROM cached analysis (ulint.IndexFor) the profiler and vaxlint
@@ -217,18 +206,11 @@ func profSummaryAttrs(p *prof.Profile) []slog.Attr {
 	return attrs
 }
 
-// Profile runs the exact attribution engine over the run's composite
-// histogram: every bucket count assigned to its owning control-store
-// flow and Table 8 class, priced by cal when non-nil (nil: cycles and
-// shares only). The histogram is bit-exact across Parallelism and the
-// calibration is a fixed input, so the profile is deterministic.
-func (r *Results) Profile(cal *Calibration) *Profile {
-	return prof.Exact(machineROM(), flowIndex(), r.hist, cal)
-}
-
-// ClassCycles sums the composite histogram per Table 8 cycle class —
-// the class-cycle vector a calibration probe pairs with a measured wall
-// time (see vaxprof -calibrate).
-func (r *Results) ClassCycles() [6]uint64 {
-	return prof.ClassTotals(machineROM(), r.hist)
+// Profile attributes the run's composite histogram: every bucket count
+// assigned to its owning control-store flow and Table 8 class, with
+// cycles and shares but no host ns (no wall time belongs to the
+// composite as a whole; attach a Profiler for that). The histogram is
+// bit-exact across Parallelism, so the profile is deterministic.
+func (r *Results) Profile() *Profile {
+	return prof.Exact(machineROM(), flowIndex(), r.hist)
 }

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"vax780/internal/obs"
-	"vax780/internal/prof"
 )
 
 // profiledRun executes cfg with a fresh profiler attached and returns
@@ -82,14 +81,13 @@ func TestProfilerParallelBitExact(t *testing.T) {
 		t.Error("profiled ledger carries no prof event")
 	}
 
-	// The exact engine prices the composite histogram, which is already
-	// bit-exact seq↔par; its serialized attribution must match too.
-	cal := prof.Uniform(10)
-	sj, err := json.Marshal(sres.Profile(cal))
+	// The exact engine attributes the composite histogram, which is
+	// already bit-exact seq↔par; its serialized attribution must match too.
+	sj, err := json.Marshal(sres.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := json.Marshal(pres.Profile(cal))
+	pj, err := json.Marshal(pres.Profile())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestExactSampledTopFlowsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := res.Profile(nil)
+	exact := res.Profile()
 	board := p.Profile()
 	if board == nil {
 		t.Fatal("no in-run profile")

@@ -659,7 +659,7 @@ func (s *runState) merge(id WorkloadID, one *oneRun, retries int, plan *faults.P
 		ws.Child("retry", "retries").Attr("count", retries)
 	}
 	if s.span != nil {
-		p := prof.Exact(machineROM(), flowIndex(), one.hist, nil)
+		p := prof.Exact(machineROM(), flowIndex(), one.hist)
 		for _, f := range p.Top(traceMaxFlows) {
 			ws.Child("flow", f.Name).
 				Attr("entry", int(f.Entry)).
