@@ -37,7 +37,9 @@
 // fleet-progress snapshot at /progress. -trace writes a Chrome
 // trace-event JSON of the run (chrome://tracing, Perfetto);
 // -intervals-csv / -intervals-json export the per-interval
-// CPI-decomposition time series.
+// CPI-decomposition time series, one row every -interval-cycles
+// cycles: CPI, SIMPLE% and the Table 8 columns — the variation over
+// the measurement that the paper's averages-only method (§2.2) lacks.
 //
 // -ledger FILE writes the run ledger — one JSONL event per run action
 // (see vaxdiag -ledger for a pretty-printer) — to FILE ("-" for
@@ -65,15 +67,14 @@ import (
 
 func main() {
 	var (
-		name      = flag.String("workload", "", "single workload: TIMESHARING-A, TIMESHARING-B, RTE-EDU, RTE-SCI, RTE-COM (default: all five)")
-		n         = flag.Int("n", 100_000, "instructions per experiment")
-		strict    = flag.Bool("strict", false, "verify every IB decode against the trace")
-		hot       = flag.Int("hot", 0, "also print the N hottest histogram locations")
-		save      = flag.String("save", "", "save the composite histogram dump to FILE")
-		load      = flag.String("load", "", "analyze a saved histogram dump instead of simulating")
-		compare   = flag.Bool("compare", false, "print the per-workload comparison")
-		jobs      = flag.Int("j", 0, "workload machines to run concurrently (0 = GOMAXPROCS; results are bit-exact at any -j)")
-		intervals = flag.Int("intervals", 0, "also run an interval-variation study with this snapshot interval")
+		name    = flag.String("workload", "", "single workload: TIMESHARING-A, TIMESHARING-B, RTE-EDU, RTE-SCI, RTE-COM (default: all five)")
+		n       = flag.Int("n", 100_000, "instructions per experiment")
+		strict  = flag.Bool("strict", false, "verify every IB decode against the trace")
+		hot     = flag.Int("hot", 0, "also print the N hottest histogram locations")
+		save    = flag.String("save", "", "save the composite histogram dump to FILE")
+		load    = flag.String("load", "", "analyze a saved histogram dump instead of simulating")
+		compare = flag.Bool("compare", false, "print the per-workload comparison")
+		jobs    = flag.Int("j", 0, "workload machines to run concurrently (0 = GOMAXPROCS; results are bit-exact at any -j)")
 
 		ledgerOut = flag.String("ledger", "", "write the run ledger (JSONL, one event per run action) to FILE (\"-\" = stderr)")
 		progress  = flag.Bool("progress", false, "print a live fleet-progress line to stderr during the run")
@@ -210,23 +211,6 @@ func main() {
 
 	if *compare {
 		fmt.Println(res.WorkloadComparison())
-	}
-	if *intervals > 0 {
-		id := vax780.TimesharingA
-		if *name != "" {
-			id, _ = vax780.WorkloadByName(*name)
-		}
-		s, err := vax780.RunIntervals(id, *n, *intervals)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vaxmon:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("Interval variation (%s, every %d instructions):\n", id, *intervals)
-		for i, p := range s.Points {
-			fmt.Printf("  %4d  CPI %6.2f  SIMPLE %5.1f%%\n", i, p.CPI, p.SimplePct)
-		}
-		fmt.Printf("  mean %.2f  stddev %.2f  range [%.2f, %.2f]\n",
-			s.MeanCPI, s.StdDevCPI, s.MinCPI, s.MaxCPI)
 	}
 	if *hot > 0 {
 		printHotBuckets(res, *hot)

@@ -46,11 +46,12 @@ func TestTraceMaxZeroRejected(t *testing.T) {
 }
 
 // TestBadCountsRejected: an instruction count below 1 or a negative -j
-// would be replaced by a default the output never names. Each must fail
-// at flag validation with exit 2, before simulating and without
-// creating an output file.
+// would be replaced by a default the output never names, and -intervals
+// is gone (-interval-cycles with an interval export replaces it). Each
+// must fail at flag validation with exit 2, before simulating and
+// without creating an output file.
 func TestBadCountsRejected(t *testing.T) {
-	for _, args := range [][]string{{"-n", "-5"}, {"-n", "0"}, {"-j", "-3"}} {
+	for _, args := range [][]string{{"-n", "-5"}, {"-n", "0"}, {"-j", "-3"}, {"-intervals", "5000"}} {
 		out := filepath.Join(t.TempDir(), "out.csv")
 		cmd := exec.Command(os.Args[0], append(args, "-intervals-csv", out, "-quiet")...)
 		cmd.Env = append(os.Environ(), "VAXMON_RUN_MAIN=1")

@@ -45,6 +45,10 @@ type CustomWorkload struct {
 // branch-to-self and every frequency is diluted — which is exactly why
 // the paper excluded it.
 func RunCustom(cw CustomWorkload, instructions int) (*Results, error) {
+	cfg := RunConfig{Instructions: instructions}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	p := workload.Custom(workload.CustomConfig{
 		Name:             cw.Name,
 		Seed:             cw.Seed,
@@ -63,7 +67,6 @@ func RunCustom(cw CustomWorkload, instructions int) (*Results, error) {
 		InterruptHeadway: cw.InterruptHeadway,
 		CtxSwitchHeadway: cw.CtxSwitchHeadway,
 	})
-	cfg := RunConfig{Instructions: instructions}
 	cfg.fill()
 	tr, err := workload.Generate(p)
 	if err != nil {

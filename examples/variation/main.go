@@ -6,7 +6,9 @@
 //
 // Snapshotting the histogram board periodically (a Unibus read sequence
 // the hardware fully supports) and differencing the snapshots fills that
-// gap: per-interval CPI, with the workload's phase structure visible.
+// gap: the telemetry recorder cuts one RTE-COM run into fixed-cycle
+// intervals, and each interval's CPI makes the workload's phase
+// structure visible.
 //
 // A closing sweep runs all five workloads concurrently through
 // vax780.Sweep and compares their composite CPIs: the between-workload
@@ -18,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"strings"
 
 	"vax780"
@@ -26,24 +29,38 @@ import (
 func main() {
 	var (
 		n        = flag.Int("n", 60_000, "instructions to run")
-		interval = flag.Int("interval", 5_000, "instructions per snapshot interval")
+		interval = flag.Uint64("interval-cycles", 55_000, "cycles per snapshot interval (about 5 000 instructions at the 780's CPI)")
 	)
 	flag.Parse()
+	if *interval == 0 {
+		log.Fatal("variation: -interval-cycles must be positive")
+	}
 
-	s, err := vax780.RunIntervals(vax780.RTECommercial, *n, *interval)
-	if err != nil {
+	tel := vax780.NewTelemetry(*interval, 0)
+	if _, err := vax780.Run(vax780.RunConfig{
+		Instructions: *n,
+		Workloads:    []vax780.WorkloadID{vax780.RTECommercial},
+		Telemetry:    tel,
+	}); err != nil {
 		log.Fatal(err)
 	}
+	rows := tel.IntervalRows()
 
-	fmt.Printf("CPI variation over %d-instruction intervals (%s):\n\n",
-		*interval, s.Workload)
-	fmt.Printf("%10s %8s %8s  %s\n", "interval", "CPI", "SIMPLE%", "")
-	for i, p := range s.Points {
-		bar := strings.Repeat("#", int((p.CPI-8)*6))
-		fmt.Printf("%10d %8.2f %8.1f  %s\n", i, p.CPI, p.SimplePct, bar)
+	fmt.Printf("CPI variation over %d-cycle intervals (%s):\n\n",
+		*interval, vax780.RTECommercial)
+	fmt.Printf("%10s %8s %8s %8s  %s\n", "interval", "instrs", "CPI", "SIMPLE%", "")
+	sum, sumSq, minCPI, maxCPI := 0.0, 0.0, math.Inf(1), 0.0
+	for i, r := range rows {
+		bar := strings.Repeat("#", max(0, int((r.CPI-8)*6)))
+		fmt.Printf("%10d %8d %8.2f %8.1f  %s\n", i, r.Instructions, r.CPI, r.SimplePct, bar)
+		sum, sumSq = sum+r.CPI, sumSq+r.CPI*r.CPI
+		minCPI, maxCPI = min(minCPI, r.CPI), max(maxCPI, r.CPI)
 	}
+	// The recorder flushes the run's tail as a last row, so any run
+	// of at least one instruction has a row.
+	mean := sum / float64(len(rows))
 	fmt.Printf("\nmean CPI %.2f, stddev %.2f, range [%.2f, %.2f]\n",
-		s.MeanCPI, s.StdDevCPI, s.MinCPI, s.MaxCPI)
+		mean, math.Sqrt(max(0, sumSq/float64(len(rows))-mean*mean)), minCPI, maxCPI)
 	fmt.Println("\nThe composite average (the paper's 10.6) hides this spread;")
 	fmt.Println("interval snapshots of the same passive board recover it.")
 

@@ -274,18 +274,23 @@ func (m *Manager) recover() ([]*job, error) {
 		}
 		switch rec.Msg {
 		case runlog.EvJobQueued:
+			// The ID is spent even when the spec does not decode, so a
+			// new job never reuses it.
+			if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "j-")); err == nil && n > m.seq {
+				m.seq = n
+			}
 			j := &job{bus: runlog.NewBus()}
 			j.snap = Job{ID: rec.ID, Key: rec.Key, Tenant: rec.Tenant, State: StateQueued}
 			if err := json.Unmarshal(rec.Spec, &j.snap.Spec); err != nil {
-				return fmt.Errorf("jobs: journal spec for %s: %w", rec.ID, err)
+				// A job that cannot be rebuilt is skipped like any other
+				// record that does not parse; refusing the journal would
+				// strand every other job in it.
+				return nil
 			}
 			if _, seen := m.jobs[rec.ID]; !seen {
 				order = append(order, rec.ID)
 			}
 			m.jobs[rec.ID] = j
-			if n, err := strconv.Atoi(strings.TrimPrefix(rec.ID, "j-")); err == nil && n > m.seq {
-				m.seq = n
-			}
 		case runlog.EvJobStart:
 			if j, ok := m.jobs[rec.ID]; ok {
 				j.snap.State = StateRunning

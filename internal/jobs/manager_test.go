@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -422,6 +423,49 @@ func TestRecoveryRequeuesMidRunCrash(t *testing.T) {
 	}
 	if !store2.Has(done.Key) {
 		t.Fatal("no bundle committed after crash recovery")
+	}
+}
+
+// TestRecoverySkipsUndecodableSpec: a job-queued record whose spec
+// does not decode is skipped. The manager still opens with every other
+// job, and the skipped record's ID is never handed out again.
+func TestRecoverySkipsUndecodableSpec(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "store")
+	spec := tinySpec(1000)
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journal bytes.Buffer
+	led := runlog.New(&journal)
+	led.Emit(runlog.JobQueuedEvent("j-000001", key, "", 0, spec))
+	led.Emit(runlog.JobDoneEvent("j-000001", key, "failed", "", false, 0, 0, 0))
+	journal.WriteString(`{"msg":"job-queued","id":"j-000043"}` + "\n")
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "journal.jsonl"), journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := newManager(t, Config{
+		Store: openStore(t, root),
+		Runner: func(context.Context, vax780.RunConfig) (*vax780.Results, error) {
+			return nil, errStubRun
+		},
+	})
+	var ids []string
+	for _, j := range m.List() {
+		ids = append(ids, j.ID)
+	}
+	if len(ids) != 1 || ids[0] != "j-000001" {
+		t.Fatalf("recovered jobs %q, want [j-000001]", ids)
+	}
+	j, err := m.Submit(tinySpec(1001))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID <= "j-000043" {
+		t.Fatalf("next job ID %s reuses or precedes the skipped j-000043", j.ID)
 	}
 }
 

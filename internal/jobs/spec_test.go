@@ -105,6 +105,9 @@ func TestSpecValidate(t *testing.T) {
 		{"oversized tb entries", Spec{TBEntries: 1 << 62}, false},
 		{"oversized miss latency", Spec{MissLatency: 1 << 62}, false},
 		{"oversized write busy", Spec{WriteBusy: 1 << 62}, false},
+		// An instruction count near the int range used to pass Validate
+		// and then panic sizing the trace, outside the run's recover.
+		{"oversized instructions", Spec{Instructions: 1 << 60}, false},
 		{"oversized point tb entries", Spec{Points: []Point{{Label: "a"}, {Label: "b", TBEntries: 1 << 62}}}, false},
 		// Sizes the cache and TB cannot be built at: they used to run a
 		// rounded geometry under the requested name.

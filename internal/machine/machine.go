@@ -250,43 +250,6 @@ func (m *Machine) Run(s workload.Stream) error {
 	}
 }
 
-// RunIntervals executes the stream, snapshotting the attached monitor
-// every interval instructions, and returns the per-interval histogram
-// deltas — the variation data the paper's averages-only reduction could
-// not provide (§2.2). A trailing partial interval is included.
-func (m *Machine) RunIntervals(s workload.Stream, interval uint64) ([]*upc.Histogram, error) {
-	if m.Mon == nil {
-		return nil, fmt.Errorf("machine: RunIntervals requires a monitor")
-	}
-	if interval == 0 {
-		return nil, fmt.Errorf("machine: interval must be positive")
-	}
-	var out []*upc.Histogram
-	prev := m.Mon.Snapshot()
-	next := m.Stats.Instrs + interval
-	for {
-		it, ok := s.Next()
-		if !ok {
-			break
-		}
-		if err := m.Step(it); err != nil {
-			return nil, err
-		}
-		m.progress.Set(m.Stats.Instrs, m.E.Now)
-		if m.Stats.Instrs >= next {
-			cur := m.Mon.Snapshot()
-			out = append(out, cur.Diff(prev))
-			prev = cur
-			next += interval
-		}
-	}
-	last := m.Mon.Snapshot().Diff(prev)
-	if last.TotalCycles() > 0 {
-		out = append(out, last)
-	}
-	return out, nil
-}
-
 // Step executes one trace item.
 func (m *Machine) Step(it *workload.Item) error {
 	switch it.Kind {

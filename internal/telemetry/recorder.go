@@ -13,7 +13,9 @@ import (
 
 	"vax780/internal/analysis"
 	"vax780/internal/mem"
+	"vax780/internal/paper"
 	"vax780/internal/upc"
+	"vax780/internal/vax"
 )
 
 // Interval is one recorded measurement interval: the histogram and
@@ -191,41 +193,45 @@ type IntervalRow struct {
 	TBMissI    uint64 `json:"tb_miss_i"`
 }
 
-// Rows reduces the recorded series into exportable rows using the
-// per-interval CPI decomposition of the analysis package.
+// Rows reduces the recorded series into exportable rows: each
+// interval's histogram delta gets its own Table 8 column totals, so
+// the per-class columns sum to the row's CPI.
 func (t *Telemetry) Rows() []IntervalRow {
 	t.Finish()
 	if t.rec == nil || t.rom == nil {
 		return nil
 	}
 	ivs := t.rec.intervals
-	hists := make([]*upc.Histogram, len(ivs))
-	for i := range ivs {
-		hists[i] = ivs[i].Hist
-	}
-	decomp := analysis.DecomposeIntervals(t.rom, hists)
 	rows := make([]IntervalRow, len(ivs))
 	for i := range ivs {
-		d := decomp[i]
-		rows[i] = IntervalRow{
+		a := analysis.New(t.rom, ivs[i].Hist)
+		perClass := a.CPIMatrix().ColTotals
+		r := IntervalRow{
 			Index:        i,
 			StartCycle:   ivs[i].StartCycle,
 			EndCycle:     ivs[i].EndCycle,
-			Instructions: d.Instructions,
-			Cycles:       d.Cycles,
-			CPI:          d.CPI,
-			Compute:      d.Compute(),
-			Read:         d.Read(),
-			ReadStall:    d.ReadStall(),
-			Write:        d.Write(),
-			WriteStall:   d.WriteStall(),
-			IBStall:      d.IBStall(),
-			SimplePct:    d.SimplePct,
+			Instructions: a.Instructions(),
+			Cycles:       ivs[i].Hist.TotalCycles(),
+			Compute:      perClass[paper.T8Compute],
+			Read:         perClass[paper.T8Read],
+			ReadStall:    perClass[paper.T8RStall],
+			Write:        perClass[paper.T8Write],
+			WriteStall:   perClass[paper.T8WStall],
+			IBStall:      perClass[paper.T8IBStall],
 			CacheMissD:   ivs[i].Stats.DReadMisses,
 			CacheMissI:   ivs[i].Stats.IReadMisses,
 			TBMissD:      ivs[i].Stats.DTBMisses,
 			TBMissI:      ivs[i].Stats.ITBMisses,
 		}
+		if r.Instructions > 0 {
+			r.CPI = float64(r.Cycles) / float64(r.Instructions)
+		}
+		for _, g := range a.OpcodeGroups() {
+			if g.Group == vax.GroupSimple {
+				r.SimplePct = g.Percent
+			}
+		}
+		rows[i] = r
 	}
 	return rows
 }

@@ -7,12 +7,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"vax780/internal/analysis"
 	"vax780/internal/machine"
 	"vax780/internal/mem"
 	"vax780/internal/telemetry"
@@ -155,15 +157,25 @@ func TestRowsAndExports(t *testing.T) {
 		t.Fatal("no rows")
 	}
 	var cycles, instrs uint64
+	var weighted float64
 	for i, r := range rows {
 		if r.Index != i {
 			t.Errorf("row %d has index %d", i, r.Index)
 		}
 		cycles += r.Cycles
 		instrs += r.Instructions
+		weighted += r.CPI * float64(r.Instructions)
+		// The Table 8 row-sum identity holds per interval, not just on
+		// the composite.
 		perClass := r.Compute + r.Read + r.ReadStall + r.Write + r.WriteStall + r.IBStall
-		if r.CPI > 0 && (perClass < r.CPI*0.99 || perClass > r.CPI*1.01) {
-			t.Errorf("row %d: per-class sum %.4f != CPI %.4f", i, perClass, r.CPI)
+		if r.CPI > 0 && math.Abs(perClass-r.CPI) > 1e-9*r.CPI {
+			t.Errorf("row %d: per-class sum %.12f != CPI %.12f", i, perClass, r.CPI)
+		}
+		if r.Compute <= 0 || r.IBStall < 0 {
+			t.Errorf("row %d: implausible classes compute %.4f ib_stall %.4f", i, r.Compute, r.IBStall)
+		}
+		if r.SimplePct < 50 || r.SimplePct > 95 {
+			t.Errorf("row %d: SIMPLE%% = %.1f", i, r.SimplePct)
 		}
 	}
 	if cycles != m.E.Now {
@@ -173,6 +185,16 @@ func TestRowsAndExports(t *testing.T) {
 	// machine counts decode events — identical on an unperturbed run.
 	if instrs != m.Stats.Instrs {
 		t.Errorf("row instruction sum = %d, machine ran %d", instrs, m.Stats.Instrs)
+	}
+	// The instruction-weighted mean of the row CPIs is the CPI of the
+	// summed interval histograms.
+	sum := &upc.Histogram{}
+	for _, iv := range tel.Recorder().Intervals() {
+		sum.Add(iv.Hist)
+	}
+	whole := float64(sum.TotalCycles()) / float64(analysis.New(machine.ROM(), sum).Instructions())
+	if weighted /= float64(instrs); math.Abs(weighted-whole) > 1e-9*whole {
+		t.Errorf("weighted row CPI %.12f != summed-histogram CPI %.12f", weighted, whole)
 	}
 
 	var csv bytes.Buffer

@@ -270,11 +270,18 @@ func (c *RunConfig) fill() {
 // memory long before a value near the int range; the latencies bound
 // stalls the EBOX simulates one cycle at a time, so a latency near the
 // int range would never return.
+//
+// maxInstructions bounds the per-experiment count, about 84× the
+// largest in-repo run (vaxtables -n 200000). A generated trace retains
+// about 90 B per instruction (4.48 MB for 50k, DESIGN.md §15.1), so the
+// bound caps one trace near 1.5 GB. A count near the int range panics
+// while the trace is sized, outside the per-workload recover.
 const (
-	maxCacheBytes = 1 << 20
-	maxCacheWays  = 1 << 8
-	maxTBEntries  = 1 << 16
-	maxLatency    = 1 << 16
+	maxCacheBytes   = 1 << 20
+	maxCacheWays    = 1 << 8
+	maxTBEntries    = 1 << 16
+	maxLatency      = 1 << 16
+	maxInstructions = 1 << 24
 )
 
 // Validate rejects configurations Run cannot honor. Run checks it
@@ -286,6 +293,9 @@ func (c *RunConfig) Validate() error {
 		return fmt.Errorf("vax780: FlightDepth %d is not a power of two "+
 			"(the flight recorder ring is mask-indexed; use the next power of two, "+
 			"0 for the default, or a negative depth to disable the recorder)", d)
+	}
+	if c.Instructions > maxInstructions {
+		return fmt.Errorf("vax780: Instructions %d exceeds the supported maximum %d", c.Instructions, maxInstructions)
 	}
 	for _, f := range []struct {
 		name string

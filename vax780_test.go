@@ -197,10 +197,12 @@ func TestNegativeHardwareRejected(t *testing.T) {
 // TestOversizedHardwareRejected: an override far past any real design
 // point is an error before any work starts. Unchecked, the cache and TB
 // constructors overflow (CacheWays 1<<61 divides by zero) or fail to
-// allocate (TBEntries 1<<62), and a latency near the int range stalls
-// one simulated cycle at a time without end.
+// allocate (TBEntries 1<<62), a latency near the int range stalls
+// one simulated cycle at a time without end, and an instruction count
+// near the int range panics sizing the trace.
 func TestOversizedHardwareRejected(t *testing.T) {
 	assertHardwareRejected(t, []hardwareCase{
+		{"Instructions", func(c *RunConfig) { c.Instructions = 1 << 60 }},
 		{"CacheBytes", func(c *RunConfig) { c.CacheBytes = 1 << 40 }},
 		{"CacheWays", func(c *RunConfig) { c.CacheWays = 1 << 61 }},
 		{"TBEntries", func(c *RunConfig) { c.TBEntries = 1 << 62 }},
