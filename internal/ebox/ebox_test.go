@@ -90,7 +90,7 @@ func (r *rig) run(t *testing.T, in *vax.Instr, ctx *InstrCtx) {
 }
 
 func regSpec(n int) vax.Specifier {
-	return vax.Specifier{Mode: vax.ModeRegister, Reg: n, Index: -1}
+	return vax.Specifier{Mode: vax.ModeRegister, Reg: int8(n), Index: -1}
 }
 
 func TestIRDCountsOncePerInstruction(t *testing.T) {

@@ -230,7 +230,7 @@ func (e *EBOX) checkSpec(want *vax.Specifier, t vax.DataType, n int) error {
 		return fmt.Errorf("%w: specifier %d at PC %#x: %v",
 			ErrDecodeMismatch, e.specIdx, in.PC, err)
 	}
-	if ds.Mode != want.Mode || ds.Index != want.Index || ds.Len != n {
+	if ds.Mode != want.Mode || ds.Index != int(want.Index) || ds.Len != n {
 		return fmt.Errorf("%w: specifier %d at PC %#x: decoded %v[idx %d] in %d bytes, trace %v[idx %d] in %d",
 			ErrDecodeMismatch, e.specIdx, in.PC, ds.Mode, ds.Index, ds.Len,
 			want.Mode, want.Index, n)

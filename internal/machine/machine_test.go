@@ -31,7 +31,7 @@ func layout(t *testing.T, base uint32, ins []*vax.Instr) *workload.Trace {
 }
 
 func regSpec(r int) vax.Specifier {
-	return vax.Specifier{Mode: vax.ModeRegister, Reg: r, Index: -1}
+	return vax.Specifier{Mode: vax.ModeRegister, Reg: int8(r), Index: -1}
 }
 
 func litSpec(v int32) vax.Specifier {
@@ -39,7 +39,7 @@ func litSpec(v int32) vax.Specifier {
 }
 
 func memSpec(mode vax.AddrMode, reg int, disp int32, addr uint32) vax.Specifier {
-	return vax.Specifier{Mode: mode, Reg: reg, Disp: disp, Addr: addr, Index: -1}
+	return vax.Specifier{Mode: mode, Reg: int8(reg), Disp: disp, Addr: addr, Index: -1}
 }
 
 func newTestMachine(t *testing.T, tr *workload.Trace) (*Machine, *upc.Monitor) {

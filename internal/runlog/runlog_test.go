@@ -467,3 +467,35 @@ func TestValidateAcceptsLargeRecord(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 }
+
+// TestRecordsSplitsCompleteRecordsAndTail pins Records' tail rule: a
+// record is a newline-terminated line with a non-space byte, returned as
+// written minus its newline; blank lines are skipped; whatever follows
+// the last newline is the tail, whole input included when it has none.
+func TestRecordsSplitsCompleteRecordsAndTail(t *testing.T) {
+	for _, c := range []struct {
+		name, data string
+		records    []string
+		tail       string
+	}{
+		{"records, blanks and a torn tail", "\n{\"a\":1}\r\n \t\n  {\"b\":2}\n{\"c\"",
+			[]string{"{\"a\":1}\r", "  {\"b\":2}"}, `{"c"`},
+		{"terminated", "x\n", []string{"x"}, ""},
+		{"no newline", `{"a":1}`, nil, `{"a":1}`},
+		{"blank tail", "x\n \t", []string{"x"}, " \t"},
+		{"blank only", "\n\n \n", nil, ""},
+		{"empty", "", nil, ""},
+	} {
+		recs, tail := Records([]byte(c.data))
+		got := make([]string, len(recs))
+		for i, r := range recs {
+			got[i] = string(r)
+		}
+		if len(got) != len(c.records) || strings.Join(got, "|") != strings.Join(c.records, "|") {
+			t.Errorf("%s: records %q, want %q", c.name, got, c.records)
+		}
+		if string(tail) != c.tail {
+			t.Errorf("%s: tail %q, want %q", c.name, tail, c.tail)
+		}
+	}
+}

@@ -166,7 +166,7 @@ func TestEveryOpcodeFlowTerminates(t *testing.T) {
 			if tmpl.Access == vax.AccAddress {
 				mode = vax.ModeRegDeferred
 			}
-			in.Specs = append(in.Specs, vax.Specifier{Mode: mode, Reg: i + 1, Index: -1})
+			in.Specs = append(in.Specs, vax.Specifier{Mode: mode, Reg: int8(i + 1), Index: -1})
 		}
 		for _, taken := range []bool{false, true} {
 			if taken && info.PCClass == vax.PCNone {
@@ -200,7 +200,7 @@ func TestFlowCycleOrdering(t *testing.T) {
 			if tmpl.Access == vax.AccAddress {
 				mode = vax.ModeRegDeferred
 			}
-			in.Specs = append(in.Specs, vax.Specifier{Mode: mode, Reg: i + 1, Index: -1})
+			in.Specs = append(in.Specs, vax.Specifier{Mode: mode, Reg: int8(i + 1), Index: -1})
 		}
 		if fields != nil {
 			fields(in)

@@ -174,7 +174,7 @@ func randomSpec(r *rand.Rand, slot int, tmpl SpecTemplate) Specifier {
 	if m == ModeImmediate && tmpl.Type.Size() > 4 {
 		m = ModeRegister
 	}
-	s := Specifier{Mode: m, Reg: r.Intn(15), Index: -1}
+	s := Specifier{Mode: m, Reg: int8(r.Intn(15)), Index: -1}
 	switch m {
 	case ModeLiteral:
 		s.Disp = int32(r.Intn(64))
@@ -191,7 +191,7 @@ func randomSpec(r *rand.Rand, slot int, tmpl SpecTemplate) Specifier {
 	}
 	// Occasionally index a memory mode.
 	if s.Mode.IsMemory() && s.Mode != ModeAbsolute && r.Intn(8) == 0 {
-		s.Index = r.Intn(15)
+		s.Index = int8(r.Intn(15))
 	}
 	return s
 }

@@ -194,8 +194,8 @@ func Decode(buf []byte) (*Instr, int, error) {
 		}
 		sp := Specifier{
 			Mode:  ds.Mode,
-			Reg:   ds.Reg,
-			Index: ds.Index,
+			Reg:   int8(ds.Reg),
+			Index: int8(ds.Index),
 			Disp:  ds.Disp,
 		}
 		if ds.Mode == ModeAbsolute {

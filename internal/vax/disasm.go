@@ -26,28 +26,28 @@ func DisasmSpec(s *Specifier) string {
 	case ModeLiteral:
 		out = fmt.Sprintf("#%d", s.Disp)
 	case ModeRegister:
-		out = RegName(s.Reg)
+		out = RegName(int(s.Reg))
 	case ModeRegDeferred:
-		out = "(" + RegName(s.Reg) + ")"
+		out = "(" + RegName(int(s.Reg)) + ")"
 	case ModeAutoDecrement:
-		out = "-(" + RegName(s.Reg) + ")"
+		out = "-(" + RegName(int(s.Reg)) + ")"
 	case ModeAutoIncrement:
-		out = "(" + RegName(s.Reg) + ")+"
+		out = "(" + RegName(int(s.Reg)) + ")+"
 	case ModeImmediate:
 		out = fmt.Sprintf("#%d", s.Disp)
 	case ModeAutoIncDeferred:
-		out = "@(" + RegName(s.Reg) + ")+"
+		out = "@(" + RegName(int(s.Reg)) + ")+"
 	case ModeAbsolute:
 		out = fmt.Sprintf("@#%#X", s.Addr)
 	case ModeByteDisp, ModeWordDisp, ModeLongDisp:
-		out = fmt.Sprintf("%d(%s)", s.Disp, RegName(s.Reg))
+		out = fmt.Sprintf("%d(%s)", s.Disp, RegName(int(s.Reg)))
 	case ModeByteDispDeferred, ModeWordDispDeferred, ModeLongDispDeferred:
-		out = fmt.Sprintf("@%d(%s)", s.Disp, RegName(s.Reg))
+		out = fmt.Sprintf("@%d(%s)", s.Disp, RegName(int(s.Reg)))
 	default:
 		out = fmt.Sprintf("<mode %d>", s.Mode)
 	}
 	if s.Indexed() {
-		out += "[" + RegName(s.Index) + "]"
+		out += "[" + RegName(int(s.Index)) + "]"
 	}
 	return out
 }

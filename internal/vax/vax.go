@@ -48,8 +48,9 @@ func (g Group) String() string {
 
 // AddrMode is a VAX operand specifier addressing mode. The numeric values
 // are chosen for readability; the on-the-wire encoding (mode nibble) is
-// produced by the encoder.
-type AddrMode int
+// produced by the encoder. It is a signed byte so a Specifier stays
+// small; gob writes it as a signed integer, as it did when it was an int.
+type AddrMode int8
 
 // Addressing modes, named as in Table 4 of the paper.
 const (
@@ -299,11 +300,15 @@ func (op Opcode) String() string {
 
 // Specifier is the runtime form of one operand specifier in an executed
 // instruction: the addressing mode plus everything the simulator needs to
-// reproduce its memory behaviour.
+// reproduce its memory behaviour. A generated trace holds millions of
+// them, so the small fields are signed bytes (20 bytes in all). They
+// stay signed: gob will not decode a signed wire integer, which is how
+// trace files written when they were ints carry them, into an unsigned
+// field.
 type Specifier struct {
 	Mode  AddrMode
-	Reg   int   // base register, 0..14 (R15=PC is expressed via the PC modes)
-	Index int   // index register if indexed addressing; -1 when not indexed
+	Reg   int8  // base register, 0..14 (R15=PC is expressed via the PC modes)
+	Index int8  // index register if indexed addressing; -1 when not indexed
 	Disp  int32 // displacement (disp modes), literal value, or immediate value
 	// Addr is the effective virtual address for memory modes. For deferred
 	// modes it is the FINAL operand address; the pointer fetched during
@@ -318,23 +323,25 @@ func (s *Specifier) Indexed() bool { return s.Index >= 0 }
 
 // Instr is one executed instruction in a workload trace: the architectural
 // instruction plus the runtime facts (branch outcome, operand sizes) that
-// drive data-dependent microcode loops.
+// drive data-dependent microcode loops. The fields are ordered widest
+// first so the record packs into 72 bytes.
 type Instr struct {
-	Op    Opcode
 	Specs []Specifier // runtime specifiers, matching Info().Specs
-
-	// Branch displacement and outcome for PC-changing instructions.
-	BranchDisp int32
-	Taken      bool   // whether the PC actually changed
-	Target     uint32 // VA executed next if Taken
-
-	PC uint32 // VA of the opcode byte
 
 	// Data-dependent loop drivers.
 	RegCount int // registers moved by CALL/RET/PUSHR/POPR (mask popcount)
 	StrLen   int // string length in bytes for CHARACTER instructions
 	Digits   int // digit count for DECIMAL instructions
 	FieldLen int // bit-field length for FIELD instructions
+
+	// Branch displacement and outcome for PC-changing instructions.
+	BranchDisp int32
+	Target     uint32 // VA executed next if Taken
+
+	PC uint32 // VA of the opcode byte
+
+	Op    Opcode
+	Taken bool // whether the PC actually changed
 
 	// SIRR marks an MTPR whose destination is the software interrupt
 	// request register; the microcode branches to a distinct location for

@@ -56,7 +56,7 @@ func (g *Generator) emitForwardBranch(in *vax.Instr, taken bool) {
 // fragCond emits one simple conditional branch (or BRB/BRW, which share
 // the flow and are always taken).
 func (g *Generator) fragCond() {
-	op := newOpSampler(condBrOps).sample(g.rng)
+	op := condBrOps.sample(g.rng)
 	in := g.newInstr(op)
 	taken := g.rng.Float64() < g.p.PCondTaken
 	if op == vax.BRB || op == vax.BRW {
@@ -67,7 +67,7 @@ func (g *Generator) fragCond() {
 
 // fragBitBr emits a bit branch (FIELD group).
 func (g *Generator) fragBitBr() {
-	op := newOpSampler(bitBrOps).sample(g.rng)
+	op := bitBrOps.sample(g.rng)
 	g.emitForwardBranch(g.newInstr(op), g.rng.Float64() < g.p.PBitTaken)
 }
 
@@ -95,7 +95,7 @@ func (g *Generator) fragLoop() {
 		body = append(body, in)
 	}
 
-	op := newOpSampler(loopBrOps).sample(g.rng)
+	op := loopBrOps.sample(g.rng)
 	lop := g.newTemp(op)
 	lop.PC = p.cur
 	next := p.cur + uint32(lop.Size())
@@ -211,7 +211,7 @@ func (g *Generator) fragSub() {
 	case g.rng.Float64() < 0.10:
 		call = g.newInstr(vax.JSB)
 		call.Specs[0] = vax.Specifier{
-			Mode: vax.ModeLongDisp, Reg: g.rng.Intn(12),
+			Mode: vax.ModeLongDisp, Reg: int8(g.rng.Intn(12)),
 			Disp: int32(r.entry), Addr: r.entry, Index: -1,
 		}
 	case dist < 120:
@@ -259,7 +259,7 @@ func (g *Generator) fragProc() {
 	call := g.newInstr(vax.CALLS)
 	call.Specs[0] = vax.Specifier{Mode: vax.ModeLiteral, Disp: int32(g.rng.Intn(5)), Index: -1}
 	call.Specs[1] = vax.Specifier{
-		Mode: vax.ModeLongDisp, Reg: g.rng.Intn(12),
+		Mode: vax.ModeLongDisp, Reg: int8(g.rng.Intn(12)),
 		Disp: int32(r.entry), Addr: r.entry, Index: -1,
 	}
 	call.Taken = true
@@ -293,7 +293,7 @@ func (g *Generator) fragJmp() {
 	// Fix the target specifier's shape BEFORE sizing: the displacement
 	// value doesn't change the encoded length, the mode does.
 	in.Specs[0] = vax.Specifier{
-		Mode: vax.ModeLongDisp, Reg: g.rng.Intn(12), Index: -1,
+		Mode: vax.ModeLongDisp, Reg: int8(g.rng.Intn(12)), Index: -1,
 	}
 	in.PC = p.cur
 	gapCursor := p.cur + uint32(in.Size())
@@ -329,7 +329,7 @@ func (g *Generator) fragCase() {
 // fragChar emits one character-string instruction.
 func (g *Generator) fragChar() {
 	p := g.curProc()
-	op := newOpSampler(charOps).sample(g.rng)
+	op := charOps.sample(g.rng)
 	in := g.newInstr(op)
 	in.StrLen = g.rngRange(g.p.StrLenMin, g.p.StrLenMax)
 	// The length operand is the short literal when it fits.
@@ -357,7 +357,7 @@ func (g *Generator) fragChar() {
 // fragDecimal emits one packed-decimal instruction.
 func (g *Generator) fragDecimal() {
 	p := g.curProc()
-	op := newOpSampler(decimalOps).sample(g.rng)
+	op := decimalOps.sample(g.rng)
 	in := g.newInstr(op)
 	in.Digits = g.rngRange(g.p.DigitsMin, g.p.DigitsMax)
 	g.layMain(in)
@@ -375,11 +375,10 @@ func (g *Generator) fragDecimal() {
 // newKernelBody builds a kernel routine body: privileged operations mixed
 // with scalars, ending in term.
 func (g *Generator) newKernelBody(n int, kernelFrac float64, term vax.Opcode) []*vax.Instr {
-	kOps := newOpSampler(kernelOps)
 	body := make([]*vax.Instr, 0, n+1)
 	for i := 0; i < n; i++ {
 		if g.rng.Float64() < kernelFrac {
-			body = append(body, g.newProto(kOps.sample(g.rng)))
+			body = append(body, g.newProto(kernelOps.sample(g.rng)))
 		} else {
 			body = append(body, g.newProto(g.scalarOp()))
 		}

@@ -2,7 +2,9 @@ package workload_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"strings"
 	"testing"
 
 	"vax780/internal/ebox"
@@ -59,6 +61,72 @@ func unrunnable() []*workload.Trace {
 	}
 }
 
+// Wire shapes of trace files written when a specifier's mode, register
+// and index were ints: gob matches fields by name, so these encode what
+// such a file holds.
+type (
+	wideSpec struct {
+		Mode, Reg, Index int
+		Disp             int32
+	}
+	wideInstr struct {
+		Op    vax.Opcode
+		Specs []wideSpec
+		PC    uint32
+	}
+	wideItem struct {
+		Kind workload.Kind
+		In   *wideInstr
+	}
+	wideTrace struct {
+		Name    string
+		Program *workload.Program
+		Items   []wideItem
+	}
+)
+
+// wideRegisterTraces returns trace files, in the wire form of int
+// specifier fields, whose register, index or mode does not fit the
+// signed byte a Specifier now holds it in.
+func wideRegisterTraces(tb testing.TB) (names []string, files [][]byte) {
+	tb.Helper()
+	reg := func(r int) wideSpec { return wideSpec{Mode: int(vax.ModeRegister), Reg: r, Index: -1} }
+	for _, c := range []struct {
+		name string
+		spec wideSpec
+	}{
+		{"register 300", reg(300)},
+		{"register -200", reg(-200)},
+		{"index 200", wideSpec{Mode: int(vax.ModeRegDeferred), Reg: 1, Index: 200}},
+		{"mode 1000", wideSpec{Mode: 1000, Reg: 1, Index: -1}},
+	} {
+		tr := wideTrace{Name: c.name, Program: workload.NewProgram(), Items: []wideItem{{
+			Kind: workload.KindInstr,
+			In:   &wideInstr{Op: vax.MOVL, PC: 0x1000, Specs: []wideSpec{c.spec, reg(2)}},
+		}}}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+			tb.Fatal(err)
+		}
+		names = append(names, c.name)
+		files = append(files, buf.Bytes())
+	}
+	return names, files
+}
+
+// TestReadTraceRejectsWideRegisters: narrowing the specifier fields must
+// not let an out-of-range register, index or mode through by wrapping
+// it; the decode itself refuses the value.
+func TestReadTraceRejectsWideRegisters(t *testing.T) {
+	names, files := wideRegisterTraces(t)
+	for i, data := range files {
+		_, err := workload.ReadTrace(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: ReadTrace = %v, want an out-of-range decode error", names[i], err)
+		}
+	}
+}
+
 func TestReadTraceRejectsUnrunnableItems(t *testing.T) {
 	for _, tr := range unrunnable() {
 		if _, err := workload.ReadTrace(bytes.NewReader(encodeTrace(t, tr))); err == nil {
@@ -70,8 +138,8 @@ func TestReadTraceRejectsUnrunnableItems(t *testing.T) {
 // FuzzReadTrace: whatever ReadTrace accepts must run on a Strict machine
 // without panicking, and without the IB decode disagreeing with the
 // record the EBOX dispatched from (any other error is fine). The seeds
-// are a small generated trace and the unrunnable traces ReadTrace must
-// reject.
+// are a small generated trace, the unrunnable traces ReadTrace must
+// reject and trace files whose registers do not fit a Specifier.
 func FuzzReadTrace(f *testing.F) {
 	tr, err := workload.Generate(workload.TimesharingA(300))
 	if err != nil {
@@ -80,6 +148,10 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(encodeTrace(f, tr))
 	for _, bad := range unrunnable() {
 		f.Add(encodeTrace(f, bad))
+	}
+	_, wide := wideRegisterTraces(f)
+	for _, data := range wide {
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := workload.ReadTrace(bytes.NewReader(data))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 
 	"vax780/internal/vax"
@@ -200,11 +201,19 @@ type Generator struct {
 	phase     int
 	phaseGoal int
 
-	// Sampler sets: index 0 is the base mix; indexes 1..n correspond to
-	// Profile.Activities.
-	scalarSamplers [][]weightedCat
-	fragSamplers   [][]weightedFrag
+	// Sampler sets, built once: index 0 is the base mix; indexes 1..n
+	// correspond to Profile.Activities. modes holds the specifier mode
+	// tables of the first specifier (0) and of the others (1).
+	scalarSamplers []scalarSet
+	fragSamplers   []fragSet
+	modes          [2]modeTables
 	err            error
+}
+
+// scalarSet is one scalar category mix and its total weight.
+type scalarSet struct {
+	cats  [11]weightedCat
+	total float64
 }
 
 type weightedCat struct {
@@ -212,13 +221,27 @@ type weightedCat struct {
 	w   float64
 }
 
+// fragSet is one fragment mix and its total weight.
+type fragSet struct {
+	frags [12]weightedFrag
+	total float64
+}
+
 type weightedFrag struct {
 	f func()
 	w float64
 }
 
-// Generate synthesizes the trace for a profile.
+// Generate synthesizes the trace for a profile. It fails if the code of
+// a process would reach that process's data region, or the kernel's
+// code the system data.
 func Generate(p Profile) (*Trace, error) {
+	return newGenerator(p).run()
+}
+
+// newGenerator sets up the address spaces, samplers and event schedule
+// of a profile's generator.
+func newGenerator(p Profile) *Generator {
 	if p.Instructions <= 0 {
 		p.Instructions = 100_000
 	}
@@ -263,9 +286,13 @@ func Generate(p Profile) (*Trace, error) {
 	}
 	g.buildSamplers()
 	g.scheduleEvents()
-
 	g.phaseGoal = g.newPhaseGoal()
-	for g.nInstr < p.Instructions && g.err == nil {
+	return g
+}
+
+// run generates the profile's instructions.
+func (g *Generator) run() (*Trace, error) {
+	for g.nInstr < g.p.Instructions && g.err == nil {
 		g.tmp.reset()
 		if g.nInstr >= g.nextInt {
 			// Interrupts break the recorded phase (their delivery is not
@@ -292,7 +319,7 @@ func Generate(p Profile) (*Trace, error) {
 	if g.err != nil {
 		return nil, g.err
 	}
-	return &Trace{Name: p.Name, Program: g.prog, Items: g.items}, nil
+	return &Trace{Name: g.p.Name, Program: g.prog, Items: g.items}, nil
 }
 
 func (g *Generator) scheduleEvents() {
@@ -314,6 +341,8 @@ func (g *Generator) headway(mean int) int {
 }
 
 func (g *Generator) buildSamplers() {
+	g.modes[0] = g.p.Spec1.tables()
+	g.modes[1] = g.p.SpecN.tables()
 	g.scalarSamplers = append(g.scalarSamplers, g.buildScalarSampler(g.p.Scalar))
 	g.fragSamplers = append(g.fragSamplers, g.buildFragSampler(g.p.Frag))
 	for _, act := range g.p.Activities {
@@ -324,24 +353,28 @@ func (g *Generator) buildSamplers() {
 	}
 }
 
-func (g *Generator) buildScalarSampler(s ScalarWeights) []weightedCat {
-	return []weightedCat{
-		{newOpSampler(movesOps), s.Moves},
-		{newOpSampler(arithOps), s.Arith},
-		{newOpSampler(boolOps), s.Bool},
-		{newOpSampler(cmpOps), s.Cmp},
-		{newOpSampler(cvtOps), s.Cvt},
-		{newOpSampler([]weightedOp{{vax.PUSHL, 1}}), s.Push},
-		{newOpSampler(moveAddrOps), s.MoveAddr},
-		{newOpSampler(fieldOps), s.Field},
-		{newOpSampler(floatOps), s.Float},
-		{newOpSampler(floatMulOps), s.FloatMul},
-		{newOpSampler(intMulDivOps), s.IntMulDiv},
+func (g *Generator) buildScalarSampler(s ScalarWeights) scalarSet {
+	set := scalarSet{cats: [...]weightedCat{
+		{movesOps, s.Moves},
+		{arithOps, s.Arith},
+		{boolOps, s.Bool},
+		{cmpOps, s.Cmp},
+		{cvtOps, s.Cvt},
+		{pushOps, s.Push},
+		{moveAddrOps, s.MoveAddr},
+		{fieldOps, s.Field},
+		{floatOps, s.Float},
+		{floatMulOps, s.FloatMul},
+		{intMulDivOps, s.IntMulDiv},
+	}}
+	for _, c := range set.cats {
+		set.total += c.w
 	}
+	return set
 }
 
-func (g *Generator) buildFragSampler(f FragWeights) []weightedFrag {
-	return []weightedFrag{
+func (g *Generator) buildFragSampler(f FragWeights) fragSet {
+	set := fragSet{frags: [...]weightedFrag{
 		{g.fragStraight, f.Straight},
 		{g.fragCond, f.Cond},
 		{g.fragLoop, f.Loop},
@@ -354,7 +387,11 @@ func (g *Generator) buildFragSampler(f FragWeights) []weightedFrag {
 		{g.fragChar, f.Char},
 		{g.fragDecimal, f.Decimal},
 		{g.fragSyscall, f.Syscall},
+	}}
+	for _, wf := range set.frags {
+		set.total += wf.w
 	}
+	return set
 }
 
 // samplerIndex returns the sampler set index for the current process's
@@ -387,14 +424,10 @@ func (g *Generator) advanceScript(emitted int) {
 
 func (g *Generator) emitFragment() {
 	before := g.nInstr
-	sampler := g.fragSamplers[g.samplerIndex()]
-	total := 0.0
-	for _, wf := range sampler {
-		total += wf.w
-	}
-	x := g.rng.Float64() * total
+	set := &g.fragSamplers[g.samplerIndex()]
+	x := g.rng.Float64() * set.total
 	done := false
-	for _, wf := range sampler {
+	for _, wf := range set.frags {
 		x -= wf.w
 		if x <= 0 {
 			wf.f()
@@ -416,19 +449,45 @@ func (g *Generator) fail(err error) {
 
 func (g *Generator) curProc() *proc { return g.procs[g.cur] }
 
-// put materializes an instruction's bytes at its PC.
+// put materializes an instruction's bytes at its PC. The bytes must end
+// inside the code region holding the PC: a process's code lies below
+// its data (slot + procDataOffset), the kernel's below the system data.
 func (g *Generator) put(in *vax.Instr) {
 	g.enc = vax.Encode(g.enc[:0], in)
+	if end := uint64(in.PC) + uint64(len(g.enc)); end > uint64(codeLimit(in.PC)) {
+		g.fail(overrunError(in.PC))
+		return
+	}
 	if err := g.prog.Put(in.PC, g.enc); err != nil {
 		g.fail(err)
 	}
 }
 
-// lay places a proto at the cursor, materializing its bytes.
+// codeLimit returns the end of the code region holding pc.
+func codeLimit(pc uint32) uint32 {
+	if pc >= kernelCodeBase {
+		return sysDataBase
+	}
+	slot := procSlotBase + (pc-procSlotBase)/procSlotSize*procSlotSize
+	return slot + procDataOffset
+}
+
+// overrunError names the region whose code reached its data at pc.
+func overrunError(pc uint32) error {
+	if pc >= kernelCodeBase {
+		return fmt.Errorf("workload: kernel code at %#x reaches the system data at %#x",
+			pc, uint32(sysDataBase))
+	}
+	return fmt.Errorf("workload: process %d code at %#x reaches its data region at %#x",
+		(pc-procSlotBase)/procSlotSize+1, pc, codeLimit(pc))
+}
+
+// lay places a proto at the cursor, materializing its bytes, and moves
+// the cursor past them.
 func (g *Generator) lay(cursor *uint32, in *vax.Instr) {
 	in.PC = *cursor
 	g.put(in)
-	*cursor += uint32(in.Size())
+	*cursor += uint32(len(g.enc))
 }
 
 func (g *Generator) layMain(in *vax.Instr) { g.lay(&g.curProc().cur, in) }
@@ -544,14 +603,10 @@ func (g *Generator) newScalar() *vax.Instr { return g.newInstr(g.scalarOp()) }
 
 // scalarOp samples a scalar opcode from the current activity's mix.
 func (g *Generator) scalarOp() vax.Opcode {
-	sampler := g.scalarSamplers[g.samplerIndex()]
-	total := 0.0
-	for _, c := range sampler {
-		total += c.w
-	}
-	x := g.rng.Float64() * total
+	set := &g.scalarSamplers[g.samplerIndex()]
+	x := g.rng.Float64() * set.total
 	var ops *opSampler
-	for _, c := range sampler {
+	for _, c := range set.cats {
 		x -= c.w
 		if x <= 0 {
 			ops = c.ops
@@ -559,7 +614,7 @@ func (g *Generator) scalarOp() vax.Opcode {
 		}
 	}
 	if ops == nil {
-		ops = sampler[0].ops
+		ops = set.cats[0].ops
 	}
 	return ops.sample(g.rng)
 }
@@ -591,12 +646,12 @@ func (g *Generator) build(a *arena, op vax.Opcode) *vax.Instr {
 
 // buildSpec samples one specifier's static form.
 func (g *Generator) buildSpec(slot int, t vax.SpecTemplate) vax.Specifier {
-	dist, idxProb := &g.p.SpecN, g.p.IdxProbN
+	modes, idxProb := &g.modes[1], g.p.IdxProbN
 	if slot == 0 {
-		dist, idxProb = &g.p.Spec1, g.p.IdxProb1
+		modes, idxProb = &g.modes[0], g.p.IdxProb1
 	}
-	mode := dist.sample(g.rng, t.Access, t.Type)
-	sp := vax.Specifier{Mode: mode, Reg: g.rng.Intn(12), Index: -1}
+	mode := modes[t.Access][t.Type].sample(g.rng)
+	sp := vax.Specifier{Mode: mode, Reg: int8(g.rng.Intn(12)), Index: -1}
 	switch mode {
 	case vax.ModeLiteral:
 		sp.Disp = int32(g.rng.Intn(64))
@@ -613,7 +668,7 @@ func (g *Generator) buildSpec(slot int, t vax.SpecTemplate) vax.Specifier {
 			uint32(g.rng.Intn(dsPage/4)*4)
 	}
 	if mode.IsMemory() && mode != vax.ModeAbsolute && g.rng.Float64() < idxProb {
-		sp.Index = g.rng.Intn(12)
+		sp.Index = int8(g.rng.Intn(12))
 	}
 	return sp
 }

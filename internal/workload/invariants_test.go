@@ -264,7 +264,7 @@ func matchIBDecode(buf []byte, in *vax.Instr) error {
 		if err != nil {
 			return fmt.Errorf("specifier %d: %v", j, err)
 		}
-		if size := vax.SpecSize(sp, typ); ds.Mode != sp.Mode || ds.Index != sp.Index || ds.Len != size {
+		if size := vax.SpecSize(sp, typ); ds.Mode != sp.Mode || ds.Index != int(sp.Index) || ds.Len != size {
 			return fmt.Errorf("specifier %d: image %v[idx %d] in %d bytes, record %v[idx %d] in %d",
 				j, ds.Mode, ds.Index, ds.Len, sp.Mode, sp.Index, size)
 		}

@@ -50,59 +50,86 @@ var dispWidths = []struct {
 	{vax.ModeWordDisp, 0.18},
 }
 
-// sample draws an addressing mode subject to the access constraints of
-// the operand slot.
-func (md *ModeDist) sample(rng *rand.Rand, acc vax.Access, t vax.DataType) vax.AddrMode {
-	type entry struct {
-		mode vax.AddrMode
-		w    float64
+// modeOrder is the order a mode table lists (and draws) its entries:
+// the ModeDist fields in declaration order. The displacement entries
+// stand for all widths and are refined by sampleDispWidth.
+var modeOrder = [...]vax.AddrMode{
+	vax.ModeRegister,
+	vax.ModeLiteral,
+	vax.ModeImmediate,
+	vax.ModeByteDisp,
+	vax.ModeRegDeferred,
+	vax.ModeAutoIncrement,
+	vax.ModeAutoDecrement,
+	vax.ModeByteDispDeferred,
+	vax.ModeAbsolute,
+	vax.ModeAutoIncDeferred,
+}
+
+// modeTable is a ModeDist with the constraints of one operand slot
+// applied: a weight per modeOrder entry (zero where the slot forbids
+// the mode) and their total.
+type modeTable struct {
+	w     [len(modeOrder)]float64
+	total float64
+}
+
+// modeTables holds a ModeDist's table for every operand access and
+// data type, by value, so a generator builds them once and carries no
+// pointers to them.
+type modeTables [vax.AccVField + 1][vax.TypeDFloat + 1]modeTable
+
+// tables builds the constraint-applied table of every operand slot.
+func (md *ModeDist) tables() (t modeTables) {
+	for acc := range t {
+		for typ := range t[acc] {
+			t[acc][typ] = md.table(vax.Access(acc), vax.DataType(typ))
+		}
 	}
-	entries := []entry{
-		{vax.ModeRegister, md.Register},
-		{vax.ModeLiteral, md.Literal},
-		{vax.ModeImmediate, md.Immediate},
-		{vax.ModeByteDisp, md.Disp}, // width refined below
-		{vax.ModeRegDeferred, md.RegDef},
-		{vax.ModeAutoIncrement, md.AutoInc},
-		{vax.ModeAutoDecrement, md.AutoDec},
-		{vax.ModeByteDispDeferred, md.DispDef},
-		{vax.ModeAbsolute, md.Absolute},
-		{vax.ModeAutoIncDeferred, md.AutoIncDef},
+	return t
+}
+
+// table applies the access constraints of an operand slot to the
+// distribution. Literals and immediates are read-only data; address
+// operands must be in memory; wide immediates do not fit the IB. The
+// total sums every entry in modeOrder, forbidden ones as zeros.
+func (md *ModeDist) table(acc vax.Access, t vax.DataType) modeTable {
+	w := [len(modeOrder)]float64{
+		md.Register, md.Literal, md.Immediate, md.Disp, md.RegDef,
+		md.AutoInc, md.AutoDec, md.DispDef, md.Absolute, md.AutoIncDef,
 	}
-	// Access constraints: literals/immediates are read-only data; address
-	// operands must be in memory; wide immediates do not fit the IB.
 	writeLike := acc == vax.AccWrite || acc == vax.AccModify
 	addrLike := acc == vax.AccAddress
 	wideImm := t == vax.TypeQuad || t == vax.TypeDFloat
-	total := 0.0
-	for i := range entries {
-		e := &entries[i]
-		if (writeLike || addrLike) && (e.mode == vax.ModeLiteral || e.mode == vax.ModeImmediate) {
-			e.w = 0
+	var tab modeTable
+	for i, m := range modeOrder {
+		lit := m == vax.ModeLiteral || m == vax.ModeImmediate
+		switch {
+		case (writeLike || addrLike || acc == vax.AccVField) && lit,
+			addrLike && m == vax.ModeRegister,
+			wideImm && m == vax.ModeImmediate:
+			w[i] = 0
 		}
-		if acc == vax.AccVField && (e.mode == vax.ModeLiteral || e.mode == vax.ModeImmediate) {
-			e.w = 0
-		}
-		if addrLike && e.mode == vax.ModeRegister {
-			e.w = 0
-		}
-		if wideImm && e.mode == vax.ModeImmediate {
-			e.w = 0
-		}
-		total += e.w
+		tab.w[i] = w[i]
+		tab.total += w[i]
 	}
-	x := rng.Float64() * total
-	for i := range entries {
-		x -= entries[i].w
+	return tab
+}
+
+// sample draws an addressing mode from the table.
+func (tab *modeTable) sample(rng *rand.Rand) vax.AddrMode {
+	x := rng.Float64() * tab.total
+	for i, w := range tab.w {
+		x -= w
 		if x <= 0 {
-			m := entries[i].mode
-			switch m {
+			switch m := modeOrder[i]; m {
 			case vax.ModeByteDisp:
 				return sampleDispWidth(rng, false)
 			case vax.ModeByteDispDeferred:
 				return sampleDispWidth(rng, true)
+			default:
+				return m
 			}
-			return m
 		}
 	}
 	return vax.ModeRegister
@@ -163,83 +190,84 @@ func (s *opSampler) sample(rng *rand.Rand) vax.Opcode {
 	return s.ops[len(s.ops)-1].op
 }
 
-// Scalar opcode sets by category. The weights within a category are
-// arbitrary (the histogram cannot distinguish sharers anyway); the
-// weights ACROSS categories are set per profile.
+// Opcode samplers by category, built once. The weights within a
+// category are arbitrary (the histogram cannot distinguish sharers
+// anyway); the weights ACROSS categories are set per profile.
 var (
-	movesOps = []weightedOp{
+	movesOps = newOpSampler([]weightedOp{
 		{vax.MOVL, 55}, {vax.MOVB, 12}, {vax.MOVW, 8}, {vax.MOVQ, 2},
 		{vax.CLRL, 12}, {vax.CLRB, 3}, {vax.CLRW, 2}, {vax.CLRQ, 0.5},
 		{vax.MOVPSL, 0.3},
-	}
-	arithOps = []weightedOp{
+	})
+	arithOps = newOpSampler([]weightedOp{
 		{vax.ADDL2, 22}, {vax.ADDL3, 10}, {vax.SUBL2, 14}, {vax.SUBL3, 6},
 		{vax.INCL, 16}, {vax.DECL, 10}, {vax.ADDB2, 3}, {vax.SUBB2, 2},
 		{vax.ADDW2, 2}, {vax.SUBW2, 1}, {vax.INCW, 2}, {vax.DECW, 1},
 		{vax.INCB, 2}, {vax.DECB, 1}, {vax.MNEGL, 2},
 		{vax.ADWC, 0.5}, {vax.SBWC, 0.5}, {vax.ASHL, 3},
-	}
-	boolOps = []weightedOp{
+	})
+	boolOps = newOpSampler([]weightedOp{
 		{vax.BISL2, 8}, {vax.BISL3, 2}, {vax.BICL2, 6}, {vax.BICL3, 2},
 		{vax.BICB2, 2}, {vax.XORL2, 2}, {vax.XORL3, 1}, {vax.MCOML, 1},
 		{vax.BITL, 4}, {vax.BITB, 3},
-	}
-	cmpOps = []weightedOp{
+	})
+	cmpOps = newOpSampler([]weightedOp{
 		{vax.CMPL, 16}, {vax.CMPB, 8}, {vax.CMPW, 4},
 		{vax.TSTL, 14}, {vax.TSTB, 5}, {vax.TSTW, 2},
-	}
-	cvtOps = []weightedOp{
+	})
+	cvtOps = newOpSampler([]weightedOp{
 		{vax.MOVZBL, 6}, {vax.MOVZWL, 4}, {vax.CVTBL, 2}, {vax.CVTWL, 2},
 		{vax.CVTLB, 1}, {vax.CVTLW, 1}, {vax.CVTWB, 0.5},
-	}
-	moveAddrOps = []weightedOp{
+	})
+	pushOps     = newOpSampler([]weightedOp{{vax.PUSHL, 1}})
+	moveAddrOps = newOpSampler([]weightedOp{
 		{vax.MOVAL, 4}, {vax.MOVAB, 3}, {vax.PUSHAL, 2}, {vax.PUSHAB, 2},
-	}
-	condBrOps = []weightedOp{
+	})
+	condBrOps = newOpSampler([]weightedOp{
 		{vax.BEQL, 24}, {vax.BNEQ, 22}, {vax.BGTR, 8}, {vax.BLEQ, 7},
 		{vax.BGEQ, 9}, {vax.BLSS, 8}, {vax.BGTRU, 3}, {vax.BLEQU, 2},
 		{vax.BVC, 0.5}, {vax.BVS, 0.5}, {vax.BCC, 3}, {vax.BCS, 3},
 		{vax.BRB, 7}, {vax.BRW, 3},
-	}
-	loopBrOps = []weightedOp{
+	})
+	loopBrOps = newOpSampler([]weightedOp{
 		{vax.SOBGTR, 35}, {vax.SOBGEQ, 15}, {vax.AOBLSS, 30},
 		{vax.AOBLEQ, 10}, {vax.ACBL, 8}, {vax.ACBW, 2},
-	}
-	fieldOps = []weightedOp{
+	})
+	fieldOps = newOpSampler([]weightedOp{
 		{vax.EXTZV, 30}, {vax.EXTV, 20}, {vax.INSV, 20},
 		{vax.FFS, 6}, {vax.FFC, 3}, {vax.CMPV, 3}, {vax.CMPZV, 3},
-	}
-	bitBrOps = []weightedOp{
+	})
+	bitBrOps = newOpSampler([]weightedOp{
 		{vax.BBS, 28}, {vax.BBC, 26}, {vax.BBSS, 18}, {vax.BBCC, 14},
 		{vax.BBCS, 7}, {vax.BBSC, 7},
-	}
-	floatOps = []weightedOp{
+	})
+	floatOps = newOpSampler([]weightedOp{
 		{vax.ADDF2, 16}, {vax.ADDF3, 8}, {vax.SUBF2, 10}, {vax.SUBF3, 4},
 		{vax.MOVF, 18}, {vax.CMPF, 8}, {vax.TSTF, 4},
 		{vax.CVTLF, 5}, {vax.CVTFL, 5},
 		{vax.ADDD2, 3}, {vax.SUBD2, 2}, {vax.MOVD, 3}, {vax.CMPD, 1},
-	}
-	floatMulOps = []weightedOp{
+	})
+	floatMulOps = newOpSampler([]weightedOp{
 		{vax.MULF2, 10}, {vax.MULF3, 6}, {vax.DIVF2, 4}, {vax.DIVF3, 2},
 		{vax.MULD2, 2}, {vax.DIVD2, 1},
-	}
-	intMulDivOps = []weightedOp{
+	})
+	intMulDivOps = newOpSampler([]weightedOp{
 		{vax.MULL2, 10}, {vax.MULL3, 6}, {vax.DIVL2, 4}, {vax.DIVL3, 3},
 		{vax.EMUL, 1}, {vax.EDIV, 1},
-	}
-	charOps = []weightedOp{
+	})
+	charOps = newOpSampler([]weightedOp{
 		{vax.MOVC3, 45}, {vax.MOVC5, 18}, {vax.CMPC3, 10}, {vax.CMPC5, 4},
 		{vax.LOCC, 12}, {vax.SKPC, 4}, {vax.SCANC, 4}, {vax.SPANC, 2},
 		{vax.MOVTC, 1},
-	}
-	decimalOps = []weightedOp{
+	})
+	decimalOps = newOpSampler([]weightedOp{
 		{vax.ADDP4, 20}, {vax.ADDP6, 8}, {vax.SUBP4, 12}, {vax.SUBP6, 4},
 		{vax.CMPP3, 8}, {vax.CMPP4, 4}, {vax.MOVP, 16},
 		{vax.CVTLP, 8}, {vax.CVTPL, 8}, {vax.CVTPT, 3}, {vax.CVTTP, 2},
 		{vax.MULP, 3}, {vax.DIVP, 2}, {vax.ASHP, 2}, {vax.EDITPC, 1},
-	}
-	kernelOps = []weightedOp{
+	})
+	kernelOps = newOpSampler([]weightedOp{
 		{vax.MTPR, 20}, {vax.MFPR, 14}, {vax.INSQUE, 8}, {vax.REMQUE, 7},
 		{vax.PROBER, 6}, {vax.PROBEW, 3},
-	}
+	})
 )

@@ -19,13 +19,11 @@ type programGob struct {
 func (p *Program) GobEncode() ([]byte, error) {
 	pg := programGob{
 		Pages: make(map[uint32][]byte, len(p.pages)),
-		Used:  make(map[uint32][]bool, len(p.used)),
+		Used:  make(map[uint32][]bool, len(p.pages)),
 	}
 	for k, v := range p.pages {
-		pg.Pages[k] = v[:]
-	}
-	for k, v := range p.used {
-		pg.Used[k] = v[:]
+		pg.Pages[k] = v.bytes[:]
+		pg.Used[k] = v.used[:]
 	}
 	var buf writerBuffer
 	if err := gob.NewEncoder(&buf).Encode(pg); err != nil {
@@ -34,33 +32,34 @@ func (p *Program) GobEncode() ([]byte, error) {
 	return buf.b, nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Every page needs its used map and
+// every used map its page.
 func (p *Program) GobDecode(data []byte) error {
 	var pg programGob
 	if err := gob.NewDecoder(&readerBuffer{b: data}).Decode(&pg); err != nil {
 		return err
 	}
-	p.pages = make(map[uint32]*[pageSize]byte, len(pg.Pages))
-	p.used = make(map[uint32]*[pageSize]bool, len(pg.Used))
+	p.pages = make(map[uint32]*codePage, len(pg.Pages))
+	p.last = nil
 	for k, v := range pg.Pages {
 		if len(v) != pageSize {
 			return fmt.Errorf("workload: bad page size %d in trace file", len(v))
 		}
-		page := new([pageSize]byte)
-		copy(page[:], v)
+		u, ok := pg.Used[k]
+		if !ok {
+			return fmt.Errorf("workload: page %#x has no used map in trace file", k)
+		}
+		if len(u) != pageSize {
+			return fmt.Errorf("workload: bad used-map size %d in trace file", len(u))
+		}
+		page := new(codePage)
+		copy(page.bytes[:], v)
+		copy(page.used[:], u)
 		p.pages[k] = page
 	}
-	for k, v := range pg.Used {
-		if len(v) != pageSize {
-			return fmt.Errorf("workload: bad used-map size %d in trace file", len(v))
-		}
-		used := new([pageSize]bool)
-		copy(used[:], v)
-		p.used[k] = used
-	}
-	for k := range p.pages {
-		if p.used[k] == nil {
-			return fmt.Errorf("workload: page %#x has no used map in trace file", k)
+	for k := range pg.Used {
+		if _, ok := pg.Pages[k]; !ok {
+			return fmt.Errorf("workload: used map %#x has no page in trace file", k)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 
 	"vax780/internal/vax"
@@ -79,21 +80,47 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 }
 
+// rawProgram writes a hand-made code image in Program's wire form.
+type rawProgram programGob
+
+func (r rawProgram) GobEncode() ([]byte, error) {
+	var buf writerBuffer
+	err := gob.NewEncoder(&buf).Encode(programGob(r))
+	return buf.b, err
+}
+
 // TestReadTraceRejectsPageWithoutUsedMap: ReadTrace reads the code image
 // byte by byte to check it against the records, so a file whose page has
-// no used map must be an error, not a nil dereference.
+// no used map (or whose used map has no page) must be an error, not a
+// nil dereference.
 func TestReadTraceRejectsPageWithoutUsedMap(t *testing.T) {
 	in := &vax.Instr{Op: vax.NOP, PC: 0x1000}
-	tr := &Trace{Program: NewProgram(), Items: []Item{{Kind: KindInstr, In: in}}}
-	if err := tr.Program.PutInstr(in); err != nil {
+	prog := NewProgram()
+	if err := prog.PutInstr(in); err != nil {
 		t.Fatal(err)
 	}
-	delete(tr.Program.used, in.PC/pageSize)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrace(&buf); err == nil {
-		t.Error("ReadTrace accepted a page without a used map")
+	pg := in.PC / pageSize
+	page := prog.Page(in.PC)[:]
+	used := make([]bool, pageSize)
+	used[in.PC%pageSize] = true
+	for name, img := range map[string]programGob{
+		"page without used map": {Pages: map[uint32][]byte{pg: page}},
+		"used map without page": {
+			Pages: map[uint32][]byte{pg: page},
+			Used:  map[uint32][]bool{pg: used, pg + 1: used},
+		},
+	} {
+		file := struct {
+			Name    string
+			Program rawProgram
+			Items   []Item
+		}{name, rawProgram(img), []Item{{Kind: KindInstr, In: in}}}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(file); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTrace(&buf); err == nil {
+			t.Errorf("ReadTrace accepted a trace file with a %s", name)
+		}
 	}
 }

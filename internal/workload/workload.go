@@ -82,18 +82,26 @@ func (s *SliceStream) Reset() { s.pos = 0 }
 // their virtual addresses, from which the IB fetches. It is sparse and
 // page-granular.
 type Program struct {
-	pages map[uint32]*[pageSize]byte
-	used  map[uint32]*[pageSize]bool
+	pages map[uint32]*codePage
+
+	// last memoizes Put's most recent page: the generator lays code at
+	// a moving cursor, so most writes land on the page before.
+	lastPg uint32
+	last   *codePage
+}
+
+// codePage is one page of the image: its bytes and which of them have
+// been written.
+type codePage struct {
+	bytes [pageSize]byte
+	used  [pageSize]bool
 }
 
 const pageSize = 512
 
 // NewProgram returns an empty code image.
 func NewProgram() *Program {
-	return &Program{
-		pages: make(map[uint32]*[pageSize]byte),
-		used:  make(map[uint32]*[pageSize]bool),
-	}
+	return &Program{pages: make(map[uint32]*codePage)}
 }
 
 // Put writes the encoded bytes of an instruction at va. Overlapping
@@ -102,20 +110,23 @@ func NewProgram() *Program {
 func (p *Program) Put(va uint32, b []byte) error {
 	for len(b) > 0 {
 		pg, off := va/pageSize, va%pageSize
-		page, u := p.pages[pg], p.used[pg]
-		if page == nil {
-			page, u = new([pageSize]byte), new([pageSize]bool)
-			p.pages[pg], p.used[pg] = page, u
+		page := p.last
+		if page == nil || p.lastPg != pg {
+			if page = p.pages[pg]; page == nil {
+				page = new(codePage)
+				p.pages[pg] = page
+			}
+			p.lastPg, p.last = pg, page
 		}
 		run := b[:min(len(b), int(pageSize-off))]
 		for i, by := range run {
 			o := off + uint32(i)
-			if u[o] && page[o] != by {
+			if page.used[o] && page.bytes[o] != by {
 				return fmt.Errorf("workload: code conflict at VA %#x: %#02x vs %#02x",
-					va+uint32(i), page[o], by)
+					va+uint32(i), page.bytes[o], by)
 			}
-			page[o] = by
-			u[o] = true
+			page.bytes[o] = by
+			page.used[o] = true
 		}
 		va += uint32(len(run))
 		b = b[len(run):]
@@ -130,27 +141,30 @@ func (p *Program) PutInstr(in *vax.Instr) error {
 
 // Byte returns the code byte at va.
 func (p *Program) Byte(va uint32) (byte, bool) {
-	pg, off := va/pageSize, va%pageSize
-	page := p.pages[pg]
+	page := p.pages[va/pageSize]
 	if page == nil {
 		return 0, false
 	}
-	return page[off], p.used[pg][off]
+	off := va % pageSize
+	return page.bytes[off], page.used[off]
 }
 
 // Page returns the bytes of the page containing va, or nil if nothing
 // is materialized there: the I-Fetch stage's page source, which keeps
 // the hot code page instead of looking up each byte.
 func (p *Program) Page(va uint32) *[pageSize]byte {
-	return p.pages[va/pageSize]
+	if page := p.pages[va/pageSize]; page != nil {
+		return &page.bytes
+	}
+	return nil
 }
 
 // Bytes returns the number of materialized code bytes.
 func (p *Program) Bytes() int {
 	n := 0
-	for _, u := range p.used {
-		for _, b := range u {
-			if b {
+	for _, page := range p.pages {
+		for _, u := range page.used {
+			if u {
 				n++
 			}
 		}
