@@ -301,21 +301,21 @@ func (op Opcode) String() string {
 // Specifier is the runtime form of one operand specifier in an executed
 // instruction: the addressing mode plus everything the simulator needs to
 // reproduce its memory behaviour. A generated trace holds millions of
-// them, so the small fields are signed bytes (20 bytes in all). They
-// stay signed: gob will not decode a signed wire integer, which is how
-// trace files written when they were ints carry them, into an unsigned
-// field.
+// them, so the small fields are signed bytes, packed ahead of the words
+// (16 bytes in all). They stay signed: gob will not decode a signed wire
+// integer, which is how trace files written when they were ints carry
+// them, into an unsigned field.
 type Specifier struct {
-	Mode  AddrMode
-	Reg   int8  // base register, 0..14 (R15=PC is expressed via the PC modes)
-	Index int8  // index register if indexed addressing; -1 when not indexed
-	Disp  int32 // displacement (disp modes), literal value, or immediate value
+	Mode      AddrMode
+	Reg       int8  // base register, 0..14 (R15=PC is expressed via the PC modes)
+	Index     int8  // index register if indexed addressing; -1 when not indexed
+	Unaligned bool  // operand crosses a longword boundary
+	Disp      int32 // displacement (disp modes), literal value, or immediate value
 	// Addr is the effective virtual address for memory modes. For deferred
 	// modes it is the FINAL operand address; the pointer fetched during
 	// indirection lives at PtrAddr.
-	Addr      uint32
-	PtrAddr   uint32 // address of the pointer for deferred modes
-	Unaligned bool   // operand crosses a longword boundary
+	Addr    uint32
+	PtrAddr uint32 // address of the pointer for deferred modes
 }
 
 // Indexed reports whether the specifier uses index mode.
@@ -323,22 +323,16 @@ func (s *Specifier) Indexed() bool { return s.Index >= 0 }
 
 // Instr is one executed instruction in a workload trace: the architectural
 // instruction plus the runtime facts (branch outcome, operand sizes) that
-// drive data-dependent microcode loops. The fields are ordered widest
-// first so the record packs into 72 bytes.
+// drive data-dependent microcode loops. The fields every dispatch reads
+// come first and the record packs into 72 bytes.
 type Instr struct {
 	Specs []Specifier // runtime specifiers, matching Info().Specs
 
-	// Data-dependent loop drivers.
-	RegCount int // registers moved by CALL/RET/PUSHR/POPR (mask popcount)
-	StrLen   int // string length in bytes for CHARACTER instructions
-	Digits   int // digit count for DECIMAL instructions
-	FieldLen int // bit-field length for FIELD instructions
+	PC uint32 // VA of the opcode byte
 
 	// Branch displacement and outcome for PC-changing instructions.
-	BranchDisp int32
 	Target     uint32 // VA executed next if Taken
-
-	PC uint32 // VA of the opcode byte
+	BranchDisp int32
 
 	Op    Opcode
 	Taken bool // whether the PC actually changed
@@ -348,6 +342,12 @@ type Instr struct {
 	// it, which is how the paper's Table 7 counts software-interrupt
 	// requests.
 	SIRR bool
+
+	// Data-dependent loop drivers.
+	RegCount int // registers moved by CALL/RET/PUSHR/POPR (mask popcount)
+	StrLen   int // string length in bytes for CHARACTER instructions
+	Digits   int // digit count for DECIMAL instructions
+	FieldLen int // bit-field length for FIELD instructions
 }
 
 // Info returns the opcode's static description.

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"vax780/internal/vax"
 )
@@ -179,6 +180,24 @@ func sameItems(t *testing.T, what string, want, got []Item) {
 		}
 		if a.In != nil && !reflect.DeepEqual(*a.In, *b.In) {
 			t.Fatalf("%s: item %d: %+v vs %+v", what, i, *b.In, *a.In)
+		}
+	}
+}
+
+// TestRecordSizes pins the trace records' footprint: a cached trace
+// holds one Item per executed instruction and one Instr and its
+// Specifiers per distinct record.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"vax.Instr", unsafe.Sizeof(vax.Instr{}), 72},
+		{"vax.Specifier", unsafe.Sizeof(vax.Specifier{}), 16},
+		{"workload.Item", unsafe.Sizeof(Item{}), 24},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d bytes, want ≤ %d", c.name, c.got, c.want)
 		}
 	}
 }

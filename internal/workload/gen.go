@@ -449,13 +449,11 @@ func (g *Generator) fail(err error) {
 
 func (g *Generator) curProc() *proc { return g.procs[g.cur] }
 
-// put materializes an instruction's bytes at its PC. The bytes must end
-// inside the code region holding the PC: a process's code lies below
-// its data (slot + procDataOffset), the kernel's below the system data.
+// put materializes an instruction's bytes at its PC.
 func (g *Generator) put(in *vax.Instr) {
 	g.enc = vax.Encode(g.enc[:0], in)
-	if end := uint64(in.PC) + uint64(len(g.enc)); end > uint64(codeLimit(in.PC)) {
-		g.fail(overrunError(in.PC))
+	if err := overrun(in.PC, len(g.enc)); err != nil {
+		g.fail(err)
 		return
 	}
 	if err := g.prog.Put(in.PC, g.enc); err != nil {
@@ -463,23 +461,24 @@ func (g *Generator) put(in *vax.Instr) {
 	}
 }
 
-// codeLimit returns the end of the code region holding pc.
-func codeLimit(pc uint32) uint32 {
+// overrun reports n code bytes at pc that do not end inside the code
+// region holding pc: a process's code lies below its data (slot +
+// procDataOffset), the kernel's below the system data.
+func overrun(pc uint32, n int) error {
+	end := pc + uint32(n)
 	if pc >= kernelCodeBase {
-		return sysDataBase
+		if end > sysDataBase {
+			return fmt.Errorf("workload: kernel code at %#x reaches the system data at %#x",
+				pc, uint32(sysDataBase))
+		}
+		return nil
 	}
-	slot := procSlotBase + (pc-procSlotBase)/procSlotSize*procSlotSize
-	return slot + procDataOffset
-}
-
-// overrunError names the region whose code reached its data at pc.
-func overrunError(pc uint32) error {
-	if pc >= kernelCodeBase {
-		return fmt.Errorf("workload: kernel code at %#x reaches the system data at %#x",
-			pc, uint32(sysDataBase))
+	slot := (pc - procSlotBase) / procSlotSize
+	if limit := procSlotBase + slot*procSlotSize + procDataOffset; end > limit {
+		return fmt.Errorf("workload: process %d code at %#x reaches its data region at %#x",
+			slot+1, pc, limit)
 	}
-	return fmt.Errorf("workload: process %d code at %#x reaches its data region at %#x",
-		(pc-procSlotBase)/procSlotSize+1, pc, codeLimit(pc))
+	return nil
 }
 
 // lay places a proto at the cursor, materializing its bytes, and moves

@@ -3,9 +3,6 @@ package workload
 import (
 	"strings"
 	"testing"
-	"unsafe"
-
-	"vax780/internal/vax"
 )
 
 // TestCodeOverrunIsAnError: a process's code cursor only moves forward,
@@ -35,39 +32,5 @@ func TestCodeOverrunIsAnError(t *testing.T) {
 	}
 	if _, err := newGenerator(p).run(); err != nil {
 		t.Fatalf("the same profile from the usual cursors: %v", err)
-	}
-}
-
-// TestCodeLimit: each process's code ends at its data base, the
-// kernel's at the system data.
-func TestCodeLimit(t *testing.T) {
-	for _, c := range []struct{ pc, limit uint32 }{
-		{procSlotBase, procSlotBase + procDataOffset},
-		{procSlotBase + procDataOffset - 1, procSlotBase + procDataOffset},
-		{procSlotBase + procDataOffset, procSlotBase + procDataOffset},
-		{procSlotBase + 3*procSlotSize + 5, procSlotBase + 3*procSlotSize + procDataOffset},
-		{kernelCodeBase, sysDataBase},
-	} {
-		if got := codeLimit(c.pc); got != c.limit {
-			t.Errorf("codeLimit(%#x) = %#x, want %#x", c.pc, got, c.limit)
-		}
-	}
-}
-
-// TestRecordSizes pins the trace records' footprint: a cached trace
-// holds one Item per executed instruction and one Instr and its
-// Specifiers per distinct record.
-func TestRecordSizes(t *testing.T) {
-	for _, c := range []struct {
-		name      string
-		got, want uintptr
-	}{
-		{"vax.Instr", unsafe.Sizeof(vax.Instr{}), 72},
-		{"vax.Specifier", unsafe.Sizeof(vax.Specifier{}), 20},
-		{"workload.Item", unsafe.Sizeof(Item{}), 24},
-	} {
-		if c.got > c.want {
-			t.Errorf("%s is %d bytes, want ≤ %d", c.name, c.got, c.want)
-		}
 	}
 }
