@@ -49,7 +49,7 @@ func (g Group) String() string {
 // AddrMode is a VAX operand specifier addressing mode. The numeric values
 // are chosen for readability; the on-the-wire encoding (mode nibble) is
 // produced by the encoder. It is a signed byte so a Specifier stays
-// small; gob writes it as a signed integer, as it did when it was an int.
+// small (see Specifier for why it is signed).
 type AddrMode int8
 
 // Addressing modes, named as in Table 4 of the paper.

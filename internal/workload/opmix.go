@@ -79,41 +79,33 @@ type modeTable struct {
 // pointers to them.
 type modeTables [vax.AccVField + 1][vax.TypeDFloat + 1]modeTable
 
-// tables builds the constraint-applied table of every operand slot.
+// tables applies each operand slot's access constraints to the
+// distribution: literals and immediates are read-only data; address
+// operands must be in memory; wide immediates do not fit the IB. A
+// table's total sums its entries in modeOrder, forbidden ones as zeros.
 func (md *ModeDist) tables() (t modeTables) {
-	for acc := range t {
-		for typ := range t[acc] {
-			t[acc][typ] = md.table(vax.Access(acc), vax.DataType(typ))
-		}
-	}
-	return t
-}
-
-// table applies the access constraints of an operand slot to the
-// distribution. Literals and immediates are read-only data; address
-// operands must be in memory; wide immediates do not fit the IB. The
-// total sums every entry in modeOrder, forbidden ones as zeros.
-func (md *ModeDist) table(acc vax.Access, t vax.DataType) modeTable {
 	w := [len(modeOrder)]float64{
 		md.Register, md.Literal, md.Immediate, md.Disp, md.RegDef,
 		md.AutoInc, md.AutoDec, md.DispDef, md.Absolute, md.AutoIncDef,
 	}
-	writeLike := acc == vax.AccWrite || acc == vax.AccModify
-	addrLike := acc == vax.AccAddress
-	wideImm := t == vax.TypeQuad || t == vax.TypeDFloat
-	var tab modeTable
-	for i, m := range modeOrder {
-		lit := m == vax.ModeLiteral || m == vax.ModeImmediate
-		switch {
-		case (writeLike || addrLike || acc == vax.AccVField) && lit,
-			addrLike && m == vax.ModeRegister,
-			wideImm && m == vax.ModeImmediate:
-			w[i] = 0
+	for acc := range t {
+		writeLike := acc == int(vax.AccWrite) || acc == int(vax.AccModify)
+		addrLike := acc == int(vax.AccAddress)
+		noLit := writeLike || addrLike || acc == int(vax.AccVField)
+		for typ := range t[acc] {
+			wideImm := typ == int(vax.TypeQuad) || typ == int(vax.TypeDFloat)
+			tab := &t[acc][typ]
+			for i, m := range modeOrder {
+				lit := m == vax.ModeLiteral || m == vax.ModeImmediate
+				if !(noLit && lit || addrLike && m == vax.ModeRegister ||
+					wideImm && m == vax.ModeImmediate) {
+					tab.w[i] = w[i]
+				}
+				tab.total += tab.w[i]
+			}
 		}
-		tab.w[i] = w[i]
-		tab.total += w[i]
 	}
-	return tab
+	return t
 }
 
 // sample draws an addressing mode from the table.
